@@ -439,8 +439,9 @@ func runCacheBench(out *benchResult, in []gosrc.File) error {
 }
 
 // serverTicks is the number of timed warm-server requests. The first
-// two ticks introduce the two tick-function variants (memo misses that
-// replay from disk); the remaining ten are steady-state memo replays,
+// two ticks introduce the two tick-function variants (re-lowering the
+// program; the entries' jobs already replay from the memo); the
+// remaining ten also swap the lowered program back in from the ring,
 // so the median lands on the resident hot path.
 const serverTicks = 12
 
@@ -448,8 +449,8 @@ const serverTicks = 12
 // scenario a gocheckd client sees against a warm daemon. The engine
 // shares the populated cache directory; each tick upserts one file
 // whose single function alternates between two bodies, forcing a
-// re-fingerprint and a fresh whole-program digest without touching any
-// entry's summary.
+// re-fingerprint without touching any entry's summary, so every job is
+// served by the summary-keyed memo.
 func runServerBench(out *benchResult, in []gosrc.File, cache *analysis.Cache, coldJSON []byte) error {
 	pkg, err := analysis.LoadFiles(in)
 	if err != nil {
@@ -554,10 +555,9 @@ func tickFile(i int) gosrc.File {
 
 // tickOnce times one edit tick against eng. Every response must
 // reproduce coldJSON byte-for-byte, and steady-state ticks (both
-// variants resident, i > 2) must be fully memoized: once both variants
-// have been seen, a tick must never fall back to disk or re-solve
-// anything — the memo key (which includes the whole-program digest) has
-// been seen before.
+// variants resident, i > 2) must be fully memoized: a tick must never
+// fall back to disk or re-solve anything — the edit touches no entry's
+// summary, so every memo key has been seen before.
 func tickOnce(eng *analysis.Engine, entries []string, i int, coldJSON []byte) (float64, error) {
 	start := time.Now()
 	rep, err := eng.Check(analysis.CheckRequest{

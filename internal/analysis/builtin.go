@@ -16,7 +16,7 @@ func init() {
 		Doc:      "shared variable accessed by concurrent goroutines without a common lock",
 		Severity: SeverityError,
 		Run:      raceDiagnostics,
-		Version:  "1",
+		Version:  "2",
 		Message:  "possible data race on %s: conflicting accesses from concurrent goroutines with no common lock held",
 	})
 	Register(&Checker{
@@ -24,7 +24,7 @@ func init() {
 		Doc:      "two locks acquired in opposite orders on different paths (deadlock risk)",
 		Severity: SeverityWarning,
 		Run:      lockOrderDiagnostics,
-		Version:  "1",
+		Version:  "2",
 		Message:  "locks %s are acquired in opposite orders on different paths (deadlock risk)",
 	})
 	Register(&Checker{

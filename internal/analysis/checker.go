@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"rasc/internal/minic"
@@ -114,6 +115,9 @@ type Checker struct {
 	once   sync.Once
 	prop   *spec.Property
 	events *minic.EventMap
+
+	fpOnce sync.Once
+	fp     string
 }
 
 func (c *Checker) compiled() (*spec.Property, *minic.EventMap) {
@@ -190,30 +194,53 @@ func generation() int {
 
 // fingerprint renders the checker's analysis-relevant content: identity,
 // diagnostic shape, declared spec/version, and — for property checkers —
-// the compiled event rules, whose plain-struct rendering is stable.
+// the compiled event rules, whose plain-struct rendering is stable. A
+// checker is immutable once registered, so the rendering is computed
+// once; every job's memo and cache key reads it.
 func (c *Checker) fingerprint() string {
-	s := fmt.Sprintf("checker %s\ndoc %s\nsev %d mode %d\nmsg %s\nspec %s\nversion %s\n",
-		c.Name, c.Doc, c.Severity, c.Mode, c.Message, c.Spec, c.Version)
-	if c.NewProperty != nil && c.NewEvents != nil {
-		_, events := c.compiled()
-		for _, r := range events.Rules {
-			s += fmt.Sprintf("rule %+v\n", r)
+	c.fpOnce.Do(func() {
+		var b strings.Builder
+		fmt.Fprintf(&b, "checker %s\ndoc %s\nsev %d mode %d\nmsg %s\nspec %s\nversion %s\n",
+			c.Name, c.Doc, c.Severity, c.Mode, c.Message, c.Spec, c.Version)
+		if c.NewProperty != nil && c.NewEvents != nil {
+			_, events := c.compiled()
+			for _, r := range events.Rules {
+				fmt.Fprintf(&b, "rule %+v\n", r)
+			}
 		}
-	}
-	return s
+		c.fp = b.String()
+	})
+	return c.fp
+}
+
+// regFP caches registryFingerprint per registry generation.
+var regFP struct {
+	sync.Mutex
+	gen int
+	fp  string
 }
 
 // registryFingerprint hashes the full registry's content. The whole
 // registry matters to every cached result — the shared skeleton's
 // deferred-statement set is computed from the union of all checkers'
 // event callees — so persistent cache keys include this fingerprint the
-// way in-process skeleton caching includes generation().
+// way in-process skeleton caching includes generation(). It is computed
+// once per registry generation.
 func registryFingerprint() string {
+	regFP.Lock()
+	defer regFP.Unlock()
+	regMu.RLock()
+	gen := regGen
+	regMu.RUnlock()
+	if regFP.fp != "" && regFP.gen == gen {
+		return regFP.fp
+	}
 	h := sha256.New()
 	for _, c := range All() {
 		fmt.Fprintf(h, "%s\n", c.fingerprint())
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	regFP.gen, regFP.fp = gen, hex.EncodeToString(h.Sum(nil))
+	return regFP.fp
 }
 
 // eventCallees returns the union of callee names appearing in any

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 
+	"rasc/internal/ir"
 	"rasc/internal/minic"
 )
 
@@ -20,7 +21,9 @@ import (
 //   - a flow relation over the interprocedural CFG in which a spawn
 //     node continues to its successors (the spawner's flow) and never
 //     returns from the spawned callee (the child's flow starts fresh at
-//     the callee's entry);
+//     the callee's entry), walked per goroutine root only within the
+//     root's call-graph closure — a goroutine can return only into
+//     callers on its own stack;
 //   - a lockset dataflow over that relation, per goroutine root: the
 //     set of (lock, mode) pairs possibly held at each node, seeded with
 //     the empty lockset (a new goroutine holds nothing).
@@ -106,23 +109,32 @@ func transfer(n *minic.Node, ls lockset) lockset {
 }
 
 // concModel caches the whole-program CFG, the goroutine flow relation
-// and per-root lockset dataflow results for a Package.
+// and per-root closures and lockset dataflow results for a Package.
 type concModel struct {
-	cfg *minic.CFG
+	prog *ir.Program
+	cfg  *minic.CFG
 	// flowSuccs is the single-goroutine flow relation: intraprocedural
 	// edges, call site -> callee entry, callee exit -> every return site
 	// (context-insensitive). Spawn nodes flow only to their successors.
+	// Walks restrict it to a root's closure (see closure).
 	flowSuccs [][]int
 
-	mu      sync.Mutex
-	lsCache map[string]map[int][]lockset // root fn -> node -> locksets
+	mu       sync.Mutex
+	closures map[string][]bool            // root fn -> node -> in root's closure
+	lsCache  map[string]map[int][]lockset // root fn -> node -> locksets
 }
 
 // concModel builds (once) the concurrency model of the package.
 func (p *Package) concModel() *concModel {
 	p.concOnce.Do(func() {
 		cfg := p.Prog.Graph
-		m := &concModel{cfg: cfg, flowSuccs: make([][]int, len(cfg.Nodes)), lsCache: map[string]map[int][]lockset{}}
+		m := &concModel{
+			prog:      p.Prog,
+			cfg:       cfg,
+			flowSuccs: make([][]int, len(cfg.Nodes)),
+			closures:  map[string][]bool{},
+			lsCache:   map[string]map[int][]lockset{},
+		}
 		retSites := map[string][]int{}
 		callee := func(n *minic.Node) *minic.FuncDef {
 			if n.Call == nil {
@@ -172,8 +184,24 @@ type goroutine struct {
 	parent map[int]int
 }
 
+// closure returns (and memoizes) which CFG nodes lie in root's
+// call-graph closure. Flow from a callee's exit to a return site outside
+// it would "return" into a caller that is never on the goroutine's
+// stack, so every walk from root stays inside it.
+func (m *concModel) closure(root string) []bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	in, ok := m.closures[root]
+	if !ok {
+		in = m.prog.ClosureNodes(root)
+		m.closures[root] = in
+	}
+	return in
+}
+
 // explore fills g.reach and g.parent by BFS from the root's entry.
 func (m *concModel) explore(g *goroutine) {
+	in := m.closure(g.Root)
 	g.reach = map[int]bool{}
 	g.parent = map[int]int{}
 	start := m.cfg.Entry[g.Root]
@@ -184,7 +212,7 @@ func (m *concModel) explore(g *goroutine) {
 		id := queue[0]
 		queue = queue[1:]
 		for _, s := range m.flowSuccs[id] {
-			if !g.reach[s] {
+			if in[s] && !g.reach[s] {
 				g.reach[s] = true
 				g.parent[s] = id
 				queue = append(queue, s)
@@ -214,14 +242,18 @@ func (m *concModel) path(p *Package, g *goroutine, id int) []TraceStep {
 }
 
 // inCycle reports whether node id can reach itself through the flow
-// relation (a spawn in a loop or in a recursive function spawns many
-// instances).
-func (m *concModel) inCycle(id int) bool {
+// relation within root's closure (a spawn in a loop or in a recursive
+// function spawns many instances).
+func (m *concModel) inCycle(root string, id int) bool {
+	in := m.closure(root)
 	seen := map[int]bool{}
 	queue := append([]int(nil), m.flowSuccs[id]...)
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
+		if !in[at] {
+			continue
+		}
 		if at == id {
 			return true
 		}
@@ -269,7 +301,7 @@ func (m *concModel) goroutines(p *Package, entry string) []*goroutine {
 				ID:     len(out),
 				Root:   def.Name,
 				Spawn:  n,
-				Multi:  g.Multi || m.inCycle(id),
+				Multi:  g.Multi || m.inCycle(g.Root, id),
 				Prefix: prefix,
 			}
 			m.explore(child)
@@ -290,6 +322,7 @@ func (m *concModel) locksets(root string) map[int][]lockset {
 	}
 	m.mu.Unlock()
 
+	in := m.closure(root)
 	states := map[int]map[string]lockset{}
 	type item struct {
 		node int
@@ -304,6 +337,9 @@ func (m *concModel) locksets(root string) map[int][]lockset {
 		out := transfer(m.cfg.Nodes[it.node], it.ls)
 		k := out.key()
 		for _, s := range m.flowSuccs[it.node] {
+			if !in[s] {
+				continue
+			}
 			if states[s] == nil {
 				states[s] = map[string]lockset{}
 			}

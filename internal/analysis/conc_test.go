@@ -412,3 +412,65 @@ func TestGithubRenderer(t *testing.T) {
 		t.Errorf("github output:\n%q\nwant:\n%q", buf.String(), want)
 	}
 }
+
+// A goroutine returns only into callers on its own stack: E's flow
+// through the shared helper must not continue into F, a root E never
+// reaches. Otherwise E reports a race at F's write, and since E's cache
+// key covers only E's closure, guarding that write in F would leave the
+// stale finding cached. Cold, warm-after-edit and cacheless runs must
+// all agree.
+func TestRaceFlowStaysInEntryClosure(t *testing.T) {
+	const src = `package p
+
+import "sync"
+
+var mu sync.Mutex
+var x int
+
+func E() {
+	go worker()
+	helper()
+}
+
+func worker() {
+	mu.Lock()
+	x = 1
+	mu.Unlock()
+}
+
+func helper() {}
+
+func F() {
+	helper()
+	x = 2
+}
+`
+	guarded := strings.Replace(src, "\tx = 2\n", "\tmu.Lock()\n\tx = 2\n\tmu.Unlock()\n", 1)
+	race, _ := Get("race")
+	lockorder, _ := Get("lockorder")
+	checkers := []*Checker{race, lockorder}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct{ name, src string }{{"cold", src}, {"warm-after-edit-F", guarded}} {
+		run := func(cache *Cache) *Report {
+			pkg, err := LoadFiles([]gosrc.File{{Name: "p.go", Src: step.src}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Analyze(pkg, Config{Checkers: checkers, Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		cached, fresh := run(cache), run(nil)
+		if len(fresh.Diagnostics) != 0 {
+			t.Fatalf("%s: cacheless run reports %+v, want nothing", step.name, fresh.Diagnostics)
+		}
+		if got, want := findingsJSON(t, cached), findingsJSON(t, fresh); got != want {
+			t.Fatalf("%s: cached run differs from cacheless run:\ncached: %s\nfresh:  %s", step.name, got, want)
+		}
+	}
+}

@@ -331,17 +331,20 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 			return cs
 		}}
 	}
-	// Memo key coordinates, mirroring cacheSession's key derivation.
-	var memoRegFP, memoOpts, memoProg string
+	// Memo key coordinates, mirroring cacheSession's key derivation. Each
+	// entry's summary is rendered once here rather than per job.
+	var memoRegFP, memoOpts string
+	summaries := map[string]string{}
 	if mem != nil {
 		memoRegFP = registryFingerprint()
 		memoOpts = fmt.Sprintf("%+v", cfg.Opts)
 		if cfg.Explain {
 			memoOpts += " explain"
 		}
-		memoProg = pkg.Prog.Digest.String()
+		for _, e := range entries {
+			summaries[e] = pkg.Prog.ByName[e].Summary.String()
+		}
 	}
-	summaryOf := func(entry string) string { return pkg.Prog.ByName[entry].Summary.String() }
 
 	type job struct {
 		checker *Checker
@@ -382,7 +385,7 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 				// and worth inspecting — keep their full span tree; the
 				// request span's memo hit/miss counts cover the rest.
 				if mem != nil {
-					if ds, st, ok := mem.loadJob(memoRegFP, memoOpts, memoProg, c.fingerprint(), e, summaryOf(e)); ok {
+					if ds, st, ok := mem.loadJob(memoRegFP, memoOpts, c.fingerprint(), e, summaries[e]); ok {
 						memoHits.Add(1)
 						results[i], stats[i] = ds, st
 						ob.jobDone(false)
@@ -399,7 +402,7 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 					if ok {
 						results[i], stats[i] = ds, st
 						if mem != nil {
-							mem.storeJob(memoRegFP, memoOpts, memoProg, c.fingerprint(), e, summaryOf(e), ds, st)
+							mem.storeJob(memoRegFP, memoOpts, c.fingerprint(), e, summaries[e], ds, st)
 						}
 						sp.SetAttr("cache", "hit")
 						sp.Finish()
@@ -418,7 +421,7 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 						wsp.Finish()
 					}
 					if mem != nil {
-						mem.storeJob(memoRegFP, memoOpts, memoProg, c.fingerprint(), e, summaryOf(e), results[i], stats[i])
+						mem.storeJob(memoRegFP, memoOpts, c.fingerprint(), e, summaries[e], results[i], stats[i])
 					}
 				}
 				sp.Finish()
@@ -469,7 +472,7 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 			// rebuilding (and re-solving) the skeleton just to report its
 			// size.
 			if mem != nil {
-				if base, ok := mem.loadEntry(memoRegFP, memoOpts, memoProg, e, summaryOf(e)); ok {
+				if base, ok := mem.loadEntry(memoRegFP, memoOpts, e, summaries[e]); ok {
 					rep.Solver.Vars += base.Vars
 					rep.Solver.ConsNodes += base.ConsNodes
 					rep.Solver.Edges += base.Edges
@@ -483,7 +486,7 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 					rep.Solver.ConsNodes += base.ConsNodes
 					rep.Solver.Edges += base.Edges
 					if mem != nil {
-						mem.storeEntry(memoRegFP, memoOpts, memoProg, e, summaryOf(e), base)
+						mem.storeEntry(memoRegFP, memoOpts, e, summaries[e], base)
 					}
 					continue
 				}
@@ -500,7 +503,7 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 				cs.storeEntry(e, base)
 			}
 			if mem != nil {
-				mem.storeEntry(memoRegFP, memoOpts, memoProg, e, summaryOf(e), base)
+				mem.storeEntry(memoRegFP, memoOpts, e, summaries[e], base)
 			}
 		}
 	}
@@ -675,13 +678,10 @@ func leakDiagnostics(pkg *Package, c *Checker, entry string, res *pdm.Result, ev
 	// closure: for package-level resources (a shared semaphore, a pool)
 	// the same label is touched by unrelated functions, and the finding
 	// should point into the entry being reported.
-	inClosure := map[string]bool{}
-	for _, id := range pkg.Prog.Reachable(entry) {
-		inClosure[pkg.Prog.Funcs[id].Name] = true
-	}
+	inClosure := pkg.Prog.ClosureNodes(entry)
 	sites := map[string]site{}
 	for _, n := range res.CFG().Nodes {
-		if n.Kind != minic.NAction || !inClosure[n.Fn] {
+		if n.Kind != minic.NAction || !inClosure[n.ID] {
 			continue
 		}
 		ev, ok := events.Match(n.Call, n.AssignTo)

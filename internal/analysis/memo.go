@@ -10,15 +10,17 @@ import (
 
 // jobMemo is the in-memory analogue of the on-disk result cache: raw
 // (pre-suppression) per-job diagnostics and entry base stats, keyed by
-// the disk cache's content coordinates — checker registry fingerprint,
-// solver options (with the explain marker), checker fingerprint, entry
-// name and the entry's transitive summary digest — plus the
-// whole-program digest (see memoKey.prog), which makes memo replays
-// byte-identical to fresh solves. Because every key pins the full
-// analysis input, a memo entry can never resolve to a result computed
-// from different code, options or checker definitions; the memo
-// therefore needs no invalidation — an edit moves the program digest
-// and old keys simply stop resolving.
+// exactly the disk cache's content coordinates — checker registry
+// fingerprint, solver options (with the explain marker), checker
+// fingerprint, entry name and the entry's transitive summary digest.
+// Skeletons and property layers cover only the entry's call-graph
+// closure, so a job's diagnostics and solver stats are a function of
+// those coordinates: a memo entry can never resolve to a result computed
+// from different code, options or checker definitions, and replays are
+// byte-identical to fresh solves. The memo therefore needs no
+// invalidation — an edit moves the summaries of exactly the entries it
+// dirties, their old keys stop resolving, and every other entry keeps
+// hitting.
 //
 // The memo lives on an Engine and is shared by every resident program
 // and request: content addressing makes cross-program sharing sound.
@@ -42,16 +44,6 @@ type memoKey struct {
 	checker string // checker fingerprint; "" for entry records
 	entry   string
 	summary string
-	// prog is the whole-program digest. Skeleton construction allocates
-	// a constraint variable per CFG node of the entire program and the
-	// property layer adds edges at every deferred call site, reachable
-	// from the entry or not — so both entry base stats and per-job solver
-	// deltas are pinned by global program shape, not by the entry's
-	// summary alone. Including prog makes a memo replay byte-identical to
-	// a fresh solve, which the summary-keyed disk records deliberately
-	// are not (they trade exact solver-size telemetry for cross-edit
-	// incrementality; findings are summary-determined either way).
-	prog string
 }
 
 type memoVal struct {
@@ -104,27 +96,25 @@ func (jm *jobMemo) store(k memoKey, v memoVal) {
 	jm.entries[k] = v
 }
 
-// loadJob / storeJob mirror cacheSession.loadJob/storeJob in memory,
-// with the whole-program digest added to the key (see memoKey.prog).
-func (jm *jobMemo) loadJob(regFP, opts, prog, checkerFP, entry, summary string) ([]Diagnostic, core.Stats, bool) {
-	v, ok := jm.load(memoKey{kind: "job", regFP: regFP, opts: opts, checker: checkerFP, entry: entry, summary: summary, prog: prog})
+// loadJob / storeJob mirror cacheSession.loadJob/storeJob in memory.
+func (jm *jobMemo) loadJob(regFP, opts, checkerFP, entry, summary string) ([]Diagnostic, core.Stats, bool) {
+	v, ok := jm.load(memoKey{kind: "job", regFP: regFP, opts: opts, checker: checkerFP, entry: entry, summary: summary})
 	return v.ds, v.stats, ok
 }
 
-func (jm *jobMemo) storeJob(regFP, opts, prog, checkerFP, entry, summary string, ds []Diagnostic, st core.Stats) {
-	jm.store(memoKey{kind: "job", regFP: regFP, opts: opts, checker: checkerFP, entry: entry, summary: summary, prog: prog},
+func (jm *jobMemo) storeJob(regFP, opts, checkerFP, entry, summary string, ds []Diagnostic, st core.Stats) {
+	jm.store(memoKey{kind: "job", regFP: regFP, opts: opts, checker: checkerFP, entry: entry, summary: summary},
 		memoVal{ds: ds, stats: st})
 }
 
-// loadEntry / storeEntry mirror the skeleton base-stats records,
-// likewise program-digest keyed.
-func (jm *jobMemo) loadEntry(regFP, opts, prog, entry, summary string) (core.Stats, bool) {
-	v, ok := jm.load(memoKey{kind: "entry", regFP: regFP, opts: opts, entry: entry, summary: summary, prog: prog})
+// loadEntry / storeEntry mirror the skeleton base-stats records.
+func (jm *jobMemo) loadEntry(regFP, opts, entry, summary string) (core.Stats, bool) {
+	v, ok := jm.load(memoKey{kind: "entry", regFP: regFP, opts: opts, entry: entry, summary: summary})
 	return v.base, ok
 }
 
-func (jm *jobMemo) storeEntry(regFP, opts, prog, entry, summary string, base core.Stats) {
-	jm.store(memoKey{kind: "entry", regFP: regFP, opts: opts, entry: entry, summary: summary, prog: prog},
+func (jm *jobMemo) storeEntry(regFP, opts, entry, summary string, base core.Stats) {
+	jm.store(memoKey{kind: "entry", regFP: regFP, opts: opts, entry: entry, summary: summary},
 		memoVal{base: base})
 }
 

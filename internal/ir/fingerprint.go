@@ -86,12 +86,6 @@ func (p *Program) summarize() {
 		fmt.Fprintf(h, "summary\nfp:%s\nscc:%s\n", f.Fingerprint, closure[f.SCC])
 		copy(f.Summary[:], h.Sum(nil))
 	}
-	ph := sha256.New()
-	fmt.Fprintf(ph, "program\n")
-	for _, f := range p.Funcs {
-		fmt.Fprintf(ph, "fn:%s:%s\n", f.Name, f.Fingerprint)
-	}
-	copy(p.Digest[:], ph.Sum(nil))
 }
 
 // fingerprintFunc hashes one function's normalized content.

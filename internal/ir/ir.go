@@ -161,12 +161,6 @@ type Program struct {
 	// SCCs lists the call graph's strongly connected components in
 	// bottom-up order: every callee SCC precedes its callers.
 	SCCs [][]int
-	// Digest fingerprints the whole program: every function's name and
-	// fingerprint in definition order. Anything that depends on global
-	// program shape — such as skeleton construction, which allocates a
-	// constraint variable per CFG node of the entire program — is pinned
-	// by this, not by any single entry's Summary.
-	Digest Digest
 	// Meta carries frontend notes and suppression directives.
 	Meta
 
@@ -322,6 +316,21 @@ func (p *Program) Reachable(entry string) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// ClosureNodes reports, per CFG node ID, whether the node belongs to a
+// function in the call-graph closure of entry (see Reachable). Unknown
+// entries yield all false.
+func (p *Program) ClosureNodes(entry string) []bool {
+	fns := map[string]bool{}
+	for _, id := range p.Reachable(entry) {
+		fns[p.Funcs[id].Name] = true
+	}
+	in := make([]bool, len(p.Graph.Nodes))
+	for _, n := range p.Graph.Nodes {
+		in[n.ID] = fns[n.Fn]
+	}
+	return in
 }
 
 // Dependents returns the IDs of every function that can reach id through

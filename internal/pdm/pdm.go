@@ -36,7 +36,8 @@ type Result struct {
 	PN *core.PNResult
 	// Violations, deduplicated and ordered by line.
 	Violations []Violation
-	// NodeVar maps CFG node IDs to their set variables.
+	// NodeVar maps CFG node IDs to their set variables; nodes outside the
+	// entry's call-graph closure map to -1.
 	NodeVar []core.VarID
 
 	prog      *minic.Program
@@ -302,10 +303,11 @@ func (r *Result) ExitProvenance(entry, label string) []ProvStep {
 	if !r.explain {
 		return nil
 	}
-	if entry == "" {
-		entry = "main"
+	exit := r.exitNode(entry)
+	if exit < 0 {
+		return nil
 	}
-	exitVar := r.NodeVar[r.cfg.Exit[entry]]
+	exitVar := r.NodeVar[exit]
 	varNodes := r.varNodes()
 	for _, a := range r.PN.At(exitVar) {
 		if !r.accepting(a) {
@@ -323,7 +325,7 @@ func (r *Result) ExitProvenance(entry, label string) []ProvStep {
 		}
 		steps := r.PN.Trace(r.Sys.Rep(exitVar), a)
 		prov := r.provSteps(steps, varNodes)
-		exitNode := r.cfg.Nodes[r.cfg.Exit[entry]]
+		exitNode := r.cfg.Nodes[exit]
 		return append(prov, ProvStep{
 			Fn: exitNode.Fn, Line: exitNode.Line, Rule: "exit", Annot: r.alg.String(a),
 		})
@@ -346,10 +348,13 @@ func (r *Result) tracePoints(steps []core.TraceStep, varNodes map[core.VarID][]i
 
 // varNodes maps representative variables back to CFG nodes (several nodes
 // can share one representative after cycle elimination); node lists are
-// sorted ascending.
+// sorted ascending. Nodes outside the entry's slice have no variable.
 func (r *Result) varNodes() map[core.VarID][]int {
 	m := map[core.VarID][]int{}
 	for id, v := range r.NodeVar {
+		if v == absentVar {
+			continue
+		}
 		rep := r.repOf(v)
 		m[rep] = append(m[rep], id)
 	}
@@ -378,12 +383,12 @@ func (r *Result) OpenInstancesAtExit(entry string) []string {
 // the verdict is a MAY verdict: every accepting valuation reaching the exit
 // for that label rests on a saturated counter or relation tracker state.
 func (r *Result) OpenInstancesAtExitDetail(entry string) ([]string, map[string]bool) {
-	if entry == "" {
-		entry = "main"
+	exit := r.exitNode(entry)
+	if exit < 0 {
+		return nil, nil
 	}
-	exitVar := r.NodeVar[r.cfg.Exit[entry]]
 	may := map[string]bool{}
-	for _, a := range r.PN.At(exitVar) {
+	for _, a := range r.PN.At(r.NodeVar[exit]) {
 		if !r.accepting(a) {
 			continue
 		}
@@ -402,6 +407,24 @@ func (r *Result) OpenInstancesAtExitDetail(entry string) ([]string, map[string]b
 	}
 	sort.Strings(out)
 	return out, may
+}
+
+// exitNode returns the CFG exit node of entry ("" means main, aliases
+// resolve to their canonical function), or -1 when the function is
+// undefined or outside the slice the result was checked over.
+func (r *Result) exitNode(entry string) int {
+	if entry == "" {
+		entry = "main"
+	}
+	fd, ok := r.prog.ByName[entry]
+	if !ok {
+		return -1
+	}
+	exit, ok := r.cfg.Exit[fd.Name]
+	if !ok || r.NodeVar[exit] == absentVar {
+		return -1
+	}
+	return exit
 }
 
 func (r *Result) accepting(a core.Annot) bool {

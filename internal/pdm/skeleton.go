@@ -30,7 +30,9 @@ type Skeleton struct {
 	cfg   *minic.CFG
 	entry string
 
-	sys     *core.System // frozen: forked, never mutated, after build
+	sys *core.System // frozen: forked, never mutated, after build
+	// nodeVar maps CFG node IDs to set variables; nodes outside the
+	// entry's call-graph closure are absentVar.
 	nodeVar []core.VarID
 	pc      core.CNode
 	base    core.Stats
@@ -63,10 +65,57 @@ func (skelAlgebra) String(a Annot) string  { return "ε" }
 // Annot aliases core.Annot for the local algebra methods.
 type Annot = core.Annot
 
+// absentVar marks a CFG node outside the entry's slice in a skeleton's
+// node-variable map.
+const absentVar core.VarID = -1
+
+// entrySlice returns the canonical entry name and, per CFG node, whether
+// the node belongs to a function in the entry's call-graph closure. pc
+// is seeded only at the entry (§6.1), so no node outside the closure can
+// ever carry it: the slice is the whole of what a skeleton must model.
+func entrySlice(p *ir.Program, entry string) (string, []bool, error) {
+	if entry == "" {
+		entry = "main"
+	}
+	// ByName may hold aliases (gosrc registers bare method names for
+	// uniquely named methods); Entry/Exit are keyed by canonical names.
+	f, ok := p.ByName[entry]
+	if !ok {
+		return "", nil, fmt.Errorf("pdm: entry function %q not defined", entry)
+	}
+	return f.Name, p.ClosureNodes(f.Name), nil
+}
+
+// setNodeNames installs the on-demand renderer for CFG-node variables,
+// which saves interning ~one formatted string per program point per
+// property. It is derived entirely from the CFG and the node-variable
+// map, so a decoded skeleton reinstalls it the same way.
+func setNodeNames(sys *core.System, cfg *minic.CFG, nodeVar []core.VarID) {
+	varNode := make([]int32, sys.NumVars())
+	for i := range varNode {
+		varNode[i] = -1
+	}
+	for id, v := range nodeVar {
+		if v != absentVar {
+			varNode[v] = int32(id)
+		}
+	}
+	sys.SetNameFn(func(v core.VarID) string {
+		if int(v) < len(varNode) && varNode[v] >= 0 {
+			n := cfg.Nodes[varNode[v]]
+			return fmt.Sprintf("S%d@%s:%d", n.ID, n.Fn, n.Line)
+		}
+		return ""
+	})
+}
+
 // BuildSkeleton translates the property-independent constraints of p
 // reachable from entry ("" means main) and solves them. The IR program
 // carries the kernel form and the prebuilt whole-program CFG, so a
 // driver sharing one *ir.Program across entries shares the CFG too.
+// Only the entry's call-graph closure gets variables and constraints,
+// so a skeleton's size (and every property layer's) scales with the
+// entry, not the program.
 // maybeEvent reports whether some event map the skeleton will later be
 // checked against might classify the call as a property event; such
 // statements are left to the per-property phase. A nil maybeEvent defers
@@ -75,40 +124,38 @@ type Annot = core.Annot
 func BuildSkeleton(p *ir.Program, entry string, opts core.Options,
 	maybeEvent func(call *minic.CallExpr, assignTo string) bool) (*Skeleton, error) {
 	prog, cfg := p.MC, p.Graph
-	if entry == "" {
-		entry = "main"
+	entry, inSlice, err := entrySlice(p, entry)
+	if err != nil {
+		return nil, err
 	}
-	entryDef, ok := prog.ByName[entry]
-	if !ok {
-		return nil, fmt.Errorf("pdm: entry function %q not defined", entry)
-	}
-	// ByName may hold aliases (gosrc registers bare method names for
-	// uniquely named methods); Entry/Exit are keyed by canonical names.
-	entry = entryDef.Name
 
 	sig := terms.NewSignature()
 	pcCons := sig.MustDeclare("pc", 0)
 
 	sys := core.NewSystem(skelAlgebra{}, sig, opts)
-	sys.ReserveVars(len(cfg.Nodes) + len(cfg.Nodes)/8)
+	size := 0
+	for _, in := range inSlice {
+		if in {
+			size++
+		}
+	}
+	sys.ReserveVars(size + size/8)
 	nodeVar := make([]core.VarID, len(cfg.Nodes))
 	for _, n := range cfg.Nodes {
-		nodeVar[n.ID] = sys.Anon()
-	}
-	// CFG-node variables render their diagnostic names on demand instead
-	// of interning ~one formatted string per program point per property.
-	sys.SetNameFn(func(v core.VarID) string {
-		if int(v) < len(cfg.Nodes) {
-			n := cfg.Nodes[v]
-			return fmt.Sprintf("S%d@%s:%d", n.ID, n.Fn, n.Line)
+		nodeVar[n.ID] = absentVar
+		if inSlice[n.ID] {
+			nodeVar[n.ID] = sys.Anon()
 		}
-		return ""
-	})
+	}
+	setNodeNames(sys, cfg, nodeVar)
 	pc := sys.Constant(pcCons)
 	sys.AddLowerE(pc, nodeVar[cfg.Entry[entry]])
 
 	sk := &Skeleton{prog: prog, cfg: cfg, entry: entry, sys: sys, nodeVar: nodeVar, pc: pc}
 	for _, n := range cfg.Nodes {
+		if !inSlice[n.ID] {
+			continue
+		}
 		sv := nodeVar[n.ID]
 		if n.Kind == minic.NSpawn && n.Call != nil {
 			// A goroutine spawn: the spawned function starts from the

@@ -11,8 +11,9 @@ import (
 
 // Skeleton snapshot sections; core owns ids below 100. The skeleton
 // layer stores only what BuildSkeleton computed beyond the solved
-// System: the entry name, the pc node, the CFG-node variable map and
-// the deferred-statement list. Program and CFG are not serialized — a
+// System: the entry name, the pc node, the CFG-node variable map (with
+// the nodes outside the entry's slice marked absent) and the
+// deferred-statement list. Program and CFG are not serialized — a
 // snapshot is only valid against the *ir.Program it was built from, and
 // the cache layer keys snapshots by the entry's summary digest to
 // guarantee that.
@@ -20,9 +21,12 @@ const (
 	secPDMMeta     = 100 // pc CNode, entry strRef
 	secPDMStrBlob  = 101
 	secPDMStrOffs  = 102
-	secPDMNodeVar  = 103 // VarID per CFG node
+	secPDMNodeVar  = 103 // VarID per CFG node, absentWord outside the slice
 	secPDMDeferred = 104 // (nodeID, calleeRef+1 or 0, consID) triples
 )
+
+// absentWord encodes absentVar in the node-variable section.
+const absentWord = 0xFFFFFFFF
 
 // Snapshot serializes the skeleton — the frozen solved System plus the
 // skeleton-layer tables — into a self-validating container. The result
@@ -65,14 +69,10 @@ func (sk *Skeleton) Snapshot() []byte {
 // to a live BuildSkeleton.
 func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (*Skeleton, error) {
 	prog, cfg := p.MC, p.Graph
-	if entry == "" {
-		entry = "main"
+	entry, inSlice, err := entrySlice(p, entry)
+	if err != nil {
+		return nil, err
 	}
-	entryDef, ok := prog.ByName[entry]
-	if !ok {
-		return nil, fmt.Errorf("pdm: entry function %q not defined", entry)
-	}
-	entry = entryDef.Name
 
 	r, err := snapshot.NewReader(data)
 	if err != nil {
@@ -119,12 +119,24 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 	if len(nodeVarWords) != len(cfg.Nodes) {
 		return nil, bad("node-var section has %d entries, CFG has %d nodes", len(nodeVarWords), len(cfg.Nodes))
 	}
+	// Exactly the entry's slice has variables: an in-slice node marked
+	// absent would index nodeVar[-1] inside Check, and a variable on an
+	// out-of-slice node means the snapshot was built over another slice.
 	nodeVar := make([]core.VarID, len(nodeVarWords))
 	for i, v := range nodeVarWords {
-		if int(v) >= sys.NumVars() {
+		switch {
+		case !inSlice[i]:
+			if v != absentWord {
+				return nil, bad("node %d outside the entry's slice maps to variable %d", i, v)
+			}
+			nodeVar[i] = absentVar
+		case v == absentWord:
+			return nil, bad("node %d in the entry's slice has no variable", i)
+		case int(v) >= sys.NumVars():
 			return nil, bad("node %d maps to variable %d out of range (%d vars)", i, v, sys.NumVars())
+		default:
+			nodeVar[i] = core.VarID(v)
 		}
-		nodeVar[i] = core.VarID(v)
 	}
 
 	def, err := r.Uint32s(secPDMDeferred)
@@ -143,6 +155,9 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 		if cfg.Nodes[id].Call == nil {
 			return nil, bad("deferred node %d is not a call statement", id)
 		}
+		if !inSlice[id] {
+			return nil, bad("deferred node %d is outside the entry's slice", id)
+		}
 		d := deferredNode{id: int(id)}
 		if calleeRef != 0 {
 			callee, err := strs.At(calleeRef - 1)
@@ -153,11 +168,11 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 			if !ok || fd.Name != callee {
 				return nil, bad("deferred node %d names undefined callee %q", id, callee)
 			}
-			if _, ok := cfg.Entry[callee]; !ok {
-				return nil, bad("callee %q has no CFG entry", callee)
+			if en, ok := cfg.Entry[callee]; !ok || !inSlice[en] {
+				return nil, bad("callee %q has no CFG entry in the entry's slice", callee)
 			}
-			if _, ok := cfg.Exit[callee]; !ok {
-				return nil, bad("callee %q has no CFG exit", callee)
+			if ex, ok := cfg.Exit[callee]; !ok || !inSlice[ex] {
+				return nil, bad("callee %q has no CFG exit in the entry's slice", callee)
 			}
 			if int(cons) >= sys.Sig.Size() || sys.Sig.Arity(terms.ConsID(cons)) != 1 {
 				return nil, bad("deferred node %d has invalid call constructor %d", id, cons)
@@ -168,16 +183,8 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 		deferred[i] = d
 	}
 
-	// Reinstall the on-demand renderer BuildSkeleton uses for CFG-node
-	// variables; closures do not serialize, but this one is derived
-	// entirely from the CFG.
-	sys.SetNameFn(func(v core.VarID) string {
-		if int(v) < len(cfg.Nodes) {
-			n := cfg.Nodes[v]
-			return fmt.Sprintf("S%d@%s:%d", n.ID, n.Fn, n.Line)
-		}
-		return ""
-	})
+	// Closures do not serialize: reinstall BuildSkeleton's renderer.
+	setNodeNames(sys, cfg, nodeVar)
 
 	return &Skeleton{
 		prog:     prog,

@@ -26,6 +26,10 @@ void helper(int f) {
     use(f);
     int g = open("c");
     close(g);
+}
+void other() {
+    int h = open("d");
+    helper(h);
 }`
 
 func snapTestProp(t *testing.T) (*spec.Property, *minic.EventMap) {
@@ -168,6 +172,80 @@ func TestSkeletonSnapshotCorruption(t *testing.T) {
 	}
 }
 
+// patchSection rewrites the uint32 payload of section id in place and
+// reseals the container, producing a structurally damaged snapshot
+// that passes the integrity layer.
+func patchSection(t testing.TB, data []byte, id uint32, patch func(words []uint32)) []byte {
+	t.Helper()
+	out := append([]byte(nil), data...)
+	n := binary.LittleEndian.Uint32(out[8:])
+	for i := uint32(0); i < n; i++ {
+		e := out[48+16*i:]
+		if binary.LittleEndian.Uint32(e) != id {
+			continue
+		}
+		off, length := binary.LittleEndian.Uint32(e[4:]), binary.LittleEndian.Uint32(e[8:])
+		words := make([]uint32, length/4)
+		for j := range words {
+			words[j] = binary.LittleEndian.Uint32(out[off+4*uint32(j):])
+		}
+		patch(words)
+		for j, w := range words {
+			binary.LittleEndian.PutUint32(out[off+4*uint32(j):], w)
+		}
+		return snapshot.Reseal(out)
+	}
+	t.Fatalf("snapshot has no section %d", id)
+	return nil
+}
+
+// sliceCorruptions returns resealed snapshots of main's skeleton whose
+// node-variable map or deferred list contradicts main's call-graph
+// slice (which excludes other).
+func sliceCorruptions(t testing.TB, prog *ir.Program, data []byte) map[string][]byte {
+	t.Helper()
+	cfg := prog.Graph
+	otherCall := -1
+	for _, n := range cfg.Nodes {
+		if n.Fn == "other" && n.Call != nil {
+			otherCall = n.ID
+			break
+		}
+	}
+	if otherCall < 0 {
+		t.Fatal("corpus has no call statement in other")
+	}
+	return map[string][]byte{
+		"in-slice node absent": patchSection(t, data, secPDMNodeVar, func(w []uint32) {
+			w[cfg.Entry["helper"]] = absentWord
+		}),
+		"out-of-slice node has a variable": patchSection(t, data, secPDMNodeVar, func(w []uint32) {
+			w[cfg.Entry["other"]] = 0
+		}),
+		"deferred node outside the slice": patchSection(t, data, secPDMDeferred, func(w []uint32) {
+			w[0] = uint32(otherCall)
+		}),
+	}
+}
+
+// A skeleton covers exactly its entry's call-graph slice: the live build
+// gives variables to main's and helper's nodes only, and the decoder
+// rejects a snapshot that disagrees with the slice as corrupt, before
+// Check could index an absent node's variable.
+func TestSkeletonSnapshotSliceValidation(t *testing.T) {
+	prog, live := buildSnapTestSkeleton(t)
+	for id, v := range live.nodeVar {
+		if fn := prog.Graph.Nodes[id].Fn; (v == absentVar) != (fn == "other") {
+			t.Fatalf("node %d in %s has variable %d", id, fn, v)
+		}
+	}
+	for name, data := range sliceCorruptions(t, prog, live.Snapshot()) {
+		if _, err := LoadSkeleton(data, prog, "main", core.Options{}); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // FuzzSnapshotDecode hardens the decoder: arbitrary mutations of a real
 // snapshot — resealed so the integrity layer passes and the structural
 // validation is actually exercised — must either fail to load or yield
@@ -188,6 +266,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(seed, uint32(4), byte(0xff))
 	f.Add(seed[:len(seed)/2], uint32(9), byte(1))
 	f.Add(seed, uint32(48), byte(0x80))
+	corrupt := sliceCorruptions(f, prog, seed)
+	f.Add(corrupt["in-slice node absent"], uint32(0), byte(0))
+	f.Add(corrupt["deferred node outside the slice"], uint32(0), byte(0))
 
 	prop := spec.MustCompile(`
 start state Closed :
