@@ -401,15 +401,16 @@ func runCacheBench(out *benchResult, in []gosrc.File) error {
 	}
 
 	// Snapshot-cold: a fresh process image over the populated cache. The
-	// per-entry stats memos are removed so the solved skeletons must be
-	// reconstructed, which routes through the frozen-snapshot decoder; a
-	// run that never touches the snapshot tier would measure nothing.
+	// job records are removed so every job re-layers its property on the
+	// entry skeleton, which must be reconstructed through the
+	// frozen-snapshot decoder; a run that never touches the snapshot tier
+	// would measure nothing.
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
 	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "entry-") && strings.HasSuffix(e.Name(), ".json") {
+		if strings.HasPrefix(e.Name(), "job-") && strings.HasSuffix(e.Name(), ".json") {
 			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
 				return err
 			}

@@ -31,10 +31,11 @@
 // cache summary goes to stderr; the report itself is byte-identical to
 // a cacheless run. With the cache on, solved constraint skeletons are
 // additionally serialized as frozen snapshots (-skeleton-cache, default
-// true): a cold process whose source is unchanged reconstructs each
-// entry's solved base layer directly from bytes instead of translating
-// and re-solving it. Corrupt or version-skewed snapshots demote to a
-// live build, never a wrong report.
+// true): a job that must be re-solved on an unchanged entry (its record
+// deleted, or written under another format version) reconstructs the
+// entry's solved base layer directly from bytes instead of re-solving
+// it. Corrupt or version-skewed snapshots demote to a live build, never
+// a wrong report.
 //
 // Observability: -trace-out writes a Chrome trace-event JSON of every
 // driver phase (load, translate, ir.lower, skeleton builds, per-job

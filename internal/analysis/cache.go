@@ -1,19 +1,22 @@
-// Persistent incremental-analysis cache. Results are content-addressed:
-// every key bakes in the cache format version indirectly (checked per
-// file), the checker-registry fingerprint, the solver options, and the
-// transitive summary digest of the entry function (internal/ir), so a
-// key can never resolve to a result computed from different analysis
-// input. Invalidation is therefore free — an edit changes the summary
-// digests of exactly the edited function's SCC and its transitive
-// callers, their keys stop resolving, and only those entries re-solve;
-// everything else is a hit.
+// The result store. A job's result is a function of its recordKey —
+// checker-registry fingerprint, solver options with the explain marker,
+// checker fingerprint, entry function and the entry's transitive summary
+// digest (internal/ir) — because skeletons and property layers cover only
+// the entry's call-graph closure. So a key can never resolve to a result
+// computed from different analysis input, and invalidation is free: an
+// edit changes the summary digests of exactly the edited function's SCC
+// and its transitive callers, their keys stop resolving, and only those
+// entries re-solve.
 //
-// The on-disk format is deliberately dumb: one JSON file per record in a
-// flat directory, each wrapped in an envelope carrying the format
-// version and a SHA-256 of the body. Any defect — truncation, garbage,
-// a failed integrity check, a version bump — demotes the record to a
-// cache miss with a note; the cache never panics and never changes what
-// a run reports (beyond the Report.Cache block).
+// The store has two tiers behind that one key: memory (memTier, owned by
+// the Engine) and, when a run has a Cache, disk. The on-disk format is
+// deliberately dumb: one JSON file per job in a flat directory, named by
+// the key's SHA-256 and wrapped in an envelope carrying the format
+// version and a SHA-256 of the body, beside one frozen-skeleton snapshot
+// per entry. Any defect — truncation, garbage, a failed integrity check,
+// a version bump — demotes the record to a miss with a note; the store
+// never panics and never changes what a run reports (beyond the
+// Report.Cache block).
 package analysis
 
 import (
@@ -25,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,19 +41,16 @@ import (
 
 // CacheVersion is the on-disk format version. Bump it whenever the
 // record schema or key derivation changes incompatibly; records written
-// under another version read as misses (with a note), never as wrong
-// results. Version 2: job and entry records hold entry-sliced solver
-// stats.
-const CacheVersion = 2
+// under another version read as misses (with one note per run), never
+// as wrong results. Version 3: job records carry the entry skeleton's
+// base stats and are the only JSON records.
+const CacheVersion = 3
 
-// Cache is a handle on an on-disk result cache directory. It is safe for
-// concurrent use by any number of Analyze runs.
+// Cache is a handle on an on-disk result cache directory, the disk tier
+// of the result store. It is safe for concurrent use by any number of
+// runs; everything a run accumulates lives on its storeRun.
 type Cache struct {
 	dir string
-
-	mu    sync.Mutex
-	notes []string
-	noted map[string]bool
 }
 
 // OpenCache opens (creating if needed) a cache directory.
@@ -57,31 +58,56 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("analysis: cache: %w", err)
 	}
-	return &Cache{dir: dir, noted: map[string]bool{}}, nil
+	return &Cache{dir: dir}, nil
 }
 
 // Dir returns the cache directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// note records a non-fatal cache incident (corrupt record, version
-// skew, failed write) once per distinct message.
-func (c *Cache) note(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	c.mu.Lock()
-	if !c.noted[msg] {
-		c.noted[msg] = true
-		c.notes = append(c.notes, msg)
-	}
-	c.mu.Unlock()
+// recordKey names one job's result in both tiers of the store.
+type recordKey struct {
+	regFP   string // checker-registry fingerprint
+	opts    string // solver options, as %+v
+	explain bool   // explain records store provenance, so they key apart
+	checker string // checker fingerprint
+	entry   string
+	summary string // the entry's transitive summary digest
 }
 
-func (c *Cache) takeNotes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.notes
-	c.notes = nil
-	c.noted = map[string]bool{}
-	return out
+// jobName is the job record's file name: the SHA-256 of the key.
+func (k recordKey) jobName() string {
+	opts := k.opts
+	if k.explain {
+		opts += " explain"
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "job\nreg:%s\nopts:%s\n%s\nentry:%s\nsum:%s\n", k.regFP, opts, k.checker, k.entry, k.summary)
+	return "job-" + hex.EncodeToString(h.Sum(nil)) + ".json"
+}
+
+// skelName is the file name of the entry's frozen-skeleton snapshot. It
+// hashes the key without the checker and the explain marker — skeletons
+// are property-independent, so every job of the entry, explained or not,
+// shares one — plus the container format version. Any code, option or
+// registry change moves it, so a stale snapshot is an ordinary miss,
+// never a wrong skeleton.
+func (k recordKey) skelName() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "skel\nv:%d\nreg:%s\nopts:%s\nentry:%s\nsum:%s\n",
+		snapshot.FormatVersion, k.regFP, k.opts, k.entry, k.summary)
+	return "skel-" + hex.EncodeToString(h.Sum(nil)) + ".snap"
+}
+
+// jobRecord is a stored raw job result: the pre-suppression diagnostics,
+// the job's solver-stats delta and, for property jobs, the base stats of
+// the entry skeleton it was layered on (so a run served from the store
+// reports the same solver totals without building any skeleton).
+// Suppression directives are applied afresh by every run's merge phase,
+// so //rasc:ignore edits never require invalidation.
+type jobRecord struct {
+	Diagnostics []Diagnostic `json:"diagnostics"`
+	Stats       core.Stats   `json:"stats"`
+	Base        core.Stats   `json:"base"`
 }
 
 // envelope wraps every on-disk record with an integrity check.
@@ -91,8 +117,8 @@ type envelope struct {
 	Body    json.RawMessage `json:"body"`
 }
 
-// loadStatus classifies one record lookup, for metric hooks. Every
-// status except loadHit behaves as a miss.
+// loadStatus classifies one disk lookup, for metric hooks. Every status
+// except loadHit behaves as a miss.
 type loadStatus int
 
 const (
@@ -103,97 +129,15 @@ const (
 	loadError   // unreadable file (permissions, I/O)
 )
 
-// load reads the record at path into out. A missing file is a silent
-// miss; a corrupt or version-skewed file is a miss with a note (and a
-// best-effort removal of corrupt files so they cannot keep tripping).
-// The returned status distinguishes the miss causes for metrics; every
-// caller treating it as a boolean compares against loadHit.
-func (c *Cache) load(path string, out any) loadStatus {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			c.note("cache: unreadable %s: %v", filepath.Base(path), err)
-			return loadError
-		}
-		return loadAbsent
-	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		c.note("cache: corrupt record %s discarded: %v", filepath.Base(path), err)
-		os.Remove(path)
-		return loadCorrupt
-	}
-	if env.Version != CacheVersion {
-		c.note("cache: record %s has format version %d, want %d; falling back to a cold solve",
-			filepath.Base(path), env.Version, CacheVersion)
-		return loadSkew
-	}
-	sum := sha256.Sum256(env.Body)
-	if hex.EncodeToString(sum[:]) != env.Sum {
-		c.note("cache: record %s failed its integrity check; discarded", filepath.Base(path))
-		os.Remove(path)
-		return loadCorrupt
-	}
-	if err := json.Unmarshal(env.Body, out); err != nil {
-		c.note("cache: record %s body undecodable; discarded: %v", filepath.Base(path), err)
-		os.Remove(path)
-		return loadCorrupt
-	}
-	return loadHit
-}
-
-// store writes a record atomically (temp file + rename). Failures are
-// noted and otherwise ignored: a cache that cannot write degrades to a
-// cache that never hits.
-func (c *Cache) store(path string, body any) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		c.note("cache: encoding %s: %v", filepath.Base(path), err)
-		return
-	}
-	sum := sha256.Sum256(raw)
-	env := envelope{Version: CacheVersion, Sum: hex.EncodeToString(sum[:]), Body: raw}
-	enc, err := json.Marshal(env)
-	if err != nil {
-		c.note("cache: encoding %s: %v", filepath.Base(path), err)
-		return
-	}
-	tmp, err := os.CreateTemp(c.dir, "tmp-*")
-	if err != nil {
-		c.note("cache: writing %s: %v", filepath.Base(path), err)
-		return
-	}
-	_, werr := tmp.Write(enc)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		c.note("cache: writing %s: %v", filepath.Base(path), firstErr(werr, cerr))
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		c.note("cache: writing %s: %v", filepath.Base(path), err)
-	}
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CacheStats summarizes the cache's effect on one Analyze run.
 type CacheStats struct {
-	// Hits and Misses count content-key lookups (one per job, plus one
-	// per entry with a property checker for the skeleton's base stats).
+	// Hits and Misses count disk lookups: one per job the memory tier
+	// could not serve.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 	// ResolvedFunctions counts the functions whose constraints were
-	// actually (re-)solved this run: functions reachable from some missed
-	// entry that had no valid up-to-date stamp. 0 on a fully warm run.
+	// actually (re-)solved this run: the call-graph closures of the
+	// entries that had at least one job computed. 0 on a fully warm run.
 	ResolvedFunctions int `json:"resolved_functions"`
 	// TotalFunctions is the package's function count, for context.
 	TotalFunctions int `json:"total_functions"`
@@ -202,9 +146,7 @@ type CacheStats struct {
 	// SkeletonHits counts entry skeletons reconstructed from a frozen
 	// snapshot instead of a live build-and-solve; SkeletonMisses counts
 	// skeleton builds that had no usable snapshot. Skeleton lookups are
-	// deliberately not folded into Hits/Misses: those count result-record
-	// lookups, and their hit rate is what the cache-effectiveness CI job
-	// asserts on.
+	// deliberately not folded into Hits/Misses, which count job records.
 	SkeletonHits   int `json:"skeleton_hits,omitempty"`
 	SkeletonMisses int `json:"skeleton_misses,omitempty"`
 	// SkeletonCorrupt counts snapshots discarded by integrity or
@@ -223,248 +165,268 @@ func (s *CacheStats) HitRate() float64 {
 	return 100 * float64(s.Hits) / float64(total)
 }
 
-// jobRecord is a cached raw job result: the pre-suppression diagnostics
-// and the job's solver-stats delta. Suppression directives are applied
-// afresh by every run's merge phase, so //rasc:ignore edits never
-// require invalidation.
-type jobRecord struct {
-	Diagnostics []Diagnostic `json:"diagnostics"`
-	Stats       core.Stats   `json:"stats"`
-}
+// storeRun is one analyze call's view of the result store: the memory
+// tier, the optional disk tier, the key coordinates the run pins, and
+// everything the run accumulates — hit and miss counters, cache notes and
+// the set of entries it computed jobs for — so concurrent runs sharing a
+// Cache or an Engine never see each other's accounting.
+type storeRun struct {
+	mem  *memTier
+	disk *Cache // nil: memory only
+	pkg  *Package
 
-// entryRecord caches an entry's skeleton base stats so warm runs can
-// report identical solver totals without rebuilding the skeleton.
-type entryRecord struct {
-	Base core.Stats `json:"base"`
-}
-
-// fnRecord stamps one function's summary digest as solved under the
-// session's registry/options: its presence means the cached results
-// covering this function are up to date.
-type fnRecord struct {
-	Fn string `json:"fn"`
-}
-
-// cacheSession binds a Cache to one Analyze run: it pins the registry
-// and options fingerprints, tracks hit/miss counters and computes the
-// set of functions the run had to re-solve.
-type cacheSession struct {
-	c     *Cache
-	pkg   *Package
-	regFP string
-	opts  string
-	// optsRaw is opts without the explain marker: skeleton snapshots are
-	// property-independent, so explain and non-explain runs share them.
-	optsRaw string
-	// coreOpts are the session's solver options, revalidated against the
-	// options a snapshot was encoded under at decode time.
+	regFP    string
+	opts     string
+	explain  bool
 	coreOpts core.Options
+	// summaries holds each entry's summary digest, rendered once per run.
+	summaries map[string]string
 	// snapshots enables the frozen-skeleton snapshot path (load before a
-	// live BuildSkeleton, store after one).
+	// live BuildSkeleton, store after one); it needs the disk tier.
 	snapshots bool
 
-	// metrics (nil OK) receives per-lookup hit/miss/corrupt/skew and
-	// per-write store counts for job and entry records. Function-stamp
-	// probes are not counted, matching CacheStats.
-	metrics *obs.CacheMetrics
-	// snapM (nil OK) receives skeleton-snapshot hit/miss/corrupt/skew
-	// counts, byte volumes and encode/decode timings.
-	snapM *obs.SnapshotMetrics
+	cacheM *obs.CacheMetrics    // job-record lookups and stores; nil OK
+	snapM  *obs.SnapshotMetrics // snapshot lookups, bytes, timings; nil OK
 
+	memHits, memMisses                atomic.Int64
 	hits, misses                      atomic.Int64
 	skelHits, skelMisses, skelCorrupt atomic.Int64
 
-	// stale[id] reports that function id had no valid stamp when the
-	// session started (its summary changed, or the cache is cold).
-	stale map[int]bool
-
-	mu     sync.Mutex
-	solved map[string]bool // entries some job actually solved
+	mu       sync.Mutex
+	notes    []string
+	noted    map[string]bool
+	skewed   map[int]int // skewed job records by format version
+	snapSkew int
+	computed map[string]bool
 }
 
-// session starts a cache session for one Analyze run. It stamps-checks
-// every function up front so that re-solved accounting is independent
-// of job scheduling. Explain runs key separately: cached records store
-// diagnostics verbatim, and a record written without provenance must
-// never satisfy a run that wants it (or vice versa). Non-explain keys
-// are unchanged, so existing caches keep hitting.
-func (c *Cache) session(pkg *Package, opts core.Options, explain bool, m *obs.CacheMetrics) *cacheSession {
-	optKey := fmt.Sprintf("%+v", opts)
-	if explain {
-		optKey += " explain"
+func newStoreRun(mem *memTier, pkg *Package, entries []string, cfg *Config, ob *obsState) *storeRun {
+	s := &storeRun{
+		mem:       mem,
+		disk:      cfg.Cache,
+		pkg:       pkg,
+		regFP:     registryFingerprint(),
+		opts:      fmt.Sprintf("%+v", cfg.Opts),
+		explain:   cfg.Explain,
+		coreOpts:  cfg.Opts,
+		summaries: make(map[string]string, len(entries)),
+		snapshots: cfg.Cache != nil && !cfg.NoSkeletonSnapshots,
+		noted:     map[string]bool{},
+		skewed:    map[int]int{},
+		computed:  map[string]bool{},
 	}
-	cs := &cacheSession{
-		c:        c,
-		pkg:      pkg,
-		regFP:    registryFingerprint(),
-		opts:     optKey,
-		optsRaw:  fmt.Sprintf("%+v", opts),
-		coreOpts: opts,
-		metrics:  m,
-		stale:    map[int]bool{},
-		solved:   map[string]bool{},
+	for _, e := range entries {
+		s.summaries[e] = pkg.Prog.ByName[e].Summary.String()
 	}
-	for _, f := range pkg.Prog.Funcs {
-		var rec fnRecord
-		if c.load(cs.fnPath(f.ID), &rec) != loadHit || rec.Fn != f.Name {
-			cs.stale[f.ID] = true
+	if ob != nil {
+		s.cacheM, s.snapM = ob.cacheM, ob.snapM
+	}
+	return s
+}
+
+// key returns the record key of c's job on entry; a nil checker gives
+// the entry's skeleton key.
+func (s *storeRun) key(c *Checker, entry string) recordKey {
+	k := recordKey{regFP: s.regFP, opts: s.opts, explain: s.explain, entry: entry, summary: s.summaries[entry]}
+	if c != nil {
+		k.checker = c.fingerprint()
+	}
+	return k
+}
+
+// recall looks a job up in the memory tier.
+func (s *storeRun) recall(k recordKey) (jobRecord, bool) {
+	rec, ok := s.mem.get(k)
+	if ok {
+		s.memHits.Add(1)
+	} else {
+		s.memMisses.Add(1)
+	}
+	return rec, ok
+}
+
+// load looks a job up in the disk tier, as a cache.lookup span under sp,
+// and promotes a hit into memory. Without a disk tier it always misses.
+func (s *storeRun) load(k recordKey, sp *obs.Span) (jobRecord, bool) {
+	if s.disk == nil {
+		return jobRecord{}, false
+	}
+	lsp := sp.Child("cache.lookup")
+	var rec jobRecord
+	st := s.read(k.jobName(), &rec)
+	lsp.Finish()
+	if m := s.cacheM; m != nil {
+		if st == loadHit {
+			m.Hits.Inc()
+		} else {
+			m.Misses.Inc()
+		}
+		switch st {
+		case loadCorrupt:
+			m.Corrupt.Inc()
+		case loadSkew:
+			m.VersionSkew.Inc()
 		}
 	}
-	return cs
+	if st != loadHit {
+		s.misses.Add(1)
+		sp.SetAttr("cache", "miss")
+		return jobRecord{}, false
+	}
+	s.hits.Add(1)
+	sp.SetAttr("cache", "hit")
+	s.mem.put(k, rec)
+	return rec, true
 }
 
-// observe feeds one job/entry lookup's outcome into the metric bundle.
-func (cs *cacheSession) observe(st loadStatus) {
-	m := cs.metrics
-	if m == nil {
+// store files a computed job's record in both tiers, the disk write as a
+// cache.store span under sp, and marks its entry as computed.
+func (s *storeRun) store(k recordKey, rec jobRecord, sp *obs.Span) {
+	s.mem.put(k, rec)
+	s.mu.Lock()
+	s.computed[k.entry] = true
+	s.mu.Unlock()
+	if s.disk == nil {
 		return
 	}
-	if st == loadHit {
-		m.Hits.Inc()
+	wsp := sp.Child("cache.store")
+	defer wsp.Finish()
+	body, err := json.Marshal(rec)
+	if err != nil {
+		s.note("cache: encoding %s: %v", k.jobName(), err)
 		return
 	}
-	m.Misses.Inc()
-	switch st {
-	case loadCorrupt:
-		m.Corrupt.Inc()
-	case loadSkew:
-		m.VersionSkew.Inc()
+	sum := sha256.Sum256(body)
+	enc, err := json.Marshal(envelope{Version: CacheVersion, Sum: hex.EncodeToString(sum[:]), Body: body})
+	if err != nil {
+		s.note("cache: encoding %s: %v", k.jobName(), err)
+		return
+	}
+	if s.write(k.jobName(), enc) && s.cacheM != nil {
+		s.cacheM.Stores.Inc()
 	}
 }
 
-// key derives a content key; kind separates the key spaces.
-func (cs *cacheSession) key(kind string, parts ...string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\nreg:%s\nopts:%s\n", kind, cs.regFP, cs.opts)
-	for _, p := range parts {
-		fmt.Fprintf(h, "%s\n", p)
+// note records a non-fatal cache incident (corrupt record, failed write)
+// once per distinct message.
+func (s *storeRun) note(format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	s.mu.Lock()
+	if !s.noted[msg] {
+		s.noted[msg] = true
+		s.notes = append(s.notes, msg)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	s.mu.Unlock()
 }
 
-// summaryOf returns the entry function's transitive summary digest.
-func (cs *cacheSession) summaryOf(entry string) string {
-	return cs.pkg.Prog.ByName[entry].Summary.String()
-}
-
-func (cs *cacheSession) jobPath(c *Checker, entry string) string {
-	return filepath.Join(cs.c.dir,
-		"job-"+cs.key("job", c.fingerprint(), "entry:"+entry, "sum:"+cs.summaryOf(entry))+".json")
-}
-
-func (cs *cacheSession) entryPath(entry string) string {
-	return filepath.Join(cs.c.dir,
-		"entry-"+cs.key("entry", "entry:"+entry, "sum:"+cs.summaryOf(entry))+".json")
-}
-
-func (cs *cacheSession) fnPath(id int) string {
-	f := cs.pkg.Prog.Funcs[id]
-	return filepath.Join(cs.c.dir,
-		"fn-"+cs.key("fn", "fn:"+f.Name, "sum:"+f.Summary.String())+".json")
-}
-
-// loadJob looks one (checker, entry) job up.
-func (cs *cacheSession) loadJob(c *Checker, entry string) ([]Diagnostic, core.Stats, bool) {
-	var rec jobRecord
-	st := cs.c.load(cs.jobPath(c, entry), &rec)
-	cs.observe(st)
-	if st != loadHit {
-		cs.misses.Add(1)
-		cs.mu.Lock()
-		cs.solved[entry] = true
-		cs.mu.Unlock()
-		return nil, core.Stats{}, false
+// read reads the envelope named name into out. A missing file is a
+// silent miss; a corrupt file is a miss with a note and a best-effort
+// removal, so it cannot keep tripping; a version-skewed file is a
+// counted miss that the run's store overwrites.
+func (s *storeRun) read(name string, out any) loadStatus {
+	path := filepath.Join(s.disk.dir, name)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		if !os.IsNotExist(err) {
+			s.note("cache: unreadable %s: %v", name, err)
+			return loadError
+		}
+		return loadAbsent
 	}
-	cs.hits.Add(1)
-	return rec.Diagnostics, rec.Stats, true
-}
-
-// storeJob persists one solved job's raw result.
-func (cs *cacheSession) storeJob(c *Checker, entry string, ds []Diagnostic, st core.Stats) {
-	cs.c.store(cs.jobPath(c, entry), jobRecord{Diagnostics: ds, Stats: st})
-	if cs.metrics != nil {
-		cs.metrics.Stores.Inc()
+	var env envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		s.note("cache: corrupt record %s discarded: %v", name, err)
+		os.Remove(path)
+		return loadCorrupt
 	}
-}
-
-// loadEntry looks an entry's skeleton base stats up.
-func (cs *cacheSession) loadEntry(entry string) (core.Stats, bool) {
-	var rec entryRecord
-	st := cs.c.load(cs.entryPath(entry), &rec)
-	cs.observe(st)
-	if st != loadHit {
-		cs.misses.Add(1)
-		return core.Stats{}, false
+	if env.Version != CacheVersion {
+		s.mu.Lock()
+		s.skewed[env.Version]++
+		s.mu.Unlock()
+		return loadSkew
 	}
-	cs.hits.Add(1)
-	return rec.Base, true
-}
-
-func (cs *cacheSession) storeEntry(entry string, base core.Stats) {
-	cs.c.store(cs.entryPath(entry), entryRecord{Base: base})
-	if cs.metrics != nil {
-		cs.metrics.Stores.Inc()
+	sum := sha256.Sum256(env.Body)
+	if hex.EncodeToString(sum[:]) != env.Sum {
+		s.note("cache: record %s failed its integrity check; discarded", name)
+		os.Remove(path)
+		return loadCorrupt
 	}
+	if err := json.Unmarshal(env.Body, out); err != nil {
+		s.note("cache: record %s body undecodable; discarded: %v", name, err)
+		os.Remove(path)
+		return loadCorrupt
+	}
+	return loadHit
 }
 
-// skelPath derives the on-disk name of an entry's frozen-skeleton
-// snapshot. The key bakes in everything the snapshot's validity depends
-// on: the container format version, the checker-registry fingerprint
-// (event callees shape skeleton construction), the solver options, and
-// the entry's transitive summary digest — any code or configuration
-// change moves the key, so a stale snapshot is an ordinary miss, never
-// a wrong skeleton. Explain mode is deliberately absent: skeletons are
-// property-independent, so both run flavors share one snapshot.
-func (cs *cacheSession) skelPath(entry string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "skel\nv:%d\nreg:%s\nopts:%s\nentry:%s\nsum:%s\n",
-		snapshot.FormatVersion, cs.regFP, cs.optsRaw, entry, cs.summaryOf(entry))
-	return filepath.Join(cs.c.dir, "skel-"+hex.EncodeToString(h.Sum(nil))+".snap")
+// write stores data in the cache directory under name atomically (temp
+// file + rename). A failure is noted and otherwise ignored: a cache that
+// cannot write degrades to a cache that never hits.
+func (s *storeRun) write(name string, data []byte) bool {
+	tmp, err := os.CreateTemp(s.disk.dir, "tmp-*")
+	if err == nil {
+		_, err = tmp.Write(data)
+		if cerr := tmp.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp.Name(), filepath.Join(s.disk.dir, name))
+		}
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}
+	if err != nil {
+		s.note("cache: writing %s: %v", name, err)
+		return false
+	}
+	return true
 }
 
 // loadSkeleton reconstructs entry's skeleton from its snapshot, if one
 // exists and survives validation. Every failure demotes to a live build:
-// a missing file is a silent miss, version skew is a counted miss with a
-// note, and corruption (container integrity, structural validation, or
-// a program/entry mismatch that the content key should have prevented)
-// is a counted miss with a note and a best-effort removal.
-func (cs *cacheSession) loadSkeleton(entry string) (*pdm.Skeleton, bool) {
-	path := cs.skelPath(entry)
-	m := cs.snapM
+// a missing file is a silent miss, version skew a counted miss, and
+// corruption (container integrity, structural validation, or a
+// program/entry mismatch that the content key should have prevented) a
+// counted miss with a note and a best-effort removal.
+func (s *storeRun) loadSkeleton(entry string) (*pdm.Skeleton, bool) {
+	name := s.key(nil, entry).skelName()
+	m := s.snapM
 	miss := func() (*pdm.Skeleton, bool) {
-		cs.skelMisses.Add(1)
+		s.skelMisses.Add(1)
 		if m != nil {
 			m.Misses.Inc()
 		}
 		return nil, false
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(s.disk.dir, name))
 	if err != nil {
 		if !os.IsNotExist(err) {
-			cs.c.note("cache: unreadable skeleton snapshot %s: %v", filepath.Base(path), err)
+			s.note("cache: unreadable skeleton snapshot %s: %v", name, err)
 		}
 		return miss()
 	}
 	t0 := time.Now()
-	sk, err := pdm.LoadSkeleton(data, cs.pkg.Prog, entry, cs.coreOpts)
+	sk, err := pdm.LoadSkeleton(data, s.pkg.Prog, entry, s.coreOpts)
 	if err != nil {
 		if errors.Is(err, snapshot.ErrVersion) {
-			cs.c.note("cache: skeleton snapshot %s has a different format version; falling back to a live build",
-				filepath.Base(path))
+			s.mu.Lock()
+			s.snapSkew++
+			s.mu.Unlock()
 			if m != nil {
 				m.VersionSkew.Inc()
 			}
 			return miss()
 		}
-		cs.c.note("cache: corrupt skeleton snapshot %s discarded: %v", filepath.Base(path), err)
-		os.Remove(path)
-		cs.skelCorrupt.Add(1)
+		s.note("cache: corrupt skeleton snapshot %s discarded: %v", name, err)
+		os.Remove(filepath.Join(s.disk.dir, name))
+		s.skelCorrupt.Add(1)
 		if m != nil {
 			m.Corrupt.Inc()
 		}
 		return miss()
 	}
-	cs.skelHits.Add(1)
+	s.skelHits.Add(1)
 	if m != nil {
 		m.Hits.Inc()
 		m.Bytes.Add(int64(len(data)))
@@ -473,70 +435,65 @@ func (cs *cacheSession) loadSkeleton(entry string) (*pdm.Skeleton, bool) {
 	return sk, true
 }
 
-// storeSkeleton serializes a freshly built skeleton beside the JSON
-// result records (atomic temp-file + rename; the container carries its
-// own SHA-256 and per-section CRCs, so no envelope is needed). Write
-// failures degrade to a snapshot that never hits.
-func (cs *cacheSession) storeSkeleton(entry string, sk *pdm.Skeleton) {
+// storeSkeleton serializes a freshly built skeleton beside the job
+// records. The container carries its own SHA-256 and per-section CRCs,
+// so it needs no envelope.
+func (s *storeRun) storeSkeleton(entry string, sk *pdm.Skeleton) {
 	t0 := time.Now()
 	data := sk.Snapshot()
 	encodeMs := time.Since(t0).Milliseconds()
-	path := cs.skelPath(entry)
-	tmp, err := os.CreateTemp(cs.c.dir, "tmp-*")
-	if err != nil {
-		cs.c.note("cache: writing %s: %v", filepath.Base(path), err)
+	if !s.write(s.key(nil, entry).skelName(), data) {
 		return
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		cs.c.note("cache: writing %s: %v", filepath.Base(path), firstErr(werr, cerr))
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		cs.c.note("cache: writing %s: %v", filepath.Base(path), err)
-		return
-	}
-	if m := cs.snapM; m != nil {
+	if m := s.snapM; m != nil {
 		m.Stores.Inc()
 		m.Bytes.Add(int64(len(data)))
 		m.EncodeMs.Observe(encodeMs)
 	}
 }
 
-// finish computes the run's CacheStats and writes the function stamps
-// for everything the run solved.
-func (cs *cacheSession) finish() *CacheStats {
+// finish computes the run's CacheStats; nil without a disk tier.
+func (s *storeRun) finish() *CacheStats {
+	if s.disk == nil {
+		return nil
+	}
 	st := &CacheStats{
-		Hits:            int(cs.hits.Load()),
-		Misses:          int(cs.misses.Load()),
-		TotalFunctions:  len(cs.pkg.Prog.Funcs),
-		SkeletonHits:    int(cs.skelHits.Load()),
-		SkeletonMisses:  int(cs.skelMisses.Load()),
-		SkeletonCorrupt: int(cs.skelCorrupt.Load()),
+		Hits:            int(s.hits.Load()),
+		Misses:          int(s.misses.Load()),
+		TotalFunctions:  len(s.pkg.Prog.Funcs),
+		SkeletonHits:    int(s.skelHits.Load()),
+		SkeletonMisses:  int(s.skelMisses.Load()),
+		SkeletonCorrupt: int(s.skelCorrupt.Load()),
 	}
-	cs.mu.Lock()
-	solved := make([]string, 0, len(cs.solved))
-	for e := range cs.solved {
-		solved = append(solved, e)
-	}
-	cs.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	resolved := map[int]bool{}
-	for _, e := range solved {
-		for _, id := range cs.pkg.Prog.Reachable(e) {
-			if cs.stale[id] {
-				resolved[id] = true
-			}
+	for e := range s.computed {
+		for _, id := range s.pkg.Prog.Reachable(e) {
+			resolved[id] = true
 		}
 	}
 	for id := range resolved {
-		st.Resolved = append(st.Resolved, cs.pkg.Prog.Funcs[id].Name)
-		cs.c.store(cs.fnPath(id), fnRecord{Fn: cs.pkg.Prog.Funcs[id].Name})
+		st.Resolved = append(st.Resolved, s.pkg.Prog.Funcs[id].Name)
 	}
 	sort.Strings(st.Resolved)
 	st.ResolvedFunctions = len(st.Resolved)
-	st.Notes = cs.c.takeNotes()
+	st.Notes = append(st.Notes, s.notes...)
+	sort.Strings(st.Notes)
+	// Version skew is one note per run, however many records it hit.
+	if len(s.skewed) > 0 {
+		n, versions := 0, make([]int, 0, len(s.skewed))
+		for v, c := range s.skewed {
+			n += c
+			versions = append(versions, v)
+		}
+		sort.Ints(versions)
+		st.Notes = append(st.Notes, fmt.Sprintf("cache: %d record(s) have format version %s, want %d; re-solved and overwritten",
+			n, strings.Trim(fmt.Sprint(versions), "[]"), CacheVersion))
+	}
+	if s.snapSkew > 0 {
+		st.Notes = append(st.Notes, fmt.Sprintf("cache: %d skeleton snapshot(s) have a different format version; rebuilt live and overwritten",
+			s.snapSkew))
+	}
 	return st
 }

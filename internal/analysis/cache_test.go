@@ -1,13 +1,16 @@
 package analysis
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"rasc/internal/gosrc"
+	"rasc/internal/obs"
 )
 
 // cacheSrc: Top -> mid -> leaf (double lock) and Other -> ok (clean),
@@ -231,16 +234,195 @@ func TestCacheVersionSkew(t *testing.T) {
 	if rep.Cache.Hits != 0 {
 		t.Fatalf("version-skewed cache still hit %d times", rep.Cache.Hits)
 	}
-	found := false
-	for _, n := range rep.Cache.Notes {
-		if strings.Contains(n, "format version 999") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("skew note missing: %v", rep.Cache.Notes)
+	// Every record is skewed, yet the run reports it once.
+	if skew := notesContaining(rep.Cache.Notes, "format version"); len(skew) != 1 ||
+		!strings.Contains(skew[0], "format version 999") {
+		t.Fatalf("want exactly one skew note naming format version 999, got %v", rep.Cache.Notes)
 	}
 	if findingsJSON(t, rep) != findingsJSON(t, cold) {
 		t.Fatal("version skew changed the report")
+	}
+}
+
+func notesContaining(notes []string, sub string) []string {
+	var out []string
+	for _, n := range notes {
+		if strings.Contains(n, sub) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// A cold run leaves exactly one job record per job and one skeleton
+// snapshot per entry in the cache directory, and nothing else.
+func TestCacheColdRunLayout(t *testing.T) {
+	dir := t.TempDir()
+	rep := analyzeCached(t, dir, cacheSrc)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, snaps := 0, 0
+	for _, e := range ents {
+		switch name := e.Name(); {
+		case strings.HasPrefix(name, "job-") && strings.HasSuffix(name, ".json"):
+			jobs++
+		case strings.HasPrefix(name, "skel-") && strings.HasSuffix(name, ".snap"):
+			snaps++
+		default:
+			t.Errorf("unexpected file %s in the cache directory", name)
+		}
+	}
+	if jobs != rep.Jobs || snaps != len(rep.Entries) {
+		t.Fatalf("%d job records and %d snapshots, want %d and %d", jobs, snaps, rep.Jobs, len(rep.Entries))
+	}
+}
+
+// gateWriter is a progress sink that parks the run writing to it at its
+// first job tick until release is closed.
+type gateWriter struct {
+	once             sync.Once
+	reached, release chan struct{}
+}
+
+func (g *gateWriter) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), "jobs 1/") {
+		g.once.Do(func() {
+			close(g.reached)
+			<-g.release
+		})
+	}
+	return len(p), nil
+}
+
+// Cache notes belong to the run that hit the incident, even when another
+// run on the same Cache finishes while it is still in flight.
+func TestCacheNotesStayWithTheirRun(t *testing.T) {
+	dir := t.TempDir()
+	analyzeCached(t, dir, cacheSrc)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "job-") {
+			os.WriteFile(filepath.Join(dir, e.Name()), []byte("\x00not json\xff"), 0o644)
+		}
+	}
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl, _ := Get("doublelock")
+	load := func(src string) *Package {
+		pkg, err := LoadFiles([]gosrc.File{{Name: "c.go", Src: src}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkg
+	}
+
+	// Run A reads a corrupt record in its first job, then parks.
+	gate := &gateWriter{reached: make(chan struct{}), release: make(chan struct{})}
+	var repA *Report
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		repA, err = Analyze(load(cacheSrc), Config{Checkers: []*Checker{dl}, Cache: cache, Parallel: 1,
+			Progress: obs.NewProgress(gate)})
+		done <- err
+	}()
+	select {
+	case <-gate.reached:
+	case err := <-done:
+		t.Fatalf("run A finished without ticking its first job: %v", err)
+	}
+	// Run B, over other code, starts and finishes meanwhile.
+	repB, err := Analyze(load(engBSrc), Config{Checkers: []*Checker{dl}, Cache: cache})
+	close(gate.release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(repB.Cache.Notes) != 0 {
+		t.Errorf("run B reports notes it never caused: %v", repB.Cache.Notes)
+	}
+	if len(notesContaining(repA.Cache.Notes, "corrupt record")) == 0 {
+		t.Errorf("run A lost its corrupt-record note: %v", repA.Cache.Notes)
+	}
+}
+
+// The cache's end-to-end contract over this repository's internal/...
+// tree, as gocheck -cache-dir runs it: a cold run computes and stores
+// every job and skeleton; a warm run is served entirely from job
+// records; with the job records deleted, a snapshot-cold run decodes
+// every skeleton and re-layers every job on it. All three render
+// byte-identical SARIF.
+func TestCacheTiersOverInternal(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name string) (*Report, string) {
+		pkg, err := LoadPaths([]string{"../..."})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Analyze(pkg, Config{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Cache.Notes) != 0 {
+			t.Errorf("%s run: cache notes %v", name, rep.Cache.Notes)
+		}
+		shadow := *rep
+		shadow.Cache = nil
+		var buf bytes.Buffer
+		if err := shadow.SARIF(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return rep, buf.String()
+	}
+	type counts struct{ hits, misses, resolved, skelHits, skelMisses, skelCorrupt int }
+	check := func(name string, rep *Report, want counts) {
+		c := rep.Cache
+		got := counts{c.Hits, c.Misses, c.ResolvedFunctions, c.SkeletonHits, c.SkeletonMisses, c.SkeletonCorrupt}
+		if got != want {
+			t.Errorf("%s run: %+v, want %+v", name, got, want)
+		}
+	}
+
+	cold, want := run("cold")
+	jobs, entries := cold.Jobs, len(cold.Entries)
+	check("cold", cold, counts{misses: jobs, resolved: cold.Cache.ResolvedFunctions, skelMisses: entries})
+	if cold.Cache.ResolvedFunctions == 0 {
+		t.Error("cold run re-solved no function")
+	}
+
+	warm, got := run("warm")
+	check("warm", warm, counts{hits: jobs})
+	if got != want {
+		t.Error("warm run changed the SARIF")
+	}
+
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "job-") {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap, got := run("snapshot-cold")
+	check("snapshot-cold", snap, counts{misses: jobs, resolved: cold.Cache.ResolvedFunctions, skelHits: entries})
+	if got != want {
+		t.Error("snapshot-cold run changed the SARIF")
 	}
 }

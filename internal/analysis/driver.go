@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"rasc/internal/core"
 	"rasc/internal/gosrc"
@@ -58,12 +57,12 @@ type skelEntry struct {
 // records the build as a trace span and feeds the skeleton-layer
 // metrics; reuse of an already-built skeleton records nothing.
 //
-// With a snapshot-enabled cache session (cs non-nil), the build is
-// first attempted as a snapshot decode — reconstructing the solved base
-// layer straight from bytes, skipping translation and the solve — and a
-// live build stores its snapshot for the next cold process. Snapshot
-// failures of any kind demote silently to the live path.
-func (p *Package) skeleton(entry string, opts core.Options, ob *obsState, cs *cacheSession) (*pdm.Skeleton, error) {
+// With a snapshot-enabled store run (st non-nil), the build is first
+// attempted as a snapshot decode — reconstructing the solved base layer
+// straight from bytes, skipping translation and the solve — and a live
+// build stores its snapshot for the next cold process. Snapshot failures
+// of any kind demote silently to the live path.
+func (p *Package) skeleton(entry string, opts core.Options, ob *obsState, st *storeRun) (*pdm.Skeleton, error) {
 	key := skelCacheKey{gen: generation(), opts: opts}
 	p.skelMu.Lock()
 	if p.skels == nil || p.skelKey != key {
@@ -78,9 +77,9 @@ func (p *Package) skeleton(entry string, opts core.Options, ob *obsState, cs *ca
 	p.skelMu.Unlock()
 	e.once.Do(func() {
 		sp := ob.span("skeleton:" + entry)
-		if cs != nil && cs.snapshots {
+		if st != nil && st.snapshots {
 			dsp := sp.Child("snapshot.decode")
-			sk, ok := cs.loadSkeleton(entry)
+			sk, ok := st.loadSkeleton(entry)
 			dsp.Finish()
 			if ok {
 				e.sk = sk
@@ -100,9 +99,9 @@ func (p *Package) skeleton(entry string, opts core.Options, ob *obsState, cs *ca
 				ob.pdmM.SkeletonBuilds.Inc()
 				ob.pdmM.DeferredStmts.Add(int64(e.sk.Deferred()))
 			}
-			if cs != nil && cs.snapshots {
+			if st != nil && st.snapshots {
 				esp := sp.Child("snapshot.encode")
-				cs.storeSkeleton(entry, e.sk)
+				st.storeSkeleton(entry, e.sk)
 				esp.Finish()
 			}
 		}
@@ -133,9 +132,9 @@ type Config struct {
 	Cache *Cache
 	// NoSkeletonSnapshots disables the frozen-skeleton snapshot path of
 	// the cache. By default (false), every live-built entry skeleton is
-	// serialized beside the result records and the next cold process
-	// reconstructs it straight from the bytes instead of re-translating
-	// and re-solving; snapshots are keyed so that any code, option or
+	// serialized beside the job records and the next process that has to
+	// compute a job reconstructs it straight from the bytes instead of
+	// re-solving; snapshots are keyed so that any code, option or
 	// registry change demotes them to a live build. Only meaningful when
 	// Cache is set.
 	NoSkeletonSnapshots bool
@@ -273,8 +272,8 @@ func (p *Package) fileOf(fn string) string { return p.Prog.FileOf(fn) }
 // no locking beyond the skeleton cache's.
 //
 // With cfg.Cache set, each job's raw result is first looked up by its
-// content key — registry fingerprint, solver options, checker name, and
-// the entry function's transitive summary digest — and solved only on a
+// content key — registry fingerprint, solver options, checker, and the
+// entry function's transitive summary digest — and solved only on a
 // miss. A fully warm run therefore builds no skeleton and solves no
 // constraint system at all, yet reproduces identical diagnostics and
 // solver statistics; Report.Cache records hit/miss counts and which
@@ -284,13 +283,13 @@ func Analyze(pkg *Package, cfg Config) (*Report, error) {
 }
 
 // analyze is the driver core shared by the one-shot wrapper and the
-// resident Engine. mem (nil OK) is the engine's in-memory job memo,
-// consulted before the on-disk cache and fed from every source (memo
-// miss that hits disk, and fresh solves), so a warm engine replays jobs
-// without touching disk at all. Memo keys pin the same content
-// coordinates as disk keys, so results are byte-identical whichever
-// layer serves them.
-func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
+// resident Engine. Each job consults the result store once — the
+// engine's memory tier mem, then the run's disk tier, then a fresh solve
+// — and files what it had to fetch or compute in the tiers that lacked
+// it, so a warm engine replays jobs without touching disk at all. Both
+// tiers hold the same record under the same key, so results are
+// byte-identical whichever tier serves them.
+func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 	checkers := cfg.Checkers
 	if len(checkers) == 0 {
 		checkers = All()
@@ -310,41 +309,7 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 	}
 	ob := newObsState(&cfg)
 	ob.recordSpecMetrics(checkers)
-	// The disk session is created lazily, on the first memo miss that
-	// needs it: session setup stamps every function against the cache
-	// directory (one read per function), which a fully memoized
-	// resident-engine request never needs. One-shot and cold runs miss
-	// the memo on their first job and materialize it immediately, so
-	// their behavior is unchanged.
-	var disk *lazySession
-	if cfg.Cache != nil {
-		var cm *obs.CacheMetrics
-		if ob != nil {
-			cm = ob.cacheM
-		}
-		disk = &lazySession{mk: func() *cacheSession {
-			cs := cfg.Cache.session(pkg, cfg.Opts, cfg.Explain, cm)
-			cs.snapshots = !cfg.NoSkeletonSnapshots
-			if ob != nil {
-				cs.snapM = ob.snapM
-			}
-			return cs
-		}}
-	}
-	// Memo key coordinates, mirroring cacheSession's key derivation. Each
-	// entry's summary is rendered once here rather than per job.
-	var memoRegFP, memoOpts string
-	summaries := map[string]string{}
-	if mem != nil {
-		memoRegFP = registryFingerprint()
-		memoOpts = fmt.Sprintf("%+v", cfg.Opts)
-		if cfg.Explain {
-			memoOpts += " explain"
-		}
-		for _, e := range entries {
-			summaries[e] = pkg.Prog.ByName[e].Summary.String()
-		}
-	}
+	st := newStoreRun(mem, pkg, entries, &cfg, ob)
 
 	type job struct {
 		checker *Checker
@@ -361,13 +326,8 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 			len(checkers), len(entries), len(jobs))
 		ob.progress.StartCount("jobs", len(jobs))
 	}
-	results := make([][]Diagnostic, len(jobs))
-	stats := make([]core.Stats, len(jobs))
+	results := make([]jobRecord, len(jobs))
 	errs := make([]error, len(jobs))
-	// Per-request memo accounting (job-level lookups only), carried on
-	// the Report for the server's access logs and flight recorder; the
-	// memo's own counters stay engine-wide.
-	var memoHits, memoMisses atomic.Int64
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {
@@ -376,56 +336,33 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 			defer wg.Done()
 			for i := range idx {
 				c, e := jobs[i].checker, jobs[i].entry
-				// The memo is consulted before the job span opens: a memo
+				k := st.key(c, e)
+				// Memory is consulted before the job span opens: a memory
 				// hit is a map lookup, and spanning each of them would put
 				// the always-on flight recorder's cost on the fully-warm
 				// hot path (hundreds of span allocations per request for
-				// sub-microsecond work). Jobs that actually look at the
-				// disk cache or solve — the ones that make a request slow
-				// and worth inspecting — keep their full span tree; the
-				// request span's memo hit/miss counts cover the rest.
-				if mem != nil {
-					if ds, st, ok := mem.loadJob(memoRegFP, memoOpts, c.fingerprint(), e, summaries[e]); ok {
-						memoHits.Add(1)
-						results[i], stats[i] = ds, st
-						ob.jobDone(false)
-						continue
-					}
-					memoMisses.Add(1)
+				// sub-microsecond work). Jobs that actually look at disk or
+				// solve — the ones that make a request slow and worth
+				// inspecting — keep their full span tree; the request's
+				// memo hit/miss counts cover the rest.
+				if rec, ok := st.recall(k); ok {
+					results[i] = rec
+					ob.jobDone(false)
+					continue
 				}
 				sp := ob.span("job:" + c.Name + "/" + e)
-				cs := disk.get()
-				if cs != nil {
-					lsp := sp.Child("cache.lookup")
-					ds, st, ok := cs.loadJob(c, e)
-					lsp.Finish()
-					if ok {
-						results[i], stats[i] = ds, st
-						if mem != nil {
-							mem.storeJob(memoRegFP, memoOpts, c.fingerprint(), e, summaries[e], ds, st)
-						}
-						sp.SetAttr("cache", "hit")
-						sp.Finish()
-						ob.jobDone(false)
-						continue
-					}
-					sp.SetAttr("cache", "miss")
-				}
-				ssp := sp.Child("solve")
-				results[i], stats[i], errs[i] = runJob(pkg, c, e, cfg.Opts, ob, cs)
-				ssp.Finish()
-				if errs[i] == nil {
-					if cs != nil {
-						wsp := sp.Child("cache.store")
-						cs.storeJob(c, e, results[i], stats[i])
-						wsp.Finish()
-					}
-					if mem != nil {
-						mem.storeJob(memoRegFP, memoOpts, c.fingerprint(), e, summaries[e], results[i], stats[i])
+				rec, ok := st.load(k, sp)
+				if !ok {
+					ssp := sp.Child("solve")
+					rec, errs[i] = runJob(pkg, c, e, cfg.Opts, ob, st)
+					ssp.Finish()
+					if errs[i] == nil {
+						st.store(k, rec, sp)
 					}
 				}
+				results[i] = rec
 				sp.Finish()
-				ob.jobDone(true)
+				ob.jobDone(!ok)
 			}
 		}()
 	}
@@ -446,73 +383,21 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 		Functions:  len(pkg.Prog.Funcs),
 		Entries:    entries,
 		Jobs:       len(jobs),
-		MemoHits:   memoHits.Load(),
-		MemoMisses: memoMisses.Load(),
+		Cache:      st.finish(),
+		MemoHits:   st.memHits.Load(),
+		MemoMisses: st.memMisses.Load(),
 	}
 	// Aggregate solver statistics; a sum is independent of completion
 	// order, so the report stays deterministic under any -parallel. Job
 	// stats are per-property deltas; each entry's shared skeleton is
-	// counted once, not once per property checker.
-	for _, st := range stats {
-		rep.Solver.Vars += st.Vars
-		rep.Solver.ConsNodes += st.ConsNodes
-		rep.Solver.Edges += st.Edges
-	}
-	hasProperty := false
-	for _, c := range checkers {
-		if c.Run == nil {
-			hasProperty = true
-			break
+	// counted once, from the base stats its first property job carries.
+	based := map[string]bool{}
+	for i, rec := range results {
+		rep.Solver.add(rec.Stats)
+		if e := jobs[i].entry; jobs[i].checker.Run == nil && !based[e] {
+			based[e] = true
+			rep.Solver.add(rec.Base)
 		}
-	}
-	if hasProperty {
-		for _, e := range entries {
-			// The skeleton's base stats are content-keyed too: a warm run
-			// reconstructs them from the memo or cache instead of
-			// rebuilding (and re-solving) the skeleton just to report its
-			// size.
-			if mem != nil {
-				if base, ok := mem.loadEntry(memoRegFP, memoOpts, e, summaries[e]); ok {
-					rep.Solver.Vars += base.Vars
-					rep.Solver.ConsNodes += base.ConsNodes
-					rep.Solver.Edges += base.Edges
-					continue
-				}
-			}
-			cs := disk.get()
-			if cs != nil {
-				if base, ok := cs.loadEntry(e); ok {
-					rep.Solver.Vars += base.Vars
-					rep.Solver.ConsNodes += base.ConsNodes
-					rep.Solver.Edges += base.Edges
-					if mem != nil {
-						mem.storeEntry(memoRegFP, memoOpts, e, summaries[e], base)
-					}
-					continue
-				}
-			}
-			sk, err := pkg.skeleton(e, cfg.Opts, ob, cs)
-			if err != nil {
-				return nil, err
-			}
-			base := sk.BaseStats()
-			rep.Solver.Vars += base.Vars
-			rep.Solver.ConsNodes += base.ConsNodes
-			rep.Solver.Edges += base.Edges
-			if cs != nil {
-				cs.storeEntry(e, base)
-			}
-			if mem != nil {
-				mem.storeEntry(memoRegFP, memoOpts, e, summaries[e], base)
-			}
-		}
-	}
-	if cs := disk.made(); cs != nil {
-		rep.Cache = cs.finish()
-	} else if cfg.Cache != nil {
-		// Fully memoized: the session was never needed. Zero stats keep
-		// the report schema (and the engine's accounting) intact.
-		rep.Cache = &CacheStats{}
 	}
 	for _, c := range checkers {
 		rep.Checkers = append(rep.Checkers, c.Name)
@@ -522,8 +407,8 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 	// dedup across entries, and apply suppression.
 	msp := ob.span("merge")
 	seen := map[string]bool{}
-	for _, ds := range results {
-		for _, d := range ds {
+	for _, rec := range results {
+		for _, d := range rec.Diagnostics {
 			k := d.key()
 			if seen[k] {
 				continue
@@ -548,6 +433,13 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 		ob.progress.Phasef("done: %d finding(s)", len(rep.Diagnostics))
 	}
 	return rep, nil
+}
+
+// add folds one solver-stats record into the totals.
+func (s *SolverStats) add(st core.Stats) {
+	s.Vars += st.Vars
+	s.ConsNodes += st.ConsNodes
+	s.Edges += st.Edges
 }
 
 // suppressed reports whether a //rasc:ignore comment on the diagnostic's
@@ -579,42 +471,40 @@ func coversChecker(names []string, checker string) bool {
 
 // runJob executes one (checker, entry) job — a constraint solve for
 // property checkers, a concurrency-model query for Run checkers — and
-// maps the result to diagnostics plus solver statistics. ob (nil OK)
-// supplies metric hooks and the explain flag; with explain on, every
-// diagnostic leaves with a non-empty provenance chain, so cached
-// records round-trip explain output unchanged.
-func runJob(pkg *Package, c *Checker, entry string, opts core.Options, ob *obsState, cs *cacheSession) ([]Diagnostic, core.Stats, error) {
+// maps the result to a job record: diagnostics, the property's layered
+// solver statistics and the shared skeleton's base statistics. ob (nil
+// OK) supplies metric hooks and the explain flag; with explain on, every
+// diagnostic leaves with a non-empty provenance chain, so stored records
+// round-trip explain output unchanged. st (nil OK) supplies skeleton
+// snapshots.
+func runJob(pkg *Package, c *Checker, entry string, opts core.Options, ob *obsState, st *storeRun) (jobRecord, error) {
 	if c.Run != nil {
 		ds := c.Run(pkg, c, entry)
 		if ob.explainOn() {
 			ensureProvenance(ds)
 		}
-		return ds, core.Stats{}, nil
+		return jobRecord{Diagnostics: ds}, nil
 	}
 	prop, events := c.compiled()
-	sk, err := pkg.skeleton(entry, opts, ob, cs)
+	sk, err := pkg.skeleton(entry, opts, ob, st)
 	if err != nil {
-		return nil, core.Stats{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
+		return jobRecord{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
 	}
 	res, err := sk.CheckObs(prop, events, ob.pdmObs())
 	if err != nil {
-		return nil, core.Stats{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
+		return jobRecord{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
 	}
-	// The skeleton's structure is shared by every checker on this entry;
-	// report only this property's layered work here. Analyze adds each
-	// skeleton's base once.
-	stats := res.Sys.Stats().Minus(res.Base)
-	var ds []Diagnostic
+	rec := jobRecord{Stats: res.Sys.Stats().Minus(res.Base), Base: res.Base}
 	switch c.Mode {
 	case ModeLeakAtExit:
-		ds = leakDiagnostics(pkg, c, entry, res, events)
+		rec.Diagnostics = leakDiagnostics(pkg, c, entry, res, events)
 	default:
-		ds = violationDiagnostics(pkg, c, entry, res)
+		rec.Diagnostics = violationDiagnostics(pkg, c, entry, res)
 	}
 	if ob.explainOn() {
-		ensureProvenance(ds)
+		ensureProvenance(rec.Diagnostics)
 	}
-	return ds, stats, nil
+	return rec, nil
 }
 
 func violationDiagnostics(pkg *Package, c *Checker, entry string, res *pdm.Result) []Diagnostic {

@@ -1,14 +1,15 @@
 // Resident analysis engine. Engine is the long-lived form of the
 // driver: it owns loaded programs (translated sources, lowered IR,
-// solved skeletons), an in-memory result memo, the open on-disk cache
-// and the observability registry across any number of requests, so a
-// warm re-check after a small edit pays for exactly the edit — changed
-// files re-translate through the per-file memo (gosrc.Memo), unchanged
-// functions keep their fingerprints (ir.NewIncremental), and jobs whose
-// content key is unchanged replay from the in-memory memo without
-// touching disk. An unchanged file set short-circuits entirely: the
-// resident Package — including its built skeletons — is reused as-is,
-// so identical re-checks never rebuild anything.
+// solved skeletons), the memory tier of the result store, the open
+// on-disk cache and the observability registry across any number of
+// requests, so a warm re-check after a small edit pays for exactly the
+// edit — changed files re-translate through the per-file memo
+// (gosrc.Memo), unchanged functions keep their fingerprints
+// (ir.NewIncremental), and jobs whose content key is unchanged replay
+// from memory without touching disk. An unchanged file set
+// short-circuits entirely: the resident Package — including its built
+// skeletons — is reused as-is, so identical re-checks never rebuild
+// anything.
 //
 // Concurrency model: a resident program's mutable state (file set,
 // translation memo, current Package) is guarded by a per-program mutex
@@ -58,8 +59,8 @@ type EngineConfig struct {
 	// (their next request reloads from the pushed file set). 0 means no
 	// eviction.
 	MemoryBudget int64
-	// MemoEntries bounds the in-memory job-result memo (records, not
-	// bytes); 0 means the default.
+	// MemoEntries bounds the memory tier of the result store (job
+	// records, not bytes); 0 means the default.
 	MemoEntries int
 	// Metrics, when non-nil, receives the per-run bundles (solver, pdm,
 	// cache, driver) plus the engine's server.* bundle.
@@ -81,7 +82,7 @@ type EngineConfig struct {
 type Engine struct {
 	cfg     EngineConfig
 	serverM *obs.ServerMetrics // nil when Metrics is nil
-	memo    *jobMemo
+	mem     *memTier
 
 	mu    sync.Mutex
 	progs map[string]*residentProgram
@@ -91,6 +92,7 @@ type Engine struct {
 	// requests never race (CacheStats itself is per-request; these are
 	// the cross-request totals).
 	requests, errors, evictions         atomic.Int64
+	memoHits, memoMisses                atomic.Int64
 	cacheHits, cacheMisses, resolvedFns atomic.Int64
 	skeletonHits, skeletonMisses        atomic.Int64
 }
@@ -104,7 +106,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	return &Engine{
 		cfg:     cfg,
 		serverM: sm,
-		memo:    newJobMemo(cfg.MemoEntries, sm),
+		mem:     newMemTier(cfg.MemoEntries, sm),
 		progs:   map[string]*residentProgram{},
 	}
 }
@@ -300,11 +302,11 @@ func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
 		Metrics:             e.cfg.Metrics,
 		Explain:             req.Explain,
 	}
-	rep, err := analyze(pkg, cfg, e.memo)
+	rep, err := analyze(pkg, cfg, e.mem)
 	if err != nil {
 		return nil, err
 	}
-	e.account(rep.Cache)
+	e.account(rep)
 	e.finishRequest(rp, pkg)
 	return rep, nil
 }
@@ -470,11 +472,14 @@ func (e *Engine) residentGauge() {
 	}
 }
 
-// account merges one request's CacheStats into the engine totals.
-// Per-request stats stay per-request (each session owns its counters);
-// the engine-wide view accumulates atomically so concurrent request
-// completions never race.
-func (e *Engine) account(st *CacheStats) {
+// account merges one request's memory and cache accounting into the
+// engine totals. Per-request stats stay per-request (each run owns its
+// counters); the engine-wide view accumulates atomically so concurrent
+// request completions never race.
+func (e *Engine) account(rep *Report) {
+	e.memoHits.Add(rep.MemoHits)
+	e.memoMisses.Add(rep.MemoMisses)
+	st := rep.Cache
 	if st == nil {
 		return
 	}
@@ -572,9 +577,9 @@ func (e *Engine) Stats() EngineStats {
 		Errors:           e.errors.Load(),
 		Evictions:        e.evictions.Load(),
 		ResidentPrograms: resident,
-		MemoHits:         e.memo.hits.Load(),
-		MemoMisses:       e.memo.misses.Load(),
-		MemoEntries:      e.memo.len(),
+		MemoHits:         e.memoHits.Load(),
+		MemoMisses:       e.memoMisses.Load(),
+		MemoEntries:      e.mem.len(),
 		CacheHits:        e.cacheHits.Load(),
 		CacheMisses:      e.cacheMisses.Load(),
 		ResolvedFuncs:    e.resolvedFns.Load(),
@@ -595,8 +600,8 @@ func (e *Engine) Drop(name string) {
 }
 
 // AnalyzePackage runs one request over an externally loaded Package
-// through the engine's request path — request accounting, the shared
-// job memo and latency observation all apply — without making the
+// through the engine's request path — request accounting, the memory
+// tier and latency observation all apply — without making the
 // package resident (no delta tracking, no eviction). The cfg is taken
 // as given, exactly like the one-shot Analyze.
 func (e *Engine) AnalyzePackage(pkg *Package, cfg Config) (*Report, error) {
@@ -605,14 +610,14 @@ func (e *Engine) AnalyzePackage(pkg *Package, cfg Config) (*Report, error) {
 	if e.serverM != nil {
 		e.serverM.Requests.Inc()
 	}
-	rep, err := analyze(pkg, cfg, e.memo)
+	rep, err := analyze(pkg, cfg, e.mem)
 	if err != nil {
 		e.errors.Add(1)
 		if e.serverM != nil {
 			e.serverM.Errors.Inc()
 		}
 	} else {
-		e.account(rep.Cache)
+		e.account(rep)
 	}
 	if e.serverM != nil {
 		e.serverM.RequestMs.Observe(time.Since(t0).Milliseconds())

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -254,6 +255,56 @@ func TestEngineConcurrentRequests(t *testing.T) {
 	// seen traffic from both the memo and the per-request sessions.
 	if st.MemoHits == 0 && st.CacheHits == 0 {
 		t.Fatal("no hit traffic recorded across concurrent requests")
+	}
+}
+
+// A job whose key keeps hitting stays in memory however many novel
+// records pass through a small memory tier: Other's summary never
+// changes while every request edits leaf, so Other's job must hit on
+// every request.
+func TestEngineMemoryKeepsHotKeys(t *testing.T) {
+	eng := NewEngine(EngineConfig{MemoEntries: 8})
+	req := func(src string) *Report {
+		t.Helper()
+		rep, err := eng.Check(CheckRequest{Upserts: []gosrc.File{{Name: "c.go", Src: src}}, Checkers: []string{"doublelock"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	req(cacheSrc)
+	for i := 0; i < 12; i++ {
+		rep := req(strings.Replace(cacheSrc, "mu.Lock() // BUG", fmt.Sprintf("mu.Lock(); work(%d)", i), 1))
+		if rep.MemoHits != 1 || rep.MemoMisses != 1 {
+			t.Fatalf("edit %d: memo hits=%d misses=%d, want Other's job to hit and Top's to miss",
+				i, rep.MemoHits, rep.MemoMisses)
+		}
+	}
+	if n := eng.Stats().MemoEntries; n > 8 {
+		t.Fatalf("memory tier holds %d records, bound 8", n)
+	}
+}
+
+// The engine's memo counters are the sums of its requests' counters.
+func TestEngineMemoCountersMatchRequests(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(EngineConfig{Cache: cache})
+	full := []gosrc.File{{Name: "a.go", Src: engASrc}, {Name: "b.go", Src: engBSrc}}
+	fix := []gosrc.File{{Name: "a.go", Src: strings.Replace(engASrc, "mu.Lock() // BUG", "mu.Unlock()", 1)}}
+	var hits, misses int64
+	for _, req := range []CheckRequest{{Upserts: full}, {Upserts: fix}, {}} {
+		rep, err := eng.Check(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits += rep.MemoHits
+		misses += rep.MemoMisses
+	}
+	if st := eng.Stats(); st.MemoHits != hits || st.MemoMisses != misses || hits == 0 || misses == 0 {
+		t.Fatalf("engine memo hits/misses %d/%d, requests sum to %d/%d", st.MemoHits, st.MemoMisses, hits, misses)
 	}
 }
 

@@ -126,19 +126,19 @@ func TestUnrelatedRootLeavesEntriesUnchanged(t *testing.T) {
 			t.Errorf("%s: base stats %+v, were %+v", e, skA.BaseStats(), skB.BaseStats())
 		}
 		for _, c := range All() {
-			dsB, stB, err := runJob(before, c, e, core.Options{}, nil, nil)
+			recB, err := runJob(before, c, e, core.Options{}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dsA, stA, err := runJob(after, c, e, core.Options{}, nil, nil)
+			recA, err := runJob(after, c, e, core.Options{}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stA != stB {
-				t.Errorf("%s/%s: job stats %+v, were %+v", c.Name, e, stA, stB)
+			if recA.Stats != recB.Stats || recA.Base != recB.Base {
+				t.Errorf("%s/%s: job stats %+v/%+v, were %+v/%+v", c.Name, e, recA.Stats, recA.Base, recB.Stats, recB.Base)
 			}
-			if !reflect.DeepEqual(dsA, dsB) {
-				t.Errorf("%s/%s: diagnostics changed:\nnow %+v\nwas %+v", c.Name, e, dsA, dsB)
+			if !reflect.DeepEqual(recA.Diagnostics, recB.Diagnostics) {
+				t.Errorf("%s/%s: diagnostics changed:\nnow %+v\nwas %+v", c.Name, e, recA.Diagnostics, recB.Diagnostics)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // access pattern incremental caching produces: with cache-driven job
 // skipping, some workers call Skeleton.Check (forking the frozen base)
 // while others — whose jobs hit the cache — only read statistics
-// (Skeleton.BaseStats for entry records, Result.Sys.Stats for deltas).
+// (Skeleton.BaseStats for base totals, Result.Sys.Stats for deltas).
 // An audit of System.Fork and the layered dedup sets found no write to
 // the frozen base after Freeze; this test pins that down under -race
 // (the CI build-and-test job runs the suite with -race enabled).
