@@ -74,7 +74,7 @@ func run() int {
 	failOn := flag.String("fail-on", "warning", "lowest severity that fails the run (error, warning or note)")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "directory for the incremental result cache (empty = no cache)")
-	skelCache := flag.Bool("skeleton-cache", true, "with -cache-dir, snapshot solved constraint skeletons for instant cold starts")
+	skelCache := flag.Bool("skeleton-cache", true, "with -cache-dir, snapshot solved constraint skeletons for jobs re-solved on an unchanged entry")
 	list := flag.Bool("list", false, "list registered checkers and exit")
 	speclint := flag.Bool("speclint", false, "lint the checkers' property specs and exit (3 on findings)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the analysis to this file")

@@ -60,7 +60,7 @@ func run() int {
 	skelCache := flag.Bool("skeleton-cache", true, "with -cache-dir, snapshot solved constraint skeletons")
 	parallel := flag.Int("parallel", 0, "per-request worker pool size (0 = GOMAXPROCS)")
 	budgetMB := flag.Int64("memory-budget", 0, "resident-program memory budget in MiB; past it, least-recently-used programs are evicted (0 = unlimited)")
-	memoEntries := flag.Int("memo-entries", 0, "memory tier of the job-result store: capacity in records, kept as two generations of half that (0 = default)")
+	memoEntries := flag.Int("memo-entries", 0, "memory tier of the job-result store: up to N job records that keep hitting stay in memory; it holds at most 2N (0 = default 8192)")
 	allowShutdown := flag.Bool("allow-shutdown", true, "enable POST /v1/shutdown")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty = pprof off)")

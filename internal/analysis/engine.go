@@ -59,8 +59,10 @@ type EngineConfig struct {
 	// (their next request reloads from the pushed file set). 0 means no
 	// eviction.
 	MemoryBudget int64
-	// MemoEntries bounds the memory tier of the result store (job
-	// records, not bytes); 0 means the default.
+	// MemoEntries bounds the memory tier of the result store in job
+	// records, not bytes: up to MemoEntries records that keep hitting
+	// stay in memory, and the tier holds at most twice that. 0 means
+	// the default.
 	MemoEntries int
 	// Metrics, when non-nil, receives the per-run bundles (solver, pdm,
 	// cache, driver) plus the engine's server.* bundle.

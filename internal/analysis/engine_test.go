@@ -261,7 +261,8 @@ func TestEngineConcurrentRequests(t *testing.T) {
 // A job whose key keeps hitting stays in memory however many novel
 // records pass through a small memory tier: Other's summary never
 // changes while every request edits leaf, so Other's job must hit on
-// every request.
+// every request. 24 edits fill and drop each generation of 8 more than
+// once.
 func TestEngineMemoryKeepsHotKeys(t *testing.T) {
 	eng := NewEngine(EngineConfig{MemoEntries: 8})
 	req := func(src string) *Report {
@@ -273,15 +274,43 @@ func TestEngineMemoryKeepsHotKeys(t *testing.T) {
 		return rep
 	}
 	req(cacheSrc)
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 24; i++ {
 		rep := req(strings.Replace(cacheSrc, "mu.Lock() // BUG", fmt.Sprintf("mu.Lock(); work(%d)", i), 1))
 		if rep.MemoHits != 1 || rep.MemoMisses != 1 {
 			t.Fatalf("edit %d: memo hits=%d misses=%d, want Other's job to hit and Top's to miss",
 				i, rep.MemoHits, rep.MemoMisses)
 		}
 	}
-	if n := eng.Stats().MemoEntries; n > 8 {
-		t.Fatalf("memory tier holds %d records, bound 8", n)
+	if n := eng.Stats().MemoEntries; n > 2*8 {
+		t.Fatalf("memory tier holds %d records, want at most two generations of 8", n)
+	}
+}
+
+// Every job of a request that repeats stays in memory as long as the
+// jobs fit the bound, even when they need more than half of it: here
+// they fill between half and all of it, and every repeat of the request
+// must hit memory on every job.
+func TestEngineMemoryHoldsRepeatedRequestUpToBound(t *testing.T) {
+	full := []gosrc.File{{Name: "a.go", Src: engASrc}, {Name: "b.go", Src: engBSrc}}
+	probe, err := NewEngine(EngineConfig{}).Check(CheckRequest{Upserts: full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := probe.MemoMisses
+	bound := int(jobs + jobs/2)
+	if jobs < 4 || 2*jobs <= int64(bound) {
+		t.Fatalf("%d jobs do not lie between half and all of the bound %d", jobs, bound)
+	}
+	eng := NewEngine(EngineConfig{MemoEntries: bound})
+	for i := 0; i < 4; i++ {
+		rep, err := eng.Check(CheckRequest{Upserts: full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && (rep.MemoHits != jobs || rep.MemoMisses != 0) {
+			t.Fatalf("repeat %d: memo hits=%d misses=%d, want all %d jobs to hit",
+				i, rep.MemoHits, rep.MemoMisses, jobs)
+		}
 	}
 }
 

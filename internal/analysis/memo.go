@@ -12,14 +12,16 @@ import (
 // an edit moves the summaries of exactly the entries it dirties, their
 // old keys stop resolving, and every other entry keeps hitting.
 //
-// Capacity is two generations of half the bound each. Records enter the
-// current generation; when it is full it becomes the old one and the
+// Capacity is two generations of up to the bound each. Records enter
+// the current generation; when it is full it becomes the old one and the
 // previous old one is dropped. A hit in the old generation promotes the
-// record back, so a key that keeps hitting (an entry no edit touches) is
-// never evicted, while records of stale summaries age out.
+// record back. Any set of up to the bound's records that keeps hitting
+// (the jobs every request of a resident program touches) therefore stays
+// in memory once one request has touched it, while records of stale
+// summaries age out. The tier holds at most twice the bound.
 type memTier struct {
 	mu       sync.Mutex
-	half     int
+	gen      int
 	cur, old map[recordKey]jobRecord
 	m        *obs.ServerMetrics // hit/miss instruments; nil OK
 }
@@ -33,7 +35,7 @@ func newMemTier(entries int, m *obs.ServerMetrics) *memTier {
 	if entries <= 0 {
 		entries = defaultMemoEntries
 	}
-	return &memTier{half: max(1, entries/2), cur: map[recordKey]jobRecord{}, m: m}
+	return &memTier{gen: entries, cur: map[recordKey]jobRecord{}, m: m}
 }
 
 func (m *memTier) get(k recordKey) (jobRecord, bool) {
@@ -63,8 +65,8 @@ func (m *memTier) put(k recordKey, rec jobRecord) {
 
 func (m *memTier) putLocked(k recordKey, rec jobRecord) {
 	delete(m.old, k)
-	if _, ok := m.cur[k]; !ok && len(m.cur) >= m.half {
-		m.old, m.cur = m.cur, make(map[recordKey]jobRecord, m.half)
+	if _, ok := m.cur[k]; !ok && len(m.cur) >= m.gen {
+		m.old, m.cur = m.cur, make(map[recordKey]jobRecord)
 	}
 	m.cur[k] = rec
 }
