@@ -10,13 +10,16 @@
 //
 // The store has two tiers behind that one key: memory (memTier, owned by
 // the Engine) and, when a run has a Cache, disk. The on-disk format is
-// deliberately dumb: one JSON file per job in a flat directory, named by
-// the key's SHA-256 and wrapped in an envelope carrying the format
-// version and a SHA-256 of the body, beside one frozen-skeleton snapshot
-// per entry. Any defect — truncation, garbage, a failed integrity check,
-// a version bump — demotes the record to a miss with a note; the store
-// never panics and never changes what a run reports (beyond the
-// Report.Cache block).
+// deliberately dumb: a flat directory holding, per entry, one JSON file
+// of the entry's job records, named by the SHA-256 of the key without
+// the checker and wrapped in an envelope carrying the format version and
+// a SHA-256 of the body, beside one frozen-skeleton snapshot. One file
+// per entry, not per job, keeps a cold fill's file creations — whose
+// cost on a real filesystem is large and erratic next to writing the
+// bytes — at two per entry. Any defect — truncation, garbage, a failed
+// integrity check, a version bump — demotes the file's records to misses
+// with a note; the store never panics and never changes what a run
+// reports (beyond the Report.Cache block).
 package analysis
 
 import (
@@ -43,7 +46,8 @@ import (
 // record schema or key derivation changes incompatibly; records written
 // under another version read as misses (with one note per run), never
 // as wrong results. Version 3: job records carry the entry skeleton's
-// base stats and are the only JSON records.
+// base stats, and each entry's job records share one file, the only JSON
+// file kind.
 const CacheVersion = 3
 
 // Cache is a handle on an on-disk result cache directory, the disk tier
@@ -74,15 +78,25 @@ type recordKey struct {
 	summary string // the entry's transitive summary digest
 }
 
-// jobName is the job record's file name: the SHA-256 of the key.
-func (k recordKey) jobName() string {
+// fileName is the name of the file holding the job records of the key's
+// entry: the SHA-256 of the key without the checker. Every job of one
+// entry, summary, option set and explain mode files its record there,
+// under its slot.
+func (k recordKey) fileName() string {
 	opts := k.opts
 	if k.explain {
 		opts += " explain"
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "job\nreg:%s\nopts:%s\n%s\nentry:%s\nsum:%s\n", k.regFP, opts, k.checker, k.entry, k.summary)
+	fmt.Fprintf(h, "jobs\nreg:%s\nopts:%s\nentry:%s\nsum:%s\n", k.regFP, opts, k.entry, k.summary)
 	return "job-" + hex.EncodeToString(h.Sum(nil)) + ".json"
+}
+
+// slot is the job's place in its entry's record file: the SHA-256 of the
+// checker fingerprint.
+func (k recordKey) slot() string {
+	sum := sha256.Sum256([]byte(k.checker))
+	return hex.EncodeToString(sum[:])
 }
 
 // skelName is the file name of the entry's frozen-skeleton snapshot. It
@@ -110,15 +124,23 @@ type jobRecord struct {
 	Base        core.Stats   `json:"base"`
 }
 
-// envelope wraps every on-disk record with an integrity check.
+// recordFile is one entry's job-record file as a run sees it: read once,
+// at the run's first disk lookup on the entry, and rewritten by flush
+// if the run computed any of the entry's jobs.
+type recordFile struct {
+	once sync.Once
+	recs map[string]jobRecord // by slot; nil when absent or unusable
+}
+
+// envelope wraps every on-disk record file with an integrity check.
 type envelope struct {
 	Version int             `json:"version"`
 	Sum     string          `json:"sum"` // hex SHA-256 of Body
 	Body    json.RawMessage `json:"body"`
 }
 
-// loadStatus classifies one disk lookup, for metric hooks. Every status
-// except loadHit behaves as a miss.
+// loadStatus classifies one record-file read, for metric hooks. Every
+// status except loadHit makes the file's lookups miss.
 type loadStatus int
 
 const (
@@ -132,7 +154,7 @@ const (
 // CacheStats summarizes the cache's effect on one Analyze run.
 type CacheStats struct {
 	// Hits and Misses count disk lookups: one per job the memory tier
-	// could not serve.
+	// could not serve, whichever file holds its record.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 	// ResolvedFunctions counts the functions whose constraints were
@@ -167,9 +189,10 @@ func (s *CacheStats) HitRate() float64 {
 
 // storeRun is one analyze call's view of the result store: the memory
 // tier, the optional disk tier, the key coordinates the run pins, and
-// everything the run accumulates — hit and miss counters, cache notes and
-// the set of entries it computed jobs for — so concurrent runs sharing a
-// Cache or an Engine never see each other's accounting.
+// everything the run accumulates — hit and miss counters, cache notes,
+// the record files it read and the set of entries it computed jobs for —
+// so concurrent runs sharing a Cache or an Engine never see each other's
+// accounting.
 type storeRun struct {
 	mem  *memTier
 	disk *Cache // nil: memory only
@@ -185,7 +208,7 @@ type storeRun struct {
 	// live BuildSkeleton, store after one); it needs the disk tier.
 	snapshots bool
 
-	cacheM *obs.CacheMetrics    // job-record lookups and stores; nil OK
+	cacheM *obs.CacheMetrics    // job-record lookups, file reads and stores; nil OK
 	snapM  *obs.SnapshotMetrics // snapshot lookups, bytes, timings; nil OK
 
 	memHits, memMisses                atomic.Int64
@@ -195,8 +218,9 @@ type storeRun struct {
 	mu       sync.Mutex
 	notes    []string
 	noted    map[string]bool
-	skewed   map[int]int // skewed job records by format version
+	skewed   map[int]int // skewed record files by format version
 	snapSkew int
+	files    map[string]*recordFile // by entry
 	computed map[string]bool
 }
 
@@ -213,6 +237,7 @@ func newStoreRun(mem *memTier, pkg *Package, entries []string, cfg *Config, ob *
 		snapshots: cfg.Cache != nil && !cfg.NoSkeletonSnapshots,
 		noted:     map[string]bool{},
 		skewed:    map[int]int{},
+		files:     map[string]*recordFile{},
 		computed:  map[string]bool{},
 	}
 	for _, e := range entries {
@@ -252,23 +277,16 @@ func (s *storeRun) load(k recordKey, sp *obs.Span) (jobRecord, bool) {
 		return jobRecord{}, false
 	}
 	lsp := sp.Child("cache.lookup")
-	var rec jobRecord
-	st := s.read(k.jobName(), &rec)
+	rec, ok := s.file(k).recs[k.slot()]
 	lsp.Finish()
 	if m := s.cacheM; m != nil {
-		if st == loadHit {
+		if ok {
 			m.Hits.Inc()
 		} else {
 			m.Misses.Inc()
 		}
-		switch st {
-		case loadCorrupt:
-			m.Corrupt.Inc()
-		case loadSkew:
-			m.VersionSkew.Inc()
-		}
 	}
-	if st != loadHit {
+	if !ok {
 		s.misses.Add(1)
 		sp.SetAttr("cache", "miss")
 		return jobRecord{}, false
@@ -279,31 +297,90 @@ func (s *storeRun) load(k recordKey, sp *obs.Span) (jobRecord, bool) {
 	return rec, true
 }
 
-// store files a computed job's record in both tiers, the disk write as a
-// cache.store span under sp, and marks its entry as computed.
-func (s *storeRun) store(k recordKey, rec jobRecord, sp *obs.Span) {
+// file returns the record file of the key's entry, reading it on the
+// run's first lookup of the entry. A corrupt or version-skewed file
+// counts once, as the read that found it.
+func (s *storeRun) file(k recordKey) *recordFile {
+	s.mu.Lock()
+	f := s.files[k.entry]
+	if f == nil {
+		f = &recordFile{}
+		s.files[k.entry] = f
+	}
+	s.mu.Unlock()
+	f.once.Do(func() {
+		var recs map[string]jobRecord
+		st := s.read(k.fileName(), &recs)
+		if st == loadHit {
+			f.recs = recs
+		}
+		if m := s.cacheM; m != nil {
+			switch st {
+			case loadCorrupt:
+				m.Corrupt.Inc()
+			case loadSkew:
+				m.VersionSkew.Inc()
+			}
+		}
+	})
+	return f
+}
+
+// store files a computed job's record in memory and marks its entry as
+// computed; flush writes it to disk with the rest of the entry's records.
+func (s *storeRun) store(k recordKey, rec jobRecord) {
 	s.mem.put(k, rec)
 	s.mu.Lock()
 	s.computed[k.entry] = true
 	s.mu.Unlock()
-	if s.disk == nil {
+}
+
+// flush writes, as one cache.store span, the record file of every entry
+// the run computed a job for: the records of all the run's jobs on the
+// entry, whichever tier served them, over those the file already held
+// for checkers outside the run. keys, recs and errs are the run's jobs;
+// a failed job has no record to write.
+func (s *storeRun) flush(keys []recordKey, recs []jobRecord, errs []error, ob *obsState) {
+	if s.disk == nil || len(s.computed) == 0 {
 		return
 	}
-	wsp := sp.Child("cache.store")
-	defer wsp.Finish()
-	body, err := json.Marshal(rec)
-	if err != nil {
-		s.note("cache: encoding %s: %v", k.jobName(), err)
-		return
+	sp := ob.span("cache.store")
+	defer sp.Finish()
+	files := map[string]map[string]jobRecord{}
+	var names []string
+	for i, k := range keys {
+		if errs[i] != nil || !s.computed[k.entry] {
+			continue
+		}
+		name := k.fileName()
+		f := files[name]
+		if f == nil {
+			f = map[string]jobRecord{}
+			if old := s.files[k.entry]; old != nil {
+				for slot, rec := range old.recs {
+					f[slot] = rec
+				}
+			}
+			files[name] = f
+			names = append(names, name)
+		}
+		f[k.slot()] = recs[i]
 	}
-	sum := sha256.Sum256(body)
-	enc, err := json.Marshal(envelope{Version: CacheVersion, Sum: hex.EncodeToString(sum[:]), Body: body})
-	if err != nil {
-		s.note("cache: encoding %s: %v", k.jobName(), err)
-		return
-	}
-	if s.write(k.jobName(), enc) && s.cacheM != nil {
-		s.cacheM.Stores.Inc()
+	for _, name := range names {
+		body, err := json.Marshal(files[name])
+		if err != nil {
+			s.note("cache: encoding %s: %v", name, err)
+			continue
+		}
+		sum := sha256.Sum256(body)
+		enc, err := json.Marshal(envelope{Version: CacheVersion, Sum: hex.EncodeToString(sum[:]), Body: body})
+		if err != nil {
+			s.note("cache: encoding %s: %v", name, err)
+			continue
+		}
+		if s.write(name, enc) && s.cacheM != nil {
+			s.cacheM.Stores.Add(int64(len(files[name])))
+		}
 	}
 }
 
@@ -322,7 +399,7 @@ func (s *storeRun) note(format string, args ...any) {
 // read reads the envelope named name into out. A missing file is a
 // silent miss; a corrupt file is a miss with a note and a best-effort
 // removal, so it cannot keep tripping; a version-skewed file is a
-// counted miss that the run's store overwrites.
+// counted miss that the run's flush overwrites.
 func (s *storeRun) read(name string, out any) loadStatus {
 	path := filepath.Join(s.disk.dir, name)
 	raw, err := os.ReadFile(path)
@@ -488,7 +565,7 @@ func (s *storeRun) finish() *CacheStats {
 			versions = append(versions, v)
 		}
 		sort.Ints(versions)
-		st.Notes = append(st.Notes, fmt.Sprintf("cache: %d record(s) have format version %s, want %d; re-solved and overwritten",
+		st.Notes = append(st.Notes, fmt.Sprintf("cache: %d job-record file(s) have format version %s, want %d; re-solved and overwritten",
 			n, strings.Trim(fmt.Sprint(versions), "[]"), CacheVersion))
 	}
 	if s.snapSkew > 0 {

@@ -254,7 +254,7 @@ func notesContaining(notes []string, sub string) []string {
 	return out
 }
 
-// A cold run leaves exactly one job record per job and one skeleton
+// A cold run leaves exactly one job-record file and one skeleton
 // snapshot per entry in the cache directory, and nothing else.
 func TestCacheColdRunLayout(t *testing.T) {
 	dir := t.TempDir()
@@ -274,8 +274,64 @@ func TestCacheColdRunLayout(t *testing.T) {
 			t.Errorf("unexpected file %s in the cache directory", name)
 		}
 	}
-	if jobs != rep.Jobs || snaps != len(rep.Entries) {
-		t.Fatalf("%d job records and %d snapshots, want %d and %d", jobs, snaps, rep.Jobs, len(rep.Entries))
+	if jobs != len(rep.Entries) || snaps != len(rep.Entries) {
+		t.Fatalf("%d job-record files and %d snapshots, want %d each", jobs, snaps, len(rep.Entries))
+	}
+}
+
+// Each entry's job records share one file. A run over a subset of the
+// checkers leaves the records of the others in place, and a later run
+// adds its own to the same file, so every combination stays warm.
+func TestCacheRecordFilePerEntry(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl, _ := Get("doublelock")
+	lb, _ := Get("lockbalance")
+	run := func(checkers ...*Checker) *Report {
+		pkg, err := LoadFiles([]gosrc.File{{Name: "c.go", Src: cacheSrc}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Analyze(pkg, Config{Checkers: checkers, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	recordFiles := func() int {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, e := range ents {
+			if strings.HasPrefix(e.Name(), "job-") {
+				n++
+			}
+		}
+		return n
+	}
+
+	one := run(dl)
+	if got := recordFiles(); got != len(one.Entries) {
+		t.Fatalf("doublelock run: %d record files, want one per entry (%d)", got, len(one.Entries))
+	}
+	both := run(dl, lb)
+	if both.Cache.Hits != one.Jobs || both.Cache.Misses != both.Jobs-one.Jobs {
+		t.Fatalf("doublelock+lockbalance run: hits=%d misses=%d, want %d and %d",
+			both.Cache.Hits, both.Cache.Misses, one.Jobs, both.Jobs-one.Jobs)
+	}
+	if got := recordFiles(); got != len(both.Entries) {
+		t.Fatalf("after the second run: %d record files, want %d", got, len(both.Entries))
+	}
+	for _, checkers := range [][]*Checker{{dl, lb}, {lb}, {dl}} {
+		if rep := run(checkers...); rep.Cache.Misses != 0 || rep.Cache.Hits != rep.Jobs {
+			t.Errorf("warm run over %d checker(s): hits=%d misses=%d, want %d and 0",
+				len(checkers), rep.Cache.Hits, rep.Cache.Misses, rep.Jobs)
+		}
 	}
 }
 

@@ -326,6 +326,7 @@ func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 			len(checkers), len(entries), len(jobs))
 		ob.progress.StartCount("jobs", len(jobs))
 	}
+	keys := make([]recordKey, len(jobs))
 	results := make([]jobRecord, len(jobs))
 	errs := make([]error, len(jobs))
 	idx := make(chan int)
@@ -337,6 +338,7 @@ func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 			for i := range idx {
 				c, e := jobs[i].checker, jobs[i].entry
 				k := st.key(c, e)
+				keys[i] = k
 				// Memory is consulted before the job span opens: a memory
 				// hit is a map lookup, and spanning each of them would put
 				// the always-on flight recorder's cost on the fully-warm
@@ -357,7 +359,7 @@ func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 					rec, errs[i] = runJob(pkg, c, e, cfg.Opts, ob, st)
 					ssp.Finish()
 					if errs[i] == nil {
-						st.store(k, rec, sp)
+						st.store(k, rec)
 					}
 				}
 				results[i] = rec
@@ -371,6 +373,7 @@ func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 	}
 	close(idx)
 	wg.Wait()
+	st.flush(keys, results, errs, ob)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -122,9 +122,10 @@ type CacheMetrics struct {
 	// Hits and Misses count content-key lookups.
 	Hits   *Counter
 	Misses *Counter
-	// Corrupt counts records discarded by a decode or integrity-check
-	// failure; VersionSkew counts records skipped for a format-version
-	// mismatch. Both also count as Misses.
+	// Corrupt counts record files discarded by a decode or
+	// integrity-check failure; VersionSkew counts record files skipped
+	// for a format-version mismatch. The lookups they fail count as
+	// Misses.
 	Corrupt     *Counter
 	VersionSkew *Counter
 	// Stores counts records written.
