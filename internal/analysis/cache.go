@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -339,35 +340,32 @@ func (s *storeRun) store(k recordKey, rec jobRecord) {
 // the run computed a job for: the records of all the run's jobs on the
 // entry, whichever tier served them, over those the file already held
 // for checkers outside the run. keys, recs and errs are the run's jobs;
-// a failed job has no record to write.
+// a failed job has no record to write. A computed entry's file was read
+// by the lookup that preceded the computation.
 func (s *storeRun) flush(keys []recordKey, recs []jobRecord, errs []error, ob *obsState) {
 	if s.disk == nil || len(s.computed) == 0 {
 		return
 	}
 	sp := ob.span("cache.store")
 	defer sp.Finish()
-	files := map[string]map[string]jobRecord{}
-	var names []string
+	files := map[string]map[string]jobRecord{} // by entry
+	var first []recordKey                      // one key per file, in job order
 	for i, k := range keys {
 		if errs[i] != nil || !s.computed[k.entry] {
 			continue
 		}
-		name := k.fileName()
-		f := files[name]
-		if f == nil {
-			f = map[string]jobRecord{}
-			if old := s.files[k.entry]; old != nil {
-				for slot, rec := range old.recs {
-					f[slot] = rec
-				}
+		if files[k.entry] == nil {
+			files[k.entry] = maps.Clone(s.files[k.entry].recs)
+			if files[k.entry] == nil {
+				files[k.entry] = map[string]jobRecord{}
 			}
-			files[name] = f
-			names = append(names, name)
+			first = append(first, k)
 		}
-		f[k.slot()] = recs[i]
+		files[k.entry][k.slot()] = recs[i]
 	}
-	for _, name := range names {
-		body, err := json.Marshal(files[name])
+	for _, k := range first {
+		name, f := k.fileName(), files[k.entry]
+		body, err := json.Marshal(f)
 		if err != nil {
 			s.note("cache: encoding %s: %v", name, err)
 			continue
@@ -379,7 +377,7 @@ func (s *storeRun) flush(keys []recordKey, recs []jobRecord, errs []error, ob *o
 			continue
 		}
 		if s.write(name, enc) && s.cacheM != nil {
-			s.cacheM.Stores.Add(int64(len(files[name])))
+			s.cacheM.Stores.Add(int64(len(f)))
 		}
 	}
 }
