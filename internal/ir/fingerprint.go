@@ -1,11 +1,12 @@
 package ir
 
 import (
-	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"rasc/internal/minic"
 )
@@ -43,195 +44,249 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 // transitive callers — the invalidation frontier incremental drivers
 // re-solve.
 func (p *Program) fingerprint() {
+	fw := &fpWriter{mc: p.MC}
 	for _, f := range p.Funcs {
-		f.Fingerprint = fingerprintFunc(p.MC, f.Def)
+		f.Fingerprint = fw.function(f.Def)
 	}
 	p.summarize()
 }
 
 // summarize computes the SCC closure hashes and per-function Summary
 // keys from the already-set Fingerprints (bottom-up over the SCC DAG).
+// Each hash covers lines of lowercase hex, which sort like the digests
+// they encode.
 func (p *Program) summarize() {
 	closure := make([]Digest, len(p.SCCs))
+	var buf []byte
+	var fps, subs []Digest
+	var callees []int
 	for ci, members := range p.SCCs { // bottom-up: callees first
-		h := sha256.New()
-		fps := make([]string, 0, len(members))
+		fps, subs, callees = fps[:0], subs[:0], callees[:0]
 		for _, id := range members {
-			fps = append(fps, p.Funcs[id].Fingerprint.String())
-		}
-		sort.Strings(fps)
-		for _, fp := range fps {
-			fmt.Fprintf(h, "m:%s\n", fp)
-		}
-		calleeSCCs := map[int]bool{}
-		for _, id := range members {
+			fps = append(fps, p.Funcs[id].Fingerprint)
 			for _, c := range p.Funcs[id].Callees {
 				if cs := p.Funcs[c].SCC; cs != ci {
-					calleeSCCs[cs] = true
+					callees = append(callees, cs)
 				}
 			}
 		}
-		subs := make([]string, 0, len(calleeSCCs))
-		for cs := range calleeSCCs {
-			subs = append(subs, closure[cs].String())
+		slices.SortFunc(fps, compareDigests)
+		buf = buf[:0]
+		for _, fp := range fps {
+			buf = appendLine(buf, "m:", fp)
 		}
-		sort.Strings(subs)
-		for _, s := range subs {
-			fmt.Fprintf(h, "c:%s\n", s)
+		slices.Sort(callees)
+		for _, cs := range slices.Compact(callees) {
+			subs = append(subs, closure[cs])
 		}
-		copy(closure[ci][:], h.Sum(nil))
+		slices.SortFunc(subs, compareDigests)
+		for _, sub := range subs {
+			buf = appendLine(buf, "c:", sub)
+		}
+		closure[ci] = sha256.Sum256(buf)
 	}
 	for _, f := range p.Funcs {
-		h := sha256.New()
-		fmt.Fprintf(h, "summary\nfp:%s\nscc:%s\n", f.Fingerprint, closure[f.SCC])
-		copy(f.Summary[:], h.Sum(nil))
+		buf = append(buf[:0], "summary\n"...)
+		buf = appendLine(buf, "fp:", f.Fingerprint)
+		buf = appendLine(buf, "scc:", closure[f.SCC])
+		f.Summary = sha256.Sum256(buf)
 	}
 }
 
-// fingerprintFunc hashes one function's normalized content.
-func fingerprintFunc(mc *minic.Program, fd *minic.FuncDef) Digest {
-	h := sha256.New()
-	w := bufio.NewWriter(h)
-	fmt.Fprintf(w, "func %s file %s line %d params", fd.Name, fd.File, fd.Line)
-	for _, prm := range fd.Params {
-		fmt.Fprintf(w, " %s", prm)
-	}
-	w.WriteByte('\n')
-	fw := &fpWriter{w: w, mc: mc}
-	fw.stmts(fd.Body)
-	w.Flush()
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+func compareDigests(a, b Digest) int { return bytes.Compare(a[:], b[:]) }
+
+// appendLine appends prefix, d in lowercase hex, and a newline.
+func appendLine(buf []byte, prefix string, d Digest) []byte {
+	buf = append(buf, prefix...)
+	buf = hex.AppendEncode(buf, d[:])
+	return append(buf, '\n')
 }
 
-// fpWriter renders the statement tree in a canonical textual form.
+// fpWriter renders a function's normalized content in a canonical textual
+// form into one reusable buffer and hashes it. The text is a fixed
+// format: cache keys and cache records written by earlier builds derive
+// from it, and TestFingerprintGolden pins it byte for byte.
 type fpWriter struct {
-	w  *bufio.Writer
-	mc *minic.Program
+	buf []byte
+	mc  *minic.Program
+}
+
+// function returns the fingerprint of one function's normalized content.
+func (f *fpWriter) function(fd *minic.FuncDef) Digest {
+	f.buf = f.buf[:0]
+	f.str("func ", fd.Name, " file ", fd.File, " line ")
+	f.int(fd.Line)
+	f.str(" params")
+	for _, prm := range fd.Params {
+		f.str(" ", prm)
+	}
+	f.buf = append(f.buf, '\n')
+	f.stmts(fd.Body)
+	return sha256.Sum256(f.buf)
+}
+
+func (f *fpWriter) str(parts ...string) {
+	for _, s := range parts {
+		f.buf = append(f.buf, s...)
+	}
+}
+
+func (f *fpWriter) int(n int) { f.buf = strconv.AppendInt(f.buf, int64(n), 10) }
+
+// tag writes "kind@line".
+func (f *fpWriter) tag(kind string, line int) {
+	f.str(kind, "@")
+	f.int(line)
+}
+
+// labeled writes "kind@line:label".
+func (f *fpWriter) labeled(kind string, line int, label string) {
+	f.tag(kind, line)
+	f.str(":", label)
 }
 
 func (f *fpWriter) stmts(body []minic.Stmt) {
-	f.w.WriteByte('{')
+	f.buf = append(f.buf, '{')
 	for _, st := range body {
 		f.stmt(st)
 	}
-	f.w.WriteByte('}')
+	f.buf = append(f.buf, '}')
 }
 
 func (f *fpWriter) stmt(st minic.Stmt) {
 	switch s := st.(type) {
 	case *minic.ExprStmt:
-		fmt.Fprintf(f.w, "expr@%d ", s.Line)
+		f.tag("expr", s.Line)
+		f.str(" ")
 		f.expr(s.X)
 	case *minic.DeclStmt:
-		fmt.Fprintf(f.w, "decl@%d %s=", s.Line, s.Name)
+		f.tag("decl", s.Line)
+		f.str(" ", s.Name, "=")
 		f.expr(s.Init)
 	case *minic.AssignStmt:
-		fmt.Fprintf(f.w, "assign@%d %s=", s.Line, s.Name)
+		f.tag("assign", s.Line)
+		f.str(" ", s.Name, "=")
 		f.expr(s.X)
 	case *minic.StoreStmt:
-		fmt.Fprintf(f.w, "store@%d *%s=", s.Line, s.Name)
+		f.tag("store", s.Line)
+		f.str(" *", s.Name, "=")
 		f.expr(s.X)
 	case *minic.IfStmt:
-		fmt.Fprintf(f.w, "if@%d ", s.Line)
+		f.tag("if", s.Line)
+		f.str(" ")
 		f.expr(s.Cond)
 		f.stmts(s.Then)
 		if s.Else != nil {
-			f.w.WriteString("else")
+			f.str("else")
 			f.stmts(s.Else)
 		}
 	case *minic.WhileStmt:
-		fmt.Fprintf(f.w, "while@%d:%s ", s.Line, s.Label)
+		f.labeled("while", s.Line, s.Label)
+		f.str(" ")
 		f.expr(s.Cond)
 		f.stmts(s.Body)
 	case *minic.DoWhileStmt:
-		fmt.Fprintf(f.w, "dowhile@%d:%s ", s.Line, s.Label)
+		f.labeled("dowhile", s.Line, s.Label)
+		f.str(" ")
 		f.expr(s.Cond)
 		f.stmts(s.Body)
 	case *minic.ForStmt:
-		fmt.Fprintf(f.w, "for@%d:%s init", s.Line, s.Label)
+		f.labeled("for", s.Line, s.Label)
+		f.str(" init")
 		if s.Init != nil {
 			f.stmt(s.Init)
 		}
-		f.w.WriteString(" cond ")
+		f.str(" cond ")
 		f.expr(s.Cond)
-		f.w.WriteString(" post")
+		f.str(" post")
 		if s.Post != nil {
 			f.stmt(s.Post)
 		}
 		f.stmts(s.Body)
 	case *minic.BreakStmt:
-		fmt.Fprintf(f.w, "break@%d:%s", s.Line, s.Label)
+		f.labeled("break", s.Line, s.Label)
 	case *minic.ContinueStmt:
-		fmt.Fprintf(f.w, "continue@%d:%s", s.Line, s.Label)
+		f.labeled("continue", s.Line, s.Label)
 	case *minic.SwitchStmt:
-		fmt.Fprintf(f.w, "switch@%d:%s ", s.Line, s.Label)
+		f.labeled("switch", s.Line, s.Label)
+		f.str(" ")
 		f.expr(s.Cond)
 		for _, c := range s.Cases {
-			fmt.Fprintf(f.w, "case@%d default=%t ", c.Line, c.IsDefault)
+			f.tag("case", c.Line)
+			f.str(" default=")
+			f.buf = strconv.AppendBool(f.buf, c.IsDefault)
+			f.str(" ")
 			f.expr(c.Value)
 			f.stmts(c.Body)
 		}
 	case *minic.ReturnStmt:
-		fmt.Fprintf(f.w, "return@%d ", s.Line)
+		f.tag("return", s.Line)
+		f.str(" ")
 		f.expr(s.X)
 	case *minic.BlockStmt:
-		fmt.Fprintf(f.w, "block@%d:%s", s.Line, s.Label)
+		f.labeled("block", s.Line, s.Label)
 		f.stmts(s.Body)
 	case *minic.SpawnStmt:
-		fmt.Fprintf(f.w, "spawn@%d ", s.Line)
+		f.tag("spawn", s.Line)
+		f.str(" ")
 		f.expr(s.Call)
 	case *minic.SendStmt:
-		fmt.Fprintf(f.w, "send@%d %s<-", s.Line, s.Chan)
+		f.tag("send", s.Line)
+		f.str(" ", s.Chan, "<-")
 		f.expr(s.Value)
 	case *minic.RecvStmt:
-		fmt.Fprintf(f.w, "recv@%d %s=<-%s", s.Line, s.AssignTo, s.Chan)
+		f.tag("recv", s.Line)
+		f.str(" ", s.AssignTo, "=<-", s.Chan)
 	case *minic.CloseStmt:
-		fmt.Fprintf(f.w, "close@%d %s", s.Line, s.Chan)
+		f.tag("close", s.Line)
+		f.str(" ", s.Chan)
 	case *minic.AccessStmt:
-		fmt.Fprintf(f.w, "access@%d %s write=%t", s.Line, s.Name, s.Write)
+		f.tag("access", s.Line)
+		f.str(" ", s.Name, " write=")
+		f.buf = strconv.AppendBool(f.buf, s.Write)
 	default:
 		// A front end lowering a new statement kind must extend this
 		// renderer; hashing a lossy form would silently under-invalidate.
 		panic(fmt.Sprintf("ir: fingerprint: unknown statement %T", st))
 	}
-	f.w.WriteByte(';')
+	f.buf = append(f.buf, ';')
 }
 
 func (f *fpWriter) expr(e minic.Expr) {
 	switch x := e.(type) {
 	case nil:
-		f.w.WriteString("nil")
+		f.str("nil")
 	case *minic.CallExpr:
 		resolved := ""
 		if def, ok := f.mc.ByName[x.Name]; ok {
 			resolved = def.Name
 		}
-		fmt.Fprintf(f.w, "call@%d %s->%s(", x.Line, x.Name, resolved)
+		f.tag("call", x.Line)
+		f.str(" ", x.Name, "->", resolved, "(")
 		for i, a := range x.Args {
 			if i > 0 {
-				f.w.WriteByte(',')
+				f.buf = append(f.buf, ',')
 			}
 			f.expr(a)
 		}
-		f.w.WriteByte(')')
+		f.buf = append(f.buf, ')')
 	case *minic.IdentExpr:
-		fmt.Fprintf(f.w, "id:%s", x.Name)
+		f.str("id:", x.Name)
 	case *minic.NumExpr:
-		fmt.Fprintf(f.w, "num:%s", x.Text)
+		f.str("num:", x.Text)
 	case *minic.StrExpr:
-		fmt.Fprintf(f.w, "str:%q", x.Text)
+		f.str("str:")
+		f.buf = strconv.AppendQuote(f.buf, x.Text)
 	case *minic.UnaryExpr:
-		fmt.Fprintf(f.w, "un:%s(", x.Op)
+		f.str("un:", x.Op, "(")
 		f.expr(x.X)
-		f.w.WriteByte(')')
+		f.buf = append(f.buf, ')')
 	case *minic.BinExpr:
-		fmt.Fprintf(f.w, "bin:%s(", x.Op)
+		f.str("bin:", x.Op, "(")
 		f.expr(x.L)
-		f.w.WriteByte(',')
+		f.buf = append(f.buf, ',')
 		f.expr(x.R)
-		f.w.WriteByte(')')
+		f.buf = append(f.buf, ')')
 	default:
 		panic(fmt.Sprintf("ir: fingerprint: unknown expression %T", e))
 	}

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"sort"
 
 	"rasc/internal/minic"
@@ -47,6 +46,7 @@ func NewIncremental(mc *minic.Program, meta Meta, prev *Program) (*Program, erro
 		return p, nil
 	}
 	reuse := resolutionDigest(mc) == resolutionDigest(prev.MC)
+	fw := &fpWriter{mc: mc}
 	for _, f := range p.Funcs {
 		if reuse {
 			if pf, ok := prev.ByName[f.Name]; ok && pf.Def == f.Def {
@@ -54,7 +54,7 @@ func NewIncremental(mc *minic.Program, meta Meta, prev *Program) (*Program, erro
 				continue
 			}
 		}
-		f.Fingerprint = fingerprintFunc(mc, f.Def)
+		f.Fingerprint = fw.function(f.Def)
 	}
 	p.summarize()
 	return p, nil
@@ -70,11 +70,9 @@ func resolutionDigest(mc *minic.Program) Digest {
 		pairs = append(pairs, alias+"\x00"+fd.Name)
 	}
 	sort.Strings(pairs)
-	h := sha256.New()
+	var buf []byte
 	for _, pr := range pairs {
-		fmt.Fprintf(h, "%s\n", pr)
+		buf = append(append(buf, pr...), '\n')
 	}
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	return sha256.Sum256(buf)
 }
