@@ -15,6 +15,7 @@ package subst
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rasc/internal/monoid"
@@ -124,14 +125,18 @@ func (e *Env) Lookup(i []Binding) monoid.FuncID {
 	return e.Entries[best].F
 }
 
-// key renders the canonical interning key of an environment.
-func (e *Env) key() string {
-	var b strings.Builder
-	for _, en := range e.Entries {
-		fmt.Fprintf(&b, "%s=%d;", bindingsKey(en.Bindings), en.F)
+// key renders the canonical interning key of an environment, given the
+// binding key of each of its entries.
+func (e *Env) key(bkeys []string) []byte {
+	var b []byte
+	for i, en := range e.Entries {
+		b = append(b, bkeys[i]...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(en.F), 10)
+		b = append(b, ';')
 	}
-	fmt.Fprintf(&b, "|%d", e.Residual)
-	return b.String()
+	b = append(b, '|')
+	return strconv.AppendInt(b, int64(e.Residual), 10)
 }
 
 // String renders the environment in the paper's notation.
@@ -208,18 +213,33 @@ func NewTable(mon *monoid.Monoid) *Table {
 }
 
 func (t *Table) intern(e *Env) ID {
-	// Canonicalize entry order.
-	sort.Slice(e.Entries, func(i, j int) bool {
-		return bindingsKey(e.Entries[i].Bindings) < bindingsKey(e.Entries[j].Bindings)
-	})
-	k := e.key()
-	if id, ok := t.index[k]; ok {
+	// Canonicalize entry order by binding key, each computed once.
+	bkeys := make([]string, len(e.Entries))
+	for i, en := range e.Entries {
+		bkeys[i] = bindingsKey(en.Bindings)
+	}
+	sort.Sort(byBindingsKey{bkeys, e.Entries})
+	k := e.key(bkeys)
+	if id, ok := t.index[string(k)]; ok {
 		return id
 	}
 	id := ID(len(t.envs))
 	t.envs = append(t.envs, e)
-	t.index[k] = id
+	t.index[string(k)] = id
 	return id
+}
+
+// byBindingsKey sorts entries by their precomputed binding keys.
+type byBindingsKey struct {
+	keys    []string
+	entries []Entry
+}
+
+func (b byBindingsKey) Len() int           { return len(b.keys) }
+func (b byBindingsKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byBindingsKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.entries[i], b.entries[j] = b.entries[j], b.entries[i]
 }
 
 // Identity returns the identity environment's ID.
