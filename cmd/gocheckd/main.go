@@ -50,6 +50,10 @@ import (
 	"rasc/internal/server"
 )
 
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, so that idle or stalled connections cannot pile up.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(run())
 }
@@ -121,7 +125,7 @@ func run() int {
 	if err != nil {
 		return fail(log, err)
 	}
-	srv := &http.Server{Handler: h.Root()}
+	srv := &http.Server{Handler: h.Root(), ReadHeaderTimeout: readHeaderTimeout}
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {

@@ -9,7 +9,8 @@
 // Endpoints (all under /v1/):
 //
 //	POST /v1/check         body CheckRequest -> CheckResponse (?trace=1
-//	                       returns the request's Chrome trace inline)
+//	                       returns the request's Chrome trace inline;
+//	                       a body over 64 MiB is answered 413)
 //	GET  /v1/manifest      ?program=NAME     -> ManifestResponse (name -> sha256)
 //	GET  /v1/list          registered checkers, text/plain
 //	GET  /v1/metrics       -> MetricsResponse (?format=prometheus for
@@ -36,6 +37,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -46,6 +48,11 @@ import (
 	"rasc/internal/gosrc"
 	"rasc/internal/obs"
 )
+
+// maxCheckBody bounds the body of a /v1/check request, so that no single
+// request can make the daemon buffer without limit. This repository's
+// own internal/... source is about 1.1 MB.
+const maxCheckBody = 64 << 20
 
 // FilePayload is one source file on the wire.
 type FilePayload struct {
@@ -220,7 +227,11 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CheckRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCheckBody)).Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -313,10 +314,33 @@ func TestServerErrorPaths(t *testing.T) {
 		t.Fatalf("bad body = %d", resp.StatusCode)
 	}
 
+	// A body over the bound, streamed so that the client never holds it,
+	// is refused before it is decoded.
+	huge := io.MultiReader(strings.NewReader(`{"program":"`),
+		io.LimitReader(fillReader('a'), maxCheckBody), strings.NewReader(`"}`))
+	resp, err = http.Post(ts.URL+"/v1/check", "application/json", huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body = %d", resp.StatusCode)
+	}
+
 	// Shutdown disabled (nil onShutdown).
 	if err := client.Shutdown(); err == nil || !strings.Contains(err.Error(), "disabled") {
 		t.Fatalf("disabled shutdown: %v", err)
 	}
+}
+
+// fillReader is an endless stream of one byte.
+type fillReader byte
+
+func (b fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }
 
 // TestServerShutdownOnce: the shutdown endpoint fires its callback
