@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -120,7 +121,7 @@ type concModel struct {
 	flowSuccs [][]int
 
 	mu       sync.Mutex
-	closures map[string][]bool            // root fn -> node -> in root's closure
+	closures map[string][]int             // root fn -> closure's nodes, ascending
 	lsCache  map[string]map[int][]lockset // root fn -> node -> locksets
 }
 
@@ -132,7 +133,7 @@ func (p *Package) concModel() *concModel {
 			prog:      p.Prog,
 			cfg:       cfg,
 			flowSuccs: make([][]int, len(cfg.Nodes)),
-			closures:  map[string][]bool{},
+			closures:  map[string][]int{},
 			lsCache:   map[string]map[int][]lockset{},
 		}
 		retSites := map[string][]int{}
@@ -184,11 +185,11 @@ type goroutine struct {
 	parent map[int]int
 }
 
-// closure returns (and memoizes) which CFG nodes lie in root's
-// call-graph closure. Flow from a callee's exit to a return site outside
+// closure returns (and memoizes) the CFG nodes of root's call-graph
+// closure, ascending. Flow from a callee's exit to a return site outside
 // it would "return" into a caller that is never on the goroutine's
 // stack, so every walk from root stays inside it.
-func (m *concModel) closure(root string) []bool {
+func (m *concModel) closure(root string) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	in, ok := m.closures[root]
@@ -197,6 +198,13 @@ func (m *concModel) closure(root string) []bool {
 		m.closures[root] = in
 	}
 	return in
+}
+
+// inClosure reports whether node id lies in closure, an ascending node
+// list.
+func inClosure(closure []int, id int) bool {
+	_, ok := slices.BinarySearch(closure, id)
+	return ok
 }
 
 // explore fills g.reach and g.parent by BFS from the root's entry.
@@ -212,7 +220,7 @@ func (m *concModel) explore(g *goroutine) {
 		id := queue[0]
 		queue = queue[1:]
 		for _, s := range m.flowSuccs[id] {
-			if in[s] && !g.reach[s] {
+			if inClosure(in, s) && !g.reach[s] {
 				g.reach[s] = true
 				g.parent[s] = id
 				queue = append(queue, s)
@@ -251,7 +259,7 @@ func (m *concModel) inCycle(root string, id int) bool {
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		if !in[at] {
+		if !inClosure(in, at) {
 			continue
 		}
 		if at == id {
@@ -337,7 +345,7 @@ func (m *concModel) locksets(root string) map[int][]lockset {
 		out := transfer(m.cfg.Nodes[it.node], it.ls)
 		k := out.key()
 		for _, s := range m.flowSuccs[it.node] {
-			if !in[s] {
+			if !inClosure(in, s) {
 				continue
 			}
 			if states[s] == nil {

@@ -571,10 +571,10 @@ func leakDiagnostics(pkg *Package, c *Checker, entry string, res *pdm.Result, ev
 	// closure: for package-level resources (a shared semaphore, a pool)
 	// the same label is touched by unrelated functions, and the finding
 	// should point into the entry being reported.
-	inClosure := pkg.Prog.ClosureNodes(entry)
 	sites := map[string]site{}
-	for _, n := range res.CFG().Nodes {
-		if n.Kind != minic.NAction || !inClosure[n.ID] {
+	for _, id := range pkg.Prog.ClosureNodes(entry) {
+		n := res.CFG().Nodes[id]
+		if n.Kind != minic.NAction {
 			continue
 		}
 		ev, ok := events.Match(n.Call, n.AssignTo)

@@ -131,6 +131,10 @@ type Function struct {
 	Line int
 	// Def is the kernel definition.
 	Def *FuncDef
+	// NodeLo and NodeHi delimit the function's CFG nodes,
+	// Graph.Nodes[NodeLo:NodeHi]: minic.Build lays each function out
+	// contiguously, entry node first, in definition order.
+	NodeLo, NodeHi int
 	// Callees lists the IDs of defined functions this one calls or
 	// spawns, sorted and deduplicated.
 	Callees []int
@@ -195,6 +199,12 @@ func build(mc *minic.Program, meta Meta) (*Program, error) {
 		f := &Function{ID: i, Name: fd.Name, File: fd.File, Line: fd.Line, Def: fd}
 		p.Funcs = append(p.Funcs, f)
 		index[fd.Name] = i
+	}
+	for i, f := range p.Funcs {
+		f.NodeLo, f.NodeHi = cfg.Entry[f.Name], len(cfg.Nodes)
+		if i+1 < len(p.Funcs) {
+			f.NodeHi = cfg.Entry[p.Funcs[i+1].Name]
+		}
 	}
 	// ByName resolves canonical names and kernel aliases alike.
 	for name, fd := range mc.ByName {
@@ -318,19 +328,26 @@ func (p *Program) Reachable(entry string) []int {
 	return out
 }
 
-// ClosureNodes reports, per CFG node ID, whether the node belongs to a
-// function in the call-graph closure of entry (see Reachable). Unknown
-// entries yield all false.
-func (p *Program) ClosureNodes(entry string) []bool {
-	fns := map[string]bool{}
-	for _, id := range p.Reachable(entry) {
-		fns[p.Funcs[id].Name] = true
+// ClosureNodes returns the CFG nodes of the functions in the call-graph
+// closure of entry (see Reachable), ascending: the union of their node
+// ranges, built without visiting any other node. Unknown entries yield
+// nil.
+func (p *Program) ClosureNodes(entry string) []int {
+	fns := p.Reachable(entry)
+	if fns == nil {
+		return nil
 	}
-	in := make([]bool, len(p.Graph.Nodes))
-	for _, n := range p.Graph.Nodes {
-		in[n.ID] = fns[n.Fn]
+	n := 0
+	for _, id := range fns {
+		n += p.Funcs[id].NodeHi - p.Funcs[id].NodeLo
 	}
-	return in
+	out := make([]int, 0, n)
+	for _, id := range fns {
+		for node := p.Funcs[id].NodeLo; node < p.Funcs[id].NodeHi; node++ {
+			out = append(out, node)
+		}
+	}
+	return out
 }
 
 // Dependents returns the IDs of every function that can reach id through

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -81,6 +82,46 @@ func TestCallGraphAndSCCs(t *testing.T) {
 	}
 	if got := p.Roots(); strings.Join(got, ",") != "extra,main" {
 		t.Fatalf("Roots = %v", got)
+	}
+}
+
+// Function node ranges partition the CFG in definition order, each
+// starting at its function's entry node, and a closure's nodes are
+// exactly the nodes of its functions, ascending.
+func TestNodeRangesAndClosure(t *testing.T) {
+	p := mustLower(t, diamondSrc)
+	next := 0
+	for _, f := range p.Funcs {
+		if f.NodeLo != next || f.NodeLo != p.Graph.Entry[f.Name] || f.NodeHi <= f.NodeLo {
+			t.Fatalf("%s: node range [%d,%d), want it to start at %d, its entry node", f.Name, f.NodeLo, f.NodeHi, next)
+		}
+		for _, n := range p.Graph.Nodes[f.NodeLo:f.NodeHi] {
+			if n.Fn != f.Name {
+				t.Fatalf("%s: node %d in its range belongs to %s", f.Name, n.ID, n.Fn)
+			}
+		}
+		next = f.NodeHi
+	}
+	if next != len(p.Graph.Nodes) {
+		t.Fatalf("node ranges end at %d, CFG has %d nodes", next, len(p.Graph.Nodes))
+	}
+	for _, entry := range []string{"main", "right", "extra"} {
+		in := map[string]bool{}
+		for _, name := range names(p, p.Reachable(entry)) {
+			in[name] = true
+		}
+		var want []int
+		for _, n := range p.Graph.Nodes {
+			if in[n.Fn] {
+				want = append(want, n.ID)
+			}
+		}
+		if got := p.ClosureNodes(entry); !slices.Equal(got, want) {
+			t.Fatalf("ClosureNodes(%s) = %v, want %v", entry, got, want)
+		}
+	}
+	if got := p.ClosureNodes("nosuch"); got != nil {
+		t.Fatalf("ClosureNodes of an undefined entry = %v, want nil", got)
 	}
 }
 

@@ -31,8 +31,11 @@ type Skeleton struct {
 	entry string
 
 	sys *core.System // frozen: forked, never mutated, after build
+	// slice lists the CFG nodes of the entry's call-graph closure,
+	// ascending; per-property passes visit only these.
+	slice []int
 	// nodeVar maps CFG node IDs to set variables; nodes outside the
-	// entry's call-graph closure are absentVar.
+	// slice are absentVar.
 	nodeVar []core.VarID
 	pc      core.CNode
 	base    core.Stats
@@ -69,11 +72,11 @@ type Annot = core.Annot
 // node-variable map.
 const absentVar core.VarID = -1
 
-// entrySlice returns the canonical entry name and, per CFG node, whether
-// the node belongs to a function in the entry's call-graph closure. pc
-// is seeded only at the entry (§6.1), so no node outside the closure can
-// ever carry it: the slice is the whole of what a skeleton must model.
-func entrySlice(p *ir.Program, entry string) (string, []bool, error) {
+// entrySlice returns the canonical entry name and the CFG nodes of the
+// functions in the entry's call-graph closure, ascending. pc is seeded
+// only at the entry (§6.1), so no node outside the closure can ever
+// carry it: the slice is the whole of what a skeleton must model.
+func entrySlice(p *ir.Program, entry string) (string, []int, error) {
 	if entry == "" {
 		entry = "main"
 	}
@@ -90,15 +93,13 @@ func entrySlice(p *ir.Program, entry string) (string, []bool, error) {
 // which saves interning ~one formatted string per program point per
 // property. It is derived entirely from the CFG and the node-variable
 // map, so a decoded skeleton reinstalls it the same way.
-func setNodeNames(sys *core.System, cfg *minic.CFG, nodeVar []core.VarID) {
+func setNodeNames(sys *core.System, cfg *minic.CFG, slice []int, nodeVar []core.VarID) {
 	varNode := make([]int32, sys.NumVars())
 	for i := range varNode {
 		varNode[i] = -1
 	}
-	for id, v := range nodeVar {
-		if v != absentVar {
-			varNode[v] = int32(id)
-		}
+	for _, id := range slice {
+		varNode[nodeVar[id]] = int32(id)
 	}
 	sys.SetNameFn(func(v core.VarID) string {
 		if int(v) < len(varNode) && varNode[v] >= 0 {
@@ -124,7 +125,7 @@ func setNodeNames(sys *core.System, cfg *minic.CFG, nodeVar []core.VarID) {
 func BuildSkeleton(p *ir.Program, entry string, opts core.Options,
 	maybeEvent func(call *minic.CallExpr, assignTo string) bool) (*Skeleton, error) {
 	prog, cfg := p.MC, p.Graph
-	entry, inSlice, err := entrySlice(p, entry)
+	entry, slice, err := entrySlice(p, entry)
 	if err != nil {
 		return nil, err
 	}
@@ -133,29 +134,21 @@ func BuildSkeleton(p *ir.Program, entry string, opts core.Options,
 	pcCons := sig.MustDeclare("pc", 0)
 
 	sys := core.NewSystem(skelAlgebra{}, sig, opts)
-	size := 0
-	for _, in := range inSlice {
-		if in {
-			size++
-		}
-	}
-	sys.ReserveVars(size + size/8)
+	sys.ReserveVars(len(slice) + len(slice)/8)
 	nodeVar := make([]core.VarID, len(cfg.Nodes))
-	for _, n := range cfg.Nodes {
-		nodeVar[n.ID] = absentVar
-		if inSlice[n.ID] {
-			nodeVar[n.ID] = sys.Anon()
-		}
+	for i := range nodeVar {
+		nodeVar[i] = absentVar
 	}
-	setNodeNames(sys, cfg, nodeVar)
+	for _, id := range slice {
+		nodeVar[id] = sys.Anon()
+	}
+	setNodeNames(sys, cfg, slice, nodeVar)
 	pc := sys.Constant(pcCons)
 	sys.AddLowerE(pc, nodeVar[cfg.Entry[entry]])
 
-	sk := &Skeleton{prog: prog, cfg: cfg, entry: entry, sys: sys, nodeVar: nodeVar, pc: pc}
-	for _, n := range cfg.Nodes {
-		if !inSlice[n.ID] {
-			continue
-		}
+	sk := &Skeleton{prog: prog, cfg: cfg, entry: entry, sys: sys, slice: slice, nodeVar: nodeVar, pc: pc}
+	for _, id := range slice {
+		n := cfg.Nodes[id]
 		sv := nodeVar[n.ID]
 		if n.Kind == minic.NSpawn && n.Call != nil {
 			// A goroutine spawn: the spawned function starts from the
@@ -291,7 +284,7 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 		}
 		pruned = prunedLabels(prop, matched)
 	}
-	nodeEvent := map[int]core.Annot{}
+	var layered []nodeEvent // in node order, as deferred is
 	for _, d := range sk.deferred {
 		n := sk.cfg.Nodes[d.id]
 		sv := sk.nodeVar[n.ID]
@@ -309,7 +302,7 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 			if err != nil {
 				return nil, err
 			}
-			nodeEvent[n.ID] = a
+			layered = append(layered, nodeEvent{node: n, annot: a})
 			for _, m := range n.Succs {
 				sys.AddVar(sv, sk.nodeVar[m], a)
 				if o != nil && o.PDM != nil {
@@ -335,17 +328,18 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 	}
 
 	res := &Result{
-		Sys:       sys,
-		Base:      sk.base,
-		NodeVar:   sk.nodeVar,
-		prog:      sk.prog,
-		cfg:       sk.cfg,
-		prop:      prop,
-		pcNode:    sk.pc,
-		envTab:    envTab,
-		nodeEvent: nodeEvent,
-		alg:       alg,
-		explain:   o != nil && o.Explain,
+		Sys:     sys,
+		Base:    sk.base,
+		NodeVar: sk.nodeVar,
+		prog:    sk.prog,
+		cfg:     sk.cfg,
+		prop:    prop,
+		pcNode:  sk.pc,
+		envTab:  envTab,
+		slice:   sk.slice,
+		events:  layered,
+		alg:     alg,
+		explain: o != nil && o.Explain,
 	}
 	res.PN = sys.PNReach(sk.pc)
 	res.collectViolations(alg)

@@ -69,7 +69,7 @@ func (sk *Skeleton) Snapshot() []byte {
 // to a live BuildSkeleton.
 func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (*Skeleton, error) {
 	prog, cfg := p.MC, p.Graph
-	entry, inSlice, err := entrySlice(p, entry)
+	entry, slice, err := entrySlice(p, entry)
 	if err != nil {
 		return nil, err
 	}
@@ -122,10 +122,16 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 	// Exactly the entry's slice has variables: an in-slice node marked
 	// absent would index nodeVar[-1] inside Check, and a variable on an
 	// out-of-slice node means the snapshot was built over another slice.
+	// Past this loop, nodeVar[id] != absentVar iff node id is in slice.
 	nodeVar := make([]core.VarID, len(nodeVarWords))
+	next := 0 // index into slice of the first node not yet passed
 	for i, v := range nodeVarWords {
+		in := next < len(slice) && slice[next] == i
+		if in {
+			next++
+		}
 		switch {
-		case !inSlice[i]:
+		case !in:
 			if v != absentWord {
 				return nil, bad("node %d outside the entry's slice maps to variable %d", i, v)
 			}
@@ -152,11 +158,14 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 		if int(id) >= len(cfg.Nodes) {
 			return nil, bad("deferred node %d out of CFG range", id)
 		}
+		if nodeVar[id] == absentVar {
+			return nil, bad("deferred node %d is outside the entry's slice", id)
+		}
 		if cfg.Nodes[id].Call == nil {
 			return nil, bad("deferred node %d is not a call statement", id)
 		}
-		if !inSlice[id] {
-			return nil, bad("deferred node %d is outside the entry's slice", id)
+		if i > 0 && int(id) <= deferred[i-1].id {
+			return nil, bad("deferred node %d follows node %d: not in node order", id, deferred[i-1].id)
 		}
 		d := deferredNode{id: int(id)}
 		if calleeRef != 0 {
@@ -168,10 +177,10 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 			if !ok || fd.Name != callee {
 				return nil, bad("deferred node %d names undefined callee %q", id, callee)
 			}
-			if en, ok := cfg.Entry[callee]; !ok || !inSlice[en] {
+			if en, ok := cfg.Entry[callee]; !ok || nodeVar[en] == absentVar {
 				return nil, bad("callee %q has no CFG entry in the entry's slice", callee)
 			}
-			if ex, ok := cfg.Exit[callee]; !ok || !inSlice[ex] {
+			if ex, ok := cfg.Exit[callee]; !ok || nodeVar[ex] == absentVar {
 				return nil, bad("callee %q has no CFG exit in the entry's slice", callee)
 			}
 			if int(cons) >= sys.Sig.Size() || sys.Sig.Arity(terms.ConsID(cons)) != 1 {
@@ -184,13 +193,14 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 	}
 
 	// Closures do not serialize: reinstall BuildSkeleton's renderer.
-	setNodeNames(sys, cfg, nodeVar)
+	setNodeNames(sys, cfg, slice, nodeVar)
 
 	return &Skeleton{
 		prog:     prog,
 		cfg:      cfg,
 		entry:    entry,
 		sys:      sys,
+		slice:    slice,
 		nodeVar:  nodeVar,
 		pc:       core.CNode(pc),
 		base:     sys.Stats(),
