@@ -201,7 +201,8 @@ func patchSection(t testing.TB, data []byte, id uint32, patch func(words []uint3
 
 // sliceCorruptions returns resealed snapshots of main's skeleton whose
 // node-variable map or deferred list contradicts main's call-graph
-// slice (which excludes other).
+// slice (which excludes other), or whose deferred list is out of the
+// node order property layers rely on.
 func sliceCorruptions(t testing.TB, prog *ir.Program, data []byte) map[string][]byte {
 	t.Helper()
 	cfg := prog.Graph
@@ -225,13 +226,20 @@ func sliceCorruptions(t testing.TB, prog *ir.Program, data []byte) map[string][]
 		"deferred node outside the slice": patchSection(t, data, secPDMDeferred, func(w []uint32) {
 			w[0] = uint32(otherCall)
 		}),
+		"deferred nodes out of node order": patchSection(t, data, secPDMDeferred, func(w []uint32) {
+			for i := 0; i < 3; i++ {
+				w[i], w[3+i] = w[3+i], w[i]
+			}
+		}),
 	}
 }
 
 // A skeleton covers exactly its entry's call-graph slice: the live build
 // gives variables to main's and helper's nodes only, and the decoder
 // rejects a snapshot that disagrees with the slice as corrupt, before
-// Check could index an absent node's variable.
+// Check could index an absent node's variable. It also rejects a
+// deferred list out of node order, which would reorder a layer's event
+// nodes.
 func TestSkeletonSnapshotSliceValidation(t *testing.T) {
 	prog, live := buildSnapTestSkeleton(t)
 	for id, v := range live.nodeVar {
