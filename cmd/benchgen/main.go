@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"rasc/internal/analysis"
@@ -160,20 +159,6 @@ type benchResult struct {
 		// the observability cache counters.
 		ColdStores int64 `json:"cold_stores"`
 		WarmStores int64 `json:"warm_stores"`
-		// The snapshot-cold scenario is a fresh process image (fresh
-		// Package, zero in-memory reuse) over a populated skeleton+result
-		// cache: job results are served from the result cache, and every
-		// entry's solved constraint skeleton is reconstructed from its
-		// frozen snapshot — the per-entry stats memos are dropped first so
-		// the snapshot decode path genuinely runs instead of being
-		// shadowed by the memo. Findings must again be byte-identical to
-		// the cold run, with every skeleton a snapshot hit (enforced).
-		SnapshotColdWallMS float64 `json:"snapshot_cold_wall_ms"`
-		// SnapshotColdSpeedup is cold_wall_ms / snapshot_cold_wall_ms.
-		SnapshotColdSpeedup float64 `json:"snapshot_cold_speedup"`
-		SnapshotHits        int     `json:"snapshot_hits"`
-		SnapshotMisses      int     `json:"snapshot_misses"`
-		SnapshotIdentical   bool    `json:"snapshot_identical"`
 	} `json:"cache"`
 	// Server measures the resident-engine (gocheckd) hot path over the
 	// same corpus: an analysis.Engine backed by the populated cache
@@ -337,9 +322,8 @@ func runBench(path string, seed int64, files, functions, stmts, unsafe int) erro
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d findings over %d jobs in %.1f ms (cache: cold %.1f ms, snapshot-cold %.1f ms [%.1fx], warm %.1f ms [%.1fx]; server p50 %.1f ms p99 %.1f ms; telemetry p50 %.1f ms [%+.1f%%])\n",
+	fmt.Printf("wrote %s: %d findings over %d jobs in %.1f ms (cache: cold %.1f ms, warm %.1f ms [%.1fx]; server p50 %.1f ms p99 %.1f ms; telemetry p50 %.1f ms [%+.1f%%])\n",
 		path, out.Findings, out.Jobs, out.WallMS, out.Cache.ColdWallMS,
-		out.Cache.SnapshotColdWallMS, out.Cache.SnapshotColdSpeedup,
 		out.Cache.WarmWallMS, out.Cache.Speedup,
 		out.Server.P50MS, out.Server.P99MS,
 		out.Server.TelemetryP50MS, out.Server.TelemetryOverheadPct)
@@ -399,43 +383,6 @@ func runCacheBench(out *benchResult, in []gosrc.File) error {
 		return fmt.Errorf("warm cached run was not fully cached: %d misses, %d functions re-solved",
 			warm.Cache.Misses, warm.Cache.ResolvedFunctions)
 	}
-
-	// Snapshot-cold: a fresh process image over the populated cache. The
-	// job records are removed so every job re-layers its property on the
-	// entry skeleton, which must be reconstructed through the
-	// frozen-snapshot decoder; a run that never touches the snapshot tier
-	// would measure nothing.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "job-") && strings.HasSuffix(e.Name(), ".json") {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				return err
-			}
-		}
-	}
-	snap, snapMS, err := run(obs.NewRegistry())
-	if err != nil {
-		return err
-	}
-	snapJSON, _ := json.Marshal(snap.Diagnostics)
-	out.Cache.SnapshotColdWallMS = snapMS
-	if snapMS > 0 {
-		out.Cache.SnapshotColdSpeedup = coldMS / snapMS
-	}
-	out.Cache.SnapshotHits = snap.Cache.SkeletonHits
-	out.Cache.SnapshotMisses = snap.Cache.SkeletonMisses
-	out.Cache.SnapshotIdentical = string(snapJSON) == string(coldJSON)
-	if !out.Cache.SnapshotIdentical {
-		return fmt.Errorf("snapshot-cold run changed the findings")
-	}
-	if snap.Cache.SkeletonHits == 0 || snap.Cache.SkeletonMisses != 0 || snap.Cache.SkeletonCorrupt != 0 {
-		return fmt.Errorf("snapshot-cold run did not decode every skeleton: hits=%d misses=%d corrupt=%d",
-			snap.Cache.SkeletonHits, snap.Cache.SkeletonMisses, snap.Cache.SkeletonCorrupt)
-	}
-
 	return runServerBench(out, in, cache, coldJSON)
 }
 

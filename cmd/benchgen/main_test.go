@@ -34,8 +34,6 @@ func TestBenchJSONDeterministic(t *testing.T) {
 			delete(c, "cold_wall_ms")
 			delete(c, "warm_wall_ms")
 			delete(c, "speedup")
-			delete(c, "snapshot_cold_wall_ms")
-			delete(c, "snapshot_cold_speedup")
 		}
 		if s, ok := m["server"].(map[string]any); ok {
 			delete(s, "server_p50_ms")

@@ -8,7 +8,7 @@
 //
 //	gocheck [-checkers all|name,...] [-entry fn,...]
 //	        [-format text|json|sarif|github] [-fail-on error|warning|note]
-//	        [-parallel N] [-cache-dir dir] [-skeleton-cache=false]
+//	        [-parallel N] [-cache-dir dir]
 //	        [-trace-out f.json] [-metrics-json f.json] [-explain] [-progress]
 //	        [-cpuprofile f.prof] [-memprofile f.prof] path...
 //	gocheck -server addr [-program name] [-server-timeout 30s] path...
@@ -22,20 +22,16 @@
 // suppresses a whole file. The github format emits ::error/::warning
 // workflow commands for inline pull-request annotations. Exit status is
 // 3 when findings at or above the -fail-on severity remain, 1 on
-// errors, 2 on usage errors.
+// errors, 2 on usage errors; a bad -format or -fail-on value is a usage
+// error caught before anything is loaded or analyzed.
 //
 // -cache-dir enables the incremental result cache: job results are
 // content-keyed by function summaries (internal/ir), so an unchanged
 // package re-analyzes from disk without solving anything, and an edit
-// re-solves only the edited function's SCC and its callers. A one-line
-// cache summary goes to stderr; the report itself is byte-identical to
-// a cacheless run. With the cache on, solved constraint skeletons are
-// additionally serialized as frozen snapshots (-skeleton-cache, default
-// true): a job that must be re-solved on an unchanged entry (its record
-// deleted, or written under another format version) reconstructs the
-// entry's solved base layer directly from bytes instead of re-solving
-// it. Corrupt or version-skewed snapshots demote to a live build, never
-// a wrong report.
+// re-solves only the edited function's SCC and its callers. A cold run
+// writes one record file per entry function. A one-line cache summary
+// goes to stderr; the report itself is byte-identical to a cacheless
+// run.
 //
 // Observability: -trace-out writes a Chrome trace-event JSON of every
 // driver phase (load, translate, ir.lower, skeleton builds, per-job
@@ -51,6 +47,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -74,7 +71,6 @@ func run() int {
 	failOn := flag.String("fail-on", "warning", "lowest severity that fails the run (error, warning or note)")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "directory for the incremental result cache (empty = no cache)")
-	skelCache := flag.Bool("skeleton-cache", true, "with -cache-dir, snapshot solved constraint skeletons for jobs re-solved on an unchanged entry")
 	list := flag.Bool("list", false, "list registered checkers and exit")
 	speclint := flag.Bool("speclint", false, "lint the checkers' property specs and exit (3 on findings)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the analysis to this file")
@@ -83,7 +79,6 @@ func run() int {
 	metricsJSON := flag.String("metrics-json", "", "write a JSON snapshot of the run's metric registry to this file")
 	explain := flag.Bool("explain", false, "attach a derivation chain (provenance) to every finding")
 	progress := flag.Bool("progress", false, "print coarse progress lines to stderr while analyzing")
-	verbose := flag.Bool("verbose", false, "print secondary cache telemetry (skeleton snapshots) to stderr")
 	serverAddr := flag.String("server", "", "check through a running gocheckd at this address instead of analyzing in-process")
 	program := flag.String("program", "default", "with -server, the resident program name to check against")
 	serverTimeout := flag.Duration("server-timeout", 0, "with -server, per-request HTTP timeout (0 = default 5m)")
@@ -114,6 +109,16 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "usage: gocheck [flags] path...  (gocheck -list for checkers)")
 		return 2
 	}
+	threshold, ok := parseThreshold(*failOn)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "gocheck: unknown -fail-on severity %q\n", *failOn)
+		return 2
+	}
+	write, ok := renderers[*format]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "gocheck: unknown format %q\n", *format)
+		return 2
+	}
 	checkers, err := analysis.Resolve(*checkersFlag)
 	if err != nil {
 		return fail(err)
@@ -127,15 +132,15 @@ func run() int {
 
 	if *serverAddr != "" {
 		return runServer(serverOpts{
-			addr:     *serverAddr,
-			program:  *program,
-			timeout:  *serverTimeout,
-			paths:    flag.Args(),
-			checkers: *checkersFlag,
-			entries:  entries,
-			format:   *format,
-			failOn:   *failOn,
-			explain:  *explain,
+			addr:      *serverAddr,
+			program:   *program,
+			timeout:   *serverTimeout,
+			paths:     flag.Args(),
+			checkers:  *checkersFlag,
+			entries:   entries,
+			write:     write,
+			threshold: threshold,
+			explain:   *explain,
 		})
 	}
 
@@ -176,16 +181,15 @@ func run() int {
 		return fail(err)
 	}
 	rep, err := analysis.Analyze(pkg, analysis.Config{
-		Checkers:            checkers,
-		Entries:             entries,
-		Parallel:            *parallel,
-		Opts:                core.Options{},
-		Cache:               cache,
-		NoSkeletonSnapshots: !*skelCache,
-		Trace:               tracer,
-		Metrics:             registry,
-		Explain:             *explain,
-		Progress:            prog,
+		Checkers: checkers,
+		Entries:  entries,
+		Parallel: *parallel,
+		Opts:     core.Options{},
+		Cache:    cache,
+		Trace:    tracer,
+		Metrics:  registry,
+		Explain:  *explain,
+		Progress: prog,
 	})
 	if err != nil {
 		return fail(err)
@@ -197,13 +201,6 @@ func run() int {
 		cs := rep.Cache
 		fmt.Fprintf(os.Stderr, "gocheck: cache hits=%d misses=%d rate=%.1f%% resolved=%d/%d\n",
 			cs.Hits, cs.Misses, cs.HitRate(), cs.ResolvedFunctions, cs.TotalFunctions)
-		// Skeleton-snapshot telemetry is secondary: scripted consumers
-		// only want it on request (-verbose); the counts always land in
-		// -metrics-json as the snapshot.* counters.
-		if *verbose && cs.SkeletonHits+cs.SkeletonMisses > 0 {
-			fmt.Fprintf(os.Stderr, "gocheck: skeleton snapshots hits=%d misses=%d corrupt=%d\n",
-				cs.SkeletonHits, cs.SkeletonMisses, cs.SkeletonCorrupt)
-		}
 		for _, n := range cs.Notes {
 			fmt.Fprintf(os.Stderr, "gocheck: %s\n", n)
 		}
@@ -225,21 +222,11 @@ func run() int {
 		}
 	}
 
-	threshold, ok := parseThreshold(*failOn)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "gocheck: unknown -fail-on severity %q\n", *failOn)
-		return 2
-	}
-
 	rsp := tracer.Start("render")
-	err = render(rep, *format)
+	err = write(rep, os.Stdout)
 	rsp.SetAttr("format", *format)
 	rsp.Finish()
 	if err != nil {
-		if _, unknown := err.(unknownFormatError); unknown {
-			fmt.Fprintln(os.Stderr, "gocheck:", err)
-			return 2
-		}
 		return fail(err)
 	}
 	if err := writeObsOutputs(tracer, *traceOut, registry, *metricsJSON); err != nil {
@@ -296,26 +283,14 @@ func parseThreshold(failOn string) (analysis.Severity, bool) {
 	return 0, false
 }
 
-// unknownFormatError marks a bad -format value (usage error, exit 2).
-type unknownFormatError struct{ format string }
-
-func (e unknownFormatError) Error() string { return fmt.Sprintf("unknown format %q", e.format) }
-
-// render writes the report to stdout in the selected format. The same
-// renderers serve in-process and -server runs, so both modes emit
+// renderers maps each -format value to the report writer for it. The
+// same renderers serve in-process and -server runs, so both modes emit
 // byte-identical output for identical reports.
-func render(rep *analysis.Report, format string) error {
-	switch format {
-	case "text":
-		return rep.Text(os.Stdout)
-	case "json":
-		return rep.JSON(os.Stdout)
-	case "sarif":
-		return rep.SARIF(os.Stdout)
-	case "github":
-		return rep.Github(os.Stdout)
-	}
-	return unknownFormatError{format}
+var renderers = map[string]func(*analysis.Report, io.Writer) error{
+	"text":   (*analysis.Report).Text,
+	"json":   (*analysis.Report).JSON,
+	"sarif":  (*analysis.Report).SARIF,
+	"github": (*analysis.Report).Github,
 }
 
 func fail(err error) int {

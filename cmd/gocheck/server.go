@@ -1,7 +1,7 @@
 package main
 
 import (
-	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -12,15 +12,15 @@ import (
 
 // serverOpts carries the -server client mode's inputs.
 type serverOpts struct {
-	addr     string
-	program  string
-	timeout  time.Duration
-	paths    []string
-	checkers string
-	entries  []string
-	format   string
-	failOn   string
-	explain  bool
+	addr      string
+	program   string
+	timeout   time.Duration
+	paths     []string
+	checkers  string
+	entries   []string
+	write     func(*analysis.Report, io.Writer) error
+	threshold analysis.Severity
+	explain   bool
 }
 
 // runServer is gocheck's client mode: read the local file set, diff it
@@ -29,12 +29,6 @@ type serverOpts struct {
 // output and exit codes are identical to a one-shot gocheck over the
 // same sources.
 func runServer(o serverOpts) int {
-	threshold, ok := parseThreshold(o.failOn)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "gocheck: unknown -fail-on severity %q\n", o.failOn)
-		return 2
-	}
-
 	files, err := analysis.ReadPathFiles(o.paths)
 	if err != nil {
 		return fail(err)
@@ -60,14 +54,10 @@ func runServer(o serverOpts) int {
 	if err != nil {
 		return fail(err)
 	}
-	if err := render(rep, o.format); err != nil {
-		if _, unknown := err.(unknownFormatError); unknown {
-			fmt.Fprintln(os.Stderr, "gocheck:", err)
-			return 2
-		}
+	if err := o.write(rep, os.Stdout); err != nil {
 		return fail(err)
 	}
-	if rep.HasFindingsAtLeast(threshold) {
+	if rep.HasFindingsAtLeast(o.threshold) {
 		return 3
 	}
 	return 0

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	gocheckd [-addr 127.0.0.1:7433] [-cache-dir dir] [-skeleton-cache=false]
+//	gocheckd [-addr 127.0.0.1:7433] [-cache-dir dir]
 //	         [-parallel N] [-memory-budget MB] [-memo-entries N]
 //	         [-allow-shutdown=false] [-log-level info] [-debug-addr addr]
 //	         [-flight-entries N] [-flight-slowest N] [-slow-ms N] [-flight-dir dir]
@@ -61,7 +61,6 @@ func main() {
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:7433", "listen address")
 	cacheDir := flag.String("cache-dir", "", "directory for the shared on-disk incremental cache (empty = memory only)")
-	skelCache := flag.Bool("skeleton-cache", true, "with -cache-dir, snapshot solved constraint skeletons")
 	parallel := flag.Int("parallel", 0, "per-request worker pool size (0 = GOMAXPROCS)")
 	budgetMB := flag.Int64("memory-budget", 0, "resident-program memory budget in MiB; past it, least-recently-used programs are evicted (0 = unlimited)")
 	memoEntries := flag.Int("memo-entries", 0, "memory tier of the job-result store: up to N job records that keep hitting stay in memory; it holds at most 2N (0 = default 8192)")
@@ -97,14 +96,13 @@ func run() int {
 		Metrics: registry,
 	})
 	engine := analysis.NewEngine(analysis.EngineConfig{
-		Cache:               cache,
-		NoSkeletonSnapshots: !*skelCache,
-		Opts:                core.Options{},
-		Parallel:            *parallel,
-		MemoryBudget:        *budgetMB << 20,
-		MemoEntries:         *memoEntries,
-		Metrics:             registry,
-		Flight:              flight,
+		Cache:        cache,
+		Opts:         core.Options{},
+		Parallel:     *parallel,
+		MemoryBudget: *budgetMB << 20,
+		MemoEntries:  *memoEntries,
+		Metrics:      registry,
+		Flight:       flight,
 	})
 
 	stop := make(chan struct{})
@@ -152,7 +150,6 @@ func run() int {
 		"addr", ln.Addr().String(),
 		"debug_addr", *debugAddr,
 		"cache_dir", *cacheDir,
-		"skeleton_cache", *skelCache,
 		"parallel", *parallel,
 		"memory_budget_mb", *budgetMB,
 		"memo_entries", *memoEntries,

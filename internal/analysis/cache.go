@@ -13,10 +13,10 @@
 // deliberately dumb: a flat directory holding, per entry, one JSON file
 // of the entry's job records, named by the SHA-256 of the key without
 // the checker and wrapped in an envelope carrying the format version and
-// a SHA-256 of the body, beside one frozen-skeleton snapshot. One file
-// per entry, not per job, keeps a cold fill's file creations — whose
-// cost on a real filesystem is large and erratic next to writing the
-// bytes — at two per entry. Any defect — truncation, garbage, a failed
+// a SHA-256 of the body. One file per entry, not per job, keeps a cold
+// fill's file creations — whose cost on a real filesystem is large and
+// erratic next to writing the bytes — at one per entry. Files of any
+// other name are left alone. Any defect — truncation, garbage, a failed
 // integrity check, a version bump — demotes the file's records to misses
 // with a note; the store never panics and never changes what a run
 // reports (beyond the Report.Cache block).
@@ -26,7 +26,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -35,12 +34,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rasc/internal/core"
 	"rasc/internal/obs"
-	"rasc/internal/pdm"
-	"rasc/internal/snapshot"
 )
 
 // CacheVersion is the on-disk format version. Bump it whenever the
@@ -100,19 +96,6 @@ func (k recordKey) slot() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// skelName is the file name of the entry's frozen-skeleton snapshot. It
-// hashes the key without the checker and the explain marker — skeletons
-// are property-independent, so every job of the entry, explained or not,
-// shares one — plus the container format version. Any code, option or
-// registry change moves it, so a stale snapshot is an ordinary miss,
-// never a wrong skeleton.
-func (k recordKey) skelName() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "skel\nv:%d\nreg:%s\nopts:%s\nentry:%s\nsum:%s\n",
-		snapshot.FormatVersion, k.regFP, k.opts, k.entry, k.summary)
-	return "skel-" + hex.EncodeToString(h.Sum(nil)) + ".snap"
-}
-
 // jobRecord is a stored raw job result: the pre-suppression diagnostics,
 // the job's solver-stats delta and, for property jobs, the base stats of
 // the entry skeleton it was layered on (so a run served from the store
@@ -166,15 +149,6 @@ type CacheStats struct {
 	TotalFunctions int `json:"total_functions"`
 	// Resolved lists the re-solved functions' canonical names, sorted.
 	Resolved []string `json:"resolved,omitempty"`
-	// SkeletonHits counts entry skeletons reconstructed from a frozen
-	// snapshot instead of a live build-and-solve; SkeletonMisses counts
-	// skeleton builds that had no usable snapshot. Skeleton lookups are
-	// deliberately not folded into Hits/Misses, which count job records.
-	SkeletonHits   int `json:"skeleton_hits,omitempty"`
-	SkeletonMisses int `json:"skeleton_misses,omitempty"`
-	// SkeletonCorrupt counts snapshots discarded by integrity or
-	// structural validation (also counted in SkeletonMisses).
-	SkeletonCorrupt int `json:"skeleton_corrupt,omitempty"`
 	// Notes lists non-fatal cache incidents (corruption, version skew).
 	Notes []string `json:"notes,omitempty"`
 }
@@ -199,28 +173,21 @@ type storeRun struct {
 	disk *Cache // nil: memory only
 	pkg  *Package
 
-	regFP    string
-	opts     string
-	explain  bool
-	coreOpts core.Options
+	regFP   string
+	opts    string
+	explain bool
 	// summaries holds each entry's summary digest, rendered once per run.
 	summaries map[string]string
-	// snapshots enables the frozen-skeleton snapshot path (load before a
-	// live BuildSkeleton, store after one); it needs the disk tier.
-	snapshots bool
 
-	cacheM *obs.CacheMetrics    // job-record lookups, file reads and stores; nil OK
-	snapM  *obs.SnapshotMetrics // snapshot lookups, bytes, timings; nil OK
+	cacheM *obs.CacheMetrics // job-record lookups, file reads and stores; nil OK
 
-	memHits, memMisses                atomic.Int64
-	hits, misses                      atomic.Int64
-	skelHits, skelMisses, skelCorrupt atomic.Int64
+	memHits, memMisses atomic.Int64
+	hits, misses       atomic.Int64
 
 	mu       sync.Mutex
 	notes    []string
 	noted    map[string]bool
-	skewed   map[int]int // skewed record files by format version
-	snapSkew int
+	skewed   map[int]int            // skewed record files by format version
 	files    map[string]*recordFile // by entry
 	computed map[string]bool
 }
@@ -233,9 +200,7 @@ func newStoreRun(mem *memTier, pkg *Package, entries []string, cfg *Config, ob *
 		regFP:     registryFingerprint(),
 		opts:      fmt.Sprintf("%+v", cfg.Opts),
 		explain:   cfg.Explain,
-		coreOpts:  cfg.Opts,
 		summaries: make(map[string]string, len(entries)),
-		snapshots: cfg.Cache != nil && !cfg.NoSkeletonSnapshots,
 		noted:     map[string]bool{},
 		skewed:    map[int]int{},
 		files:     map[string]*recordFile{},
@@ -245,19 +210,15 @@ func newStoreRun(mem *memTier, pkg *Package, entries []string, cfg *Config, ob *
 		s.summaries[e] = pkg.Prog.ByName[e].Summary.String()
 	}
 	if ob != nil {
-		s.cacheM, s.snapM = ob.cacheM, ob.snapM
+		s.cacheM = ob.cacheM
 	}
 	return s
 }
 
-// key returns the record key of c's job on entry; a nil checker gives
-// the entry's skeleton key.
+// key returns the record key of c's job on entry.
 func (s *storeRun) key(c *Checker, entry string) recordKey {
-	k := recordKey{regFP: s.regFP, opts: s.opts, explain: s.explain, entry: entry, summary: s.summaries[entry]}
-	if c != nil {
-		k.checker = c.fingerprint()
-	}
-	return k
+	return recordKey{regFP: s.regFP, opts: s.opts, explain: s.explain,
+		checker: c.fingerprint(), entry: entry, summary: s.summaries[entry]}
 }
 
 // recall looks a job up in the memory tier.
@@ -458,87 +419,15 @@ func (s *storeRun) write(name string, data []byte) bool {
 	return true
 }
 
-// loadSkeleton reconstructs entry's skeleton from its snapshot, if one
-// exists and survives validation. Every failure demotes to a live build:
-// a missing file is a silent miss, version skew a counted miss, and
-// corruption (container integrity, structural validation, or a
-// program/entry mismatch that the content key should have prevented) a
-// counted miss with a note and a best-effort removal.
-func (s *storeRun) loadSkeleton(entry string) (*pdm.Skeleton, bool) {
-	name := s.key(nil, entry).skelName()
-	m := s.snapM
-	miss := func() (*pdm.Skeleton, bool) {
-		s.skelMisses.Add(1)
-		if m != nil {
-			m.Misses.Inc()
-		}
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(s.disk.dir, name))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.note("cache: unreadable skeleton snapshot %s: %v", name, err)
-		}
-		return miss()
-	}
-	t0 := time.Now()
-	sk, err := pdm.LoadSkeleton(data, s.pkg.Prog, entry, s.coreOpts)
-	if err != nil {
-		if errors.Is(err, snapshot.ErrVersion) {
-			s.mu.Lock()
-			s.snapSkew++
-			s.mu.Unlock()
-			if m != nil {
-				m.VersionSkew.Inc()
-			}
-			return miss()
-		}
-		s.note("cache: corrupt skeleton snapshot %s discarded: %v", name, err)
-		os.Remove(filepath.Join(s.disk.dir, name))
-		s.skelCorrupt.Add(1)
-		if m != nil {
-			m.Corrupt.Inc()
-		}
-		return miss()
-	}
-	s.skelHits.Add(1)
-	if m != nil {
-		m.Hits.Inc()
-		m.Bytes.Add(int64(len(data)))
-		m.DecodeMs.Observe(time.Since(t0).Milliseconds())
-	}
-	return sk, true
-}
-
-// storeSkeleton serializes a freshly built skeleton beside the job
-// records. The container carries its own SHA-256 and per-section CRCs,
-// so it needs no envelope.
-func (s *storeRun) storeSkeleton(entry string, sk *pdm.Skeleton) {
-	t0 := time.Now()
-	data := sk.Snapshot()
-	encodeMs := time.Since(t0).Milliseconds()
-	if !s.write(s.key(nil, entry).skelName(), data) {
-		return
-	}
-	if m := s.snapM; m != nil {
-		m.Stores.Inc()
-		m.Bytes.Add(int64(len(data)))
-		m.EncodeMs.Observe(encodeMs)
-	}
-}
-
 // finish computes the run's CacheStats; nil without a disk tier.
 func (s *storeRun) finish() *CacheStats {
 	if s.disk == nil {
 		return nil
 	}
 	st := &CacheStats{
-		Hits:            int(s.hits.Load()),
-		Misses:          int(s.misses.Load()),
-		TotalFunctions:  len(s.pkg.Prog.Funcs),
-		SkeletonHits:    int(s.skelHits.Load()),
-		SkeletonMisses:  int(s.skelMisses.Load()),
-		SkeletonCorrupt: int(s.skelCorrupt.Load()),
+		Hits:           int(s.hits.Load()),
+		Misses:         int(s.misses.Load()),
+		TotalFunctions: len(s.pkg.Prog.Funcs),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -565,10 +454,6 @@ func (s *storeRun) finish() *CacheStats {
 		sort.Ints(versions)
 		st.Notes = append(st.Notes, fmt.Sprintf("cache: %d job-record file(s) have format version %s, want %d; re-solved and overwritten",
 			n, strings.Trim(fmt.Sprint(versions), "[]"), CacheVersion))
-	}
-	if s.snapSkew > 0 {
-		st.Notes = append(st.Notes, fmt.Sprintf("cache: %d skeleton snapshot(s) have a different format version; rebuilt live and overwritten",
-			s.snapSkew))
 	}
 	return st
 }

@@ -71,7 +71,10 @@ func findingsJSON(t *testing.T, rep *Report) string {
 }
 
 // A warm fully-cached run must hit on every lookup, re-solve zero
-// functions, and reproduce a byte-identical report.
+// functions, and reproduce a byte-identical report. Files the store
+// does not name, such as the skeleton snapshots older versions wrote
+// beside the job records, are neither read nor removed, and add no
+// note.
 func TestCacheWarmRunIsFreeAndIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cold := analyzeCached(t, dir, cacheSrc)
@@ -82,10 +85,20 @@ func TestCacheWarmRunIsFreeAndIdentical(t *testing.T) {
 		t.Fatalf("cold run resolved %d/%d functions, want 5/5 (%v)",
 			cold.Cache.ResolvedFunctions, cold.Cache.TotalFunctions, cold.Cache.Resolved)
 	}
+	other := filepath.Join(dir, "skel-0123.snap")
+	if err := os.WriteFile(other, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	warm := analyzeCached(t, dir, cacheSrc)
 	if warm.Cache.Misses != 0 || warm.Cache.Hits != cold.Cache.Misses {
 		t.Fatalf("warm run: hits=%d misses=%d, want %d/0",
 			warm.Cache.Hits, warm.Cache.Misses, cold.Cache.Misses)
+	}
+	if len(warm.Cache.Notes) != 0 {
+		t.Fatalf("warm run notes: %v", warm.Cache.Notes)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("the store touched a file it does not name: %v", err)
 	}
 	if warm.Cache.ResolvedFunctions != 0 || len(warm.Cache.Resolved) != 0 {
 		t.Fatalf("warm run re-solved %v", warm.Cache.Resolved)
@@ -209,11 +222,6 @@ func TestCacheVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if !strings.HasSuffix(e.Name(), ".json") {
-			// Skeleton snapshots are not JSON envelopes; their version
-			// skew is covered by TestSkeletonSnapshotVersionSkew.
-			continue
-		}
 		path := filepath.Join(dir, e.Name())
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -254,8 +262,8 @@ func notesContaining(notes []string, sub string) []string {
 	return out
 }
 
-// A cold run leaves exactly one job-record file and one skeleton
-// snapshot per entry in the cache directory, and nothing else.
+// A cold run leaves exactly one job-record file per entry in the cache
+// directory, and nothing else.
 func TestCacheColdRunLayout(t *testing.T) {
 	dir := t.TempDir()
 	rep := analyzeCached(t, dir, cacheSrc)
@@ -263,19 +271,16 @@ func TestCacheColdRunLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, snaps := 0, 0
+	jobs := 0
 	for _, e := range ents {
-		switch name := e.Name(); {
-		case strings.HasPrefix(name, "job-") && strings.HasSuffix(name, ".json"):
+		if name := e.Name(); strings.HasPrefix(name, "job-") && strings.HasSuffix(name, ".json") {
 			jobs++
-		case strings.HasPrefix(name, "skel-") && strings.HasSuffix(name, ".snap"):
-			snaps++
-		default:
+		} else {
 			t.Errorf("unexpected file %s in the cache directory", name)
 		}
 	}
-	if jobs != len(rep.Entries) || snaps != len(rep.Entries) {
-		t.Fatalf("%d job-record files and %d snapshots, want %d each", jobs, snaps, len(rep.Entries))
+	if jobs != len(rep.Entries) {
+		t.Fatalf("%d job-record files, want %d", jobs, len(rep.Entries))
 	}
 }
 
@@ -413,10 +418,9 @@ func TestCacheNotesStayWithTheirRun(t *testing.T) {
 
 // The cache's end-to-end contract over this repository's internal/...
 // tree, as gocheck -cache-dir runs it: a cold run computes and stores
-// every job and skeleton; a warm run is served entirely from job
-// records; with the job records deleted, a snapshot-cold run decodes
-// every skeleton and re-layers every job on it. All three render
-// byte-identical SARIF.
+// every job; a warm run is served entirely from job records; with the
+// job records deleted, a run computes every job again, as cold did. All
+// three render byte-identical SARIF.
 func TestCacheTiersOverInternal(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenCache(dir)
@@ -443,18 +447,18 @@ func TestCacheTiersOverInternal(t *testing.T) {
 		}
 		return rep, buf.String()
 	}
-	type counts struct{ hits, misses, resolved, skelHits, skelMisses, skelCorrupt int }
+	type counts struct{ hits, misses, resolved int }
 	check := func(name string, rep *Report, want counts) {
 		c := rep.Cache
-		got := counts{c.Hits, c.Misses, c.ResolvedFunctions, c.SkeletonHits, c.SkeletonMisses, c.SkeletonCorrupt}
+		got := counts{c.Hits, c.Misses, c.ResolvedFunctions}
 		if got != want {
 			t.Errorf("%s run: %+v, want %+v", name, got, want)
 		}
 	}
 
 	cold, want := run("cold")
-	jobs, entries := cold.Jobs, len(cold.Entries)
-	check("cold", cold, counts{misses: jobs, resolved: cold.Cache.ResolvedFunctions, skelMisses: entries})
+	jobs := cold.Jobs
+	check("cold", cold, counts{misses: jobs, resolved: cold.Cache.ResolvedFunctions})
 	if cold.Cache.ResolvedFunctions == 0 {
 		t.Error("cold run re-solved no function")
 	}
@@ -476,9 +480,9 @@ func TestCacheTiersOverInternal(t *testing.T) {
 			}
 		}
 	}
-	snap, got := run("snapshot-cold")
-	check("snapshot-cold", snap, counts{misses: jobs, resolved: cold.Cache.ResolvedFunctions, skelHits: entries})
+	deleted, got := run("records-deleted")
+	check("records-deleted", deleted, counts{misses: jobs, resolved: cold.Cache.ResolvedFunctions})
 	if got != want {
-		t.Error("snapshot-cold run changed the SARIF")
+		t.Error("records-deleted run changed the SARIF")
 	}
 }

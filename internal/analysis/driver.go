@@ -56,13 +56,7 @@ type skelEntry struct {
 // on one build; distinct entries build independently. ob (nil OK)
 // records the build as a trace span and feeds the skeleton-layer
 // metrics; reuse of an already-built skeleton records nothing.
-//
-// With a snapshot-enabled store run (st non-nil), the build is first
-// attempted as a snapshot decode — reconstructing the solved base layer
-// straight from bytes, skipping translation and the solve — and a live
-// build stores its snapshot for the next cold process. Snapshot failures
-// of any kind demote silently to the live path.
-func (p *Package) skeleton(entry string, opts core.Options, ob *obsState, st *storeRun) (*pdm.Skeleton, error) {
+func (p *Package) skeleton(entry string, opts core.Options, ob *obsState) (*pdm.Skeleton, error) {
 	key := skelCacheKey{gen: generation(), opts: opts}
 	p.skelMu.Lock()
 	if p.skels == nil || p.skelKey != key {
@@ -77,19 +71,6 @@ func (p *Package) skeleton(entry string, opts core.Options, ob *obsState, st *st
 	p.skelMu.Unlock()
 	e.once.Do(func() {
 		sp := ob.span("skeleton:" + entry)
-		if st != nil && st.snapshots {
-			dsp := sp.Child("snapshot.decode")
-			sk, ok := st.loadSkeleton(entry)
-			dsp.Finish()
-			if ok {
-				e.sk = sk
-				sp.SetAttr("snapshot", "hit")
-				sp.SetAttr("deferred", sk.Deferred())
-				sp.Finish()
-				return
-			}
-			sp.SetAttr("snapshot", "miss")
-		}
 		callees := eventCallees()
 		e.sk, e.err = pdm.BuildSkeleton(p.Prog, entry, opts,
 			func(call *minic.CallExpr, _ string) bool { return callees[call.Name] })
@@ -98,11 +79,6 @@ func (p *Package) skeleton(entry string, opts core.Options, ob *obsState, st *st
 			if ob != nil && ob.pdmM != nil {
 				ob.pdmM.SkeletonBuilds.Inc()
 				ob.pdmM.DeferredStmts.Add(int64(e.sk.Deferred()))
-			}
-			if st != nil && st.snapshots {
-				esp := sp.Child("snapshot.encode")
-				st.storeSkeleton(entry, e.sk)
-				esp.Finish()
 			}
 		}
 		sp.Finish()
@@ -130,14 +106,6 @@ type Config struct {
 	// Suppression is applied to cached results afresh on every run, so
 	// //rasc:ignore edits take effect without invalidating anything.
 	Cache *Cache
-	// NoSkeletonSnapshots disables the frozen-skeleton snapshot path of
-	// the cache. By default (false), every live-built entry skeleton is
-	// serialized beside the job records and the next process that has to
-	// compute a job reconstructs it straight from the bytes instead of
-	// re-solving; snapshots are keyed so that any code, option or
-	// registry change demotes them to a live build. Only meaningful when
-	// Cache is set.
-	NoSkeletonSnapshots bool
 
 	// Trace, when non-nil, records every driver phase — skeleton builds,
 	// per-job cache lookups, solves and stores, the merge — as spans,
@@ -356,7 +324,7 @@ func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 				rec, ok := st.load(k, sp)
 				if !ok {
 					ssp := sp.Child("solve")
-					rec, errs[i] = runJob(pkg, c, e, cfg.Opts, ob, st)
+					rec, errs[i] = runJob(pkg, c, e, cfg.Opts, ob)
 					ssp.Finish()
 					if errs[i] == nil {
 						st.store(k, rec)
@@ -478,9 +446,8 @@ func coversChecker(names []string, checker string) bool {
 // solver statistics and the shared skeleton's base statistics. ob (nil
 // OK) supplies metric hooks and the explain flag; with explain on, every
 // diagnostic leaves with a non-empty provenance chain, so stored records
-// round-trip explain output unchanged. st (nil OK) supplies skeleton
-// snapshots.
-func runJob(pkg *Package, c *Checker, entry string, opts core.Options, ob *obsState, st *storeRun) (jobRecord, error) {
+// round-trip explain output unchanged.
+func runJob(pkg *Package, c *Checker, entry string, opts core.Options, ob *obsState) (jobRecord, error) {
 	if c.Run != nil {
 		ds := c.Run(pkg, c, entry)
 		if ob.explainOn() {
@@ -489,7 +456,7 @@ func runJob(pkg *Package, c *Checker, entry string, opts core.Options, ob *obsSt
 		return jobRecord{Diagnostics: ds}, nil
 	}
 	prop, events := c.compiled()
-	sk, err := pkg.skeleton(entry, opts, ob, st)
+	sk, err := pkg.skeleton(entry, opts, ob)
 	if err != nil {
 		return jobRecord{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
 	}

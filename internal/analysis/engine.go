@@ -45,9 +45,6 @@ type EngineConfig struct {
 	// Cache, when non-nil, backs the engine with the on-disk incremental
 	// cache (shared with one-shot runs; keys are identical).
 	Cache *Cache
-	// NoSkeletonSnapshots disables the frozen-skeleton snapshot path,
-	// as in Config.
-	NoSkeletonSnapshots bool
 	// Opts are the solver options every request runs under. Requests do
 	// not choose options: cached and memoized results are keyed by them,
 	// and one resident configuration per engine keeps the key space hot.
@@ -96,7 +93,6 @@ type Engine struct {
 	requests, errors, evictions         atomic.Int64
 	memoHits, memoMisses                atomic.Int64
 	cacheHits, cacheMisses, resolvedFns atomic.Int64
-	skeletonHits, skeletonMisses        atomic.Int64
 }
 
 // NewEngine creates a resident engine.
@@ -293,16 +289,15 @@ func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
 		trace = tr
 	}
 	cfg := Config{
-		Checkers:            checkers,
-		Entries:             req.Entries,
-		Parallel:            parallel,
-		Opts:                e.cfg.Opts,
-		KeepSuppressed:      req.KeepSuppressed,
-		Cache:               e.cfg.Cache,
-		NoSkeletonSnapshots: e.cfg.NoSkeletonSnapshots,
-		Trace:               trace,
-		Metrics:             e.cfg.Metrics,
-		Explain:             req.Explain,
+		Checkers:       checkers,
+		Entries:        req.Entries,
+		Parallel:       parallel,
+		Opts:           e.cfg.Opts,
+		KeepSuppressed: req.KeepSuppressed,
+		Cache:          e.cfg.Cache,
+		Trace:          trace,
+		Metrics:        e.cfg.Metrics,
+		Explain:        req.Explain,
 	}
 	rep, err := analyze(pkg, cfg, e.mem)
 	if err != nil {
@@ -488,8 +483,6 @@ func (e *Engine) account(rep *Report) {
 	e.cacheHits.Add(int64(st.Hits))
 	e.cacheMisses.Add(int64(st.Misses))
 	e.resolvedFns.Add(int64(st.ResolvedFunctions))
-	e.skeletonHits.Add(int64(st.SkeletonHits))
-	e.skeletonMisses.Add(int64(st.SkeletonMisses))
 }
 
 // span opens a request-root trace span on the per-request tracer when
@@ -565,8 +558,6 @@ type EngineStats struct {
 	CacheHits        int64 `json:"cache_hits"`
 	CacheMisses      int64 `json:"cache_misses"`
 	ResolvedFuncs    int64 `json:"resolved_functions"`
-	SkeletonHits     int64 `json:"skeleton_hits"`
-	SkeletonMisses   int64 `json:"skeleton_misses"`
 }
 
 // Stats snapshots the engine accounting.
@@ -585,8 +576,6 @@ func (e *Engine) Stats() EngineStats {
 		CacheHits:        e.cacheHits.Load(),
 		CacheMisses:      e.cacheMisses.Load(),
 		ResolvedFuncs:    e.resolvedFns.Load(),
-		SkeletonHits:     e.skeletonHits.Load(),
-		SkeletonMisses:   e.skeletonMisses.Load(),
 	}
 }
 

@@ -445,7 +445,6 @@ func TestEngineStatsJSONSchema(t *testing.T) {
 		"requests", "errors", "evictions", "resident_programs",
 		"memo_hits", "memo_misses", "memo_entries",
 		"cache_hits", "cache_misses", "resolved_functions",
-		"skeleton_hits", "skeleton_misses",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("EngineStats JSON lacks %q (got %s)", key, b)

@@ -20,7 +20,6 @@ type obsState struct {
 	solver  *obs.SolverMetrics
 	pdmM    *obs.PDMMetrics
 	cacheM  *obs.CacheMetrics
-	snapM   *obs.SnapshotMetrics
 	driverM *obs.DriverMetrics
 	specM   *obs.SpecMetrics
 }
@@ -34,7 +33,6 @@ func newObsState(cfg *Config) *obsState {
 		ob.solver = obs.NewSolverMetrics(cfg.Metrics)
 		ob.pdmM = obs.NewPDMMetrics(cfg.Metrics)
 		ob.cacheM = obs.NewCacheMetrics(cfg.Metrics)
-		ob.snapM = obs.NewSnapshotMetrics(cfg.Metrics)
 		ob.driverM = obs.NewDriverMetrics(cfg.Metrics)
 		ob.specM = obs.NewSpecMetrics(cfg.Metrics)
 	}

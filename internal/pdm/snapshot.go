@@ -14,9 +14,9 @@ import (
 // System: the entry name, the pc node, the CFG-node variable map (with
 // the nodes outside the entry's slice marked absent) and the
 // deferred-statement list. Program and CFG are not serialized — a
-// snapshot is only valid against the *ir.Program it was built from, and
-// the cache layer keys snapshots by the entry's summary digest to
-// guarantee that.
+// snapshot is only valid against the *ir.Program it was built from,
+// which a caller that stores snapshots must guarantee, for instance by
+// keying them by the entry's summary digest.
 const (
 	secPDMMeta     = 100 // pc CNode, entry strRef
 	secPDMStrBlob  = 101
@@ -60,13 +60,11 @@ func (sk *Skeleton) Snapshot() []byte {
 // system is checked against the skeleton contract (identity-only
 // annotations, matching Options) and every cross-reference into p's CFG
 // and function table is validated, so a snapshot taken from a different
-// program version fails loudly instead of yielding wrong results — but
-// callers are expected to key snapshots by the entry's summary digest
-// and options so that mismatches are cache misses, not load errors.
+// program version fails loudly instead of yielding wrong results.
 //
 // Errors wrap snapshot.ErrVersion for format-version skew and (for
-// structural damage) snapshot.ErrCorrupt; both must demote the caller
-// to a live BuildSkeleton.
+// structural damage) snapshot.ErrCorrupt; on either, the caller must
+// fall back to a live BuildSkeleton.
 func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (*Skeleton, error) {
 	prog, cfg := p.MC, p.Graph
 	entry, slice, err := entrySlice(p, entry)

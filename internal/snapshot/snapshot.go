@@ -36,8 +36,8 @@ import (
 
 // FormatVersion is the container format version. Any incompatible change
 // to the section layout of any producer (core, pdm) must bump it; a
-// reader seeing a different version fails with ErrVersion, which cache
-// layers treat as a miss (demote to cold build), never an error.
+// reader seeing a different version fails with ErrVersion, which a
+// caller treats as "build live", never as a wrong result.
 // Version 2: pdm skeletons cover only the entry's call-graph slice.
 const FormatVersion = 2
 
