@@ -27,8 +27,9 @@
 // Telemetry: every request is recorded in a bounded in-memory flight
 // recorder (-flight-entries recent, plus the -flight-slowest slowest
 // ever), dumpable via /v1/debug/flight; requests slower than -slow-ms
-// are persisted as Chrome trace JSON under -flight-dir. Access and
-// lifecycle logs are structured JSON lines on stderr at -log-level.
+// are persisted as Chrome trace JSON under -flight-dir (-slow-ms without
+// -flight-dir is a usage error, exit 2). Access and lifecycle logs are
+// structured JSON lines on stderr at -log-level.
 package main
 
 import (
@@ -45,7 +46,6 @@ import (
 	"time"
 
 	"rasc/internal/analysis"
-	"rasc/internal/core"
 	"rasc/internal/obs"
 	"rasc/internal/server"
 )
@@ -74,6 +74,10 @@ func run() int {
 	sloP99 := flag.Int64("slo-p99-ms", 0, "degrade /v1/health when a window's p99 exceeds this (0 = default 2000)")
 	sloErrRate := flag.Float64("slo-error-rate", 0, "degrade /v1/health when a window's error fraction exceeds this (0 = default 0.05)")
 	flag.Parse()
+	if *slowMS > 0 && *flightDir == "" {
+		os.Stderr.WriteString("gocheckd: -slow-ms requires -flight-dir\n")
+		return 2
+	}
 
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
@@ -97,7 +101,6 @@ func run() int {
 	})
 	engine := analysis.NewEngine(analysis.EngineConfig{
 		Cache:        cache,
-		Opts:         core.Options{},
 		Parallel:     *parallel,
 		MemoryBudget: *budgetMB << 20,
 		MemoEntries:  *memoEntries,

@@ -1,5 +1,5 @@
-// Command obslint validates gocheck's observability artifacts in CI:
-// the Chrome trace-event JSON written by -trace-out (and the daemon's
+// Command obslint validates gocheck's observability artifacts: the
+// Chrome trace-event JSON written by -trace-out (and the daemon's
 // flight-recorder dumps), the metrics snapshot written by
 // -metrics-json, a Prometheus text exposition scraped from gocheckd's
 // /v1/metrics?format=prometheus, and (optionally) that every finding of
@@ -7,13 +7,12 @@
 //
 // Usage:
 //
-//	obslint [-trace f.json] [-metrics f.json] [-require-metrics name,...]
-//	        [-require-histograms name,...] [-prometheus f.prom]
+//	obslint [-trace f.json] [-metrics f.json] [-prometheus f.prom]
 //	        [-findings report.json] [-require-provenance]
 //
 // Exit status is 1 when any named artifact fails validation, 2 on
-// usage errors. Flags left empty are skipped, so the command composes
-// with CI jobs that only produce a subset of the artifacts.
+// usage errors. Flags left empty are skipped, so one invocation can
+// check any subset of the artifacts.
 package main
 
 import (
@@ -21,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"rasc/internal/obs"
 )
@@ -29,8 +27,6 @@ import (
 func main() {
 	trace := flag.String("trace", "", "validate this Chrome trace-event JSON file")
 	metrics := flag.String("metrics", "", "validate this metrics snapshot JSON file")
-	requireMetrics := flag.String("require-metrics", "", "with -metrics: comma-separated metric names that must be present in the snapshot")
-	requireHists := flag.String("require-histograms", "", "with -metrics: comma-separated histogram names that must be present with samples and self-consistent buckets")
 	prometheus := flag.String("prometheus", "", "validate this Prometheus text-format exposition (as scraped from gocheckd /v1/metrics?format=prometheus)")
 	findings := flag.String("findings", "", "validate this gocheck -format json report")
 	requireProv := flag.Bool("require-provenance", false, "with -findings: every diagnostic must carry a non-empty provenance chain")
@@ -55,12 +51,6 @@ func main() {
 	}
 	if *metrics != "" {
 		check(*metrics, validateFile(*metrics, obs.ValidateMetricsJSON))
-		if *requireMetrics != "" {
-			check(*metrics+" required metrics", requireMetricNames(*metrics, *requireMetrics))
-		}
-		if *requireHists != "" {
-			check(*metrics+" required histograms", requireHistogramNames(*metrics, *requireHists))
-		}
 	}
 	if *prometheus != "" {
 		check(*prometheus, validateFile(*prometheus, obs.ValidatePrometheus))
@@ -71,82 +61,6 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// requireMetricNames checks that every name in the comma-separated list
-// appears in the snapshot, in any of the three metric families. CI uses
-// this to pin down the spec.* instrumentation: a run over the counting
-// checkers must actually emit spec.relations and its siblings, not just
-// a structurally valid snapshot.
-func requireMetricNames(path, names string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap obs.MetricsSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("not a metrics snapshot: %v", err)
-	}
-	var missing []string
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		if _, ok := snap.Counters[n]; ok {
-			continue
-		}
-		if _, ok := snap.Gauges[n]; ok {
-			continue
-		}
-		if _, ok := snap.Histograms[n]; ok {
-			continue
-		}
-		missing = append(missing, n)
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("metrics missing from snapshot: %s", strings.Join(missing, ", "))
-	}
-	return nil
-}
-
-// requireHistogramNames checks that every named histogram is present,
-// has recorded at least one sample, and is internally consistent: the
-// per-bucket counts must sum to the histogram's total count. CI uses
-// this on the daemon's metrics snapshot to pin the request-latency
-// histogram (server.request_ms): a smoke run that served traffic must
-// have observed it, and an exporter bug that drops or double-counts a
-// bucket is a validation failure, not a dashboard mystery.
-func requireHistogramNames(path, names string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap obs.MetricsSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("not a metrics snapshot: %v", err)
-	}
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		h, ok := snap.Histograms[n]
-		if !ok {
-			return fmt.Errorf("histogram %s missing from snapshot", n)
-		}
-		if h.Count <= 0 {
-			return fmt.Errorf("histogram %s has no samples", n)
-		}
-		var sum int64
-		for _, b := range h.Buckets {
-			sum += b.Count
-		}
-		if sum != h.Count {
-			return fmt.Errorf("histogram %s buckets sum to %d, count says %d", n, sum, h.Count)
-		}
-	}
-	return nil
 }
 
 func validateFile(path string, validate func([]byte) error) error {

@@ -235,6 +235,62 @@ func TestRoots(t *testing.T) {
 	}
 }
 
+// A plain call never links to a method through its bare-name alias: the
+// builtin len must not call T.len. If it did, T.len would recurse into
+// itself (a false doublelock) and never return, hiding every statement
+// after a len call (the leak in Leak). A method call t.len() still
+// links to T.len.
+func TestPlainCallsSkipMethodAliases(t *testing.T) {
+	pkg, err := LoadFiles([]gosrc.File{{Name: "p.go", Src: `package p
+
+import (
+	"os"
+	"sync"
+)
+
+type T struct {
+	mu    sync.Mutex
+	items []int
+}
+
+func (t *T) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.items)
+}
+
+func Size(t *T) int { return t.len() }
+
+func Leak(xs []string) {
+	if len(xs) == 0 {
+		return
+	}
+	f, _ := os.Open(xs[0])
+	_ = f
+}
+`}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Analyze(pkg, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Diagnostics) != 1 || rep.Diagnostics[0].Checker != "fileleak" {
+		t.Errorf("diagnostics = %+v, want exactly one fileleak", rep.Diagnostics)
+	}
+	var callees []string
+	for _, id := range pkg.Prog.ByName["Size"].Callees {
+		callees = append(callees, pkg.Prog.Funcs[id].Name)
+	}
+	if !reflect.DeepEqual(callees, []string{"T.len"}) {
+		t.Errorf("Size calls %v, want [T.len]", callees)
+	}
+	if got := pkg.Prog.ByName["T.len"].Callees; len(got) != 0 {
+		t.Errorf("T.len calls function IDs %v, want none (len is the builtin)", got)
+	}
+}
+
 func goldenCompare(t *testing.T, got []byte, path string) {
 	t.Helper()
 	if *update {

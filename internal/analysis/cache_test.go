@@ -420,7 +420,7 @@ func TestCacheNotesStayWithTheirRun(t *testing.T) {
 // tree, as gocheck -cache-dir runs it: a cold run computes and stores
 // every job; a warm run is served entirely from job records; with the
 // job records deleted, a run computes every job again, as cold did. All
-// three render byte-identical SARIF.
+// three render SARIF byte-identical to a cacheless run.
 func TestCacheTiersOverInternal(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenCache(dir)
@@ -428,7 +428,7 @@ func TestCacheTiersOverInternal(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(name string) (*Report, string) {
-		pkg, err := LoadPaths([]string{"../..."})
+		pkg, err := LoadPaths([]string{internalTree})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +456,14 @@ func TestCacheTiersOverInternal(t *testing.T) {
 		}
 	}
 
+	var plain bytes.Buffer
+	if err := plainReport(t, internalTree).SARIF(&plain); err != nil {
+		t.Fatal(err)
+	}
 	cold, want := run("cold")
+	if want != plain.String() {
+		t.Error("cold run's SARIF differs from a cacheless run's")
+	}
 	jobs := cold.Jobs
 	check("cold", cold, counts{misses: jobs, resolved: cold.Cache.ResolvedFunctions})
 	if cold.Cache.ResolvedFunctions == 0 {

@@ -141,7 +141,7 @@ func (p *Package) concModel() *concModel {
 			if n.Call == nil {
 				return nil
 			}
-			def, ok := cfg.Prog.ByName[n.Call.Name]
+			def, ok := cfg.Prog.Callee(n.Call)
 			if !ok {
 				return nil
 			}
@@ -297,7 +297,7 @@ func (m *concModel) goroutines(p *Package, entry string) []*goroutine {
 				continue
 			}
 			n := m.cfg.Nodes[id]
-			def, ok := m.cfg.Prog.ByName[n.Call.Name]
+			def, ok := m.cfg.Prog.Callee(n.Call)
 			if !ok {
 				continue // external spawn: body unknown
 			}

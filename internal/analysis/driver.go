@@ -247,7 +247,7 @@ func (p *Package) fileOf(fn string) string { return p.Prog.FileOf(fn) }
 // solver statistics; Report.Cache records hit/miss counts and which
 // functions had to be re-solved.
 func Analyze(pkg *Package, cfg Config) (*Report, error) {
-	return NewEngine(EngineConfig{}).AnalyzePackage(pkg, cfg)
+	return analyze(pkg, cfg, newMemTier(0, nil))
 }
 
 // analyze is the driver core shared by the one-shot wrapper and the

@@ -21,8 +21,9 @@
 // request-ordered: job results are content-keyed, merges happen in job
 // order, and stats are sums.
 //
-// Analyze (the one-shot entry point every existing caller uses) is a
-// thin wrapper that routes a single request through a throwaway Engine.
+// Analyze, the one-shot entry point, runs the same driver core
+// (analyze) over a loaded Package with a fresh memory tier and no
+// resident state.
 package analysis
 
 import (
@@ -33,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rasc/internal/core"
 	"rasc/internal/gosrc"
 	"rasc/internal/ir"
 	"rasc/internal/obs"
@@ -45,10 +45,6 @@ type EngineConfig struct {
 	// Cache, when non-nil, backs the engine with the on-disk incremental
 	// cache (shared with one-shot runs; keys are identical).
 	Cache *Cache
-	// Opts are the solver options every request runs under. Requests do
-	// not choose options: cached and memoized results are keyed by them,
-	// and one resident configuration per engine keeps the key space hot.
-	Opts core.Options
 	// Parallel bounds each request's worker pool; <= 0 means GOMAXPROCS.
 	Parallel int
 	// MemoryBudget caps the estimated resident-program footprint in
@@ -64,11 +60,6 @@ type EngineConfig struct {
 	// Metrics, when non-nil, receives the per-run bundles (solver, pdm,
 	// cache, driver) plus the engine's server.* bundle.
 	Metrics *obs.Registry
-	// Trace, when non-nil, records request roots and per-run phase spans
-	// into one process-wide tracer. When Flight is set (or a request asks
-	// for its trace inline) the engine instead runs each request under
-	// its own tracer, so per-request span trees stay separable.
-	Trace *obs.Tracer
 	// Flight, when non-nil, records every request — trace ID, outcome,
 	// duration, memo accounting and full span tree — into the flight
 	// recorder.
@@ -217,7 +208,7 @@ func (e *Engine) Check(req CheckRequest) (*Report, error) {
 			traceID = obs.NewTraceID()
 		}
 	}
-	sp := e.span(tr, "request:"+programName(req.Program))
+	sp := tr.Start("request:" + programName(req.Program))
 	if traceID != "" {
 		sp.SetAttr("trace_id", traceID)
 	}
@@ -284,18 +275,13 @@ func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
 	if parallel <= 0 {
 		parallel = e.cfg.Parallel
 	}
-	trace := e.cfg.Trace
-	if tr != nil {
-		trace = tr
-	}
 	cfg := Config{
 		Checkers:       checkers,
 		Entries:        req.Entries,
 		Parallel:       parallel,
-		Opts:           e.cfg.Opts,
 		KeepSuppressed: req.KeepSuppressed,
 		Cache:          e.cfg.Cache,
-		Trace:          trace,
+		Trace:          tr,
 		Metrics:        e.cfg.Metrics,
 		Explain:        req.Explain,
 	}
@@ -485,18 +471,6 @@ func (e *Engine) account(rep *Report) {
 	e.resolvedFns.Add(int64(st.ResolvedFunctions))
 }
 
-// span opens a request-root trace span on the per-request tracer when
-// one is active, otherwise on the engine's static tracer; nil-safe.
-func (e *Engine) span(tr *obs.Tracer, name string) *obs.Span {
-	if tr != nil {
-		return tr.Start(name)
-	}
-	if e.cfg.Trace == nil {
-		return nil
-	}
-	return e.cfg.Trace.Start(name)
-}
-
 // checkersByName resolves checker names; nil selects every registered
 // checker.
 func checkersByName(names []string) ([]*Checker, error) {
@@ -577,41 +551,4 @@ func (e *Engine) Stats() EngineStats {
 		CacheMisses:      e.cacheMisses.Load(),
 		ResolvedFuncs:    e.resolvedFns.Load(),
 	}
-}
-
-// Drop removes a resident program, freeing its state. A later request
-// for the name starts cold (and must push the full file set).
-func (e *Engine) Drop(name string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.progs[programName(name)]; ok {
-		delete(e.progs, programName(name))
-		e.residentGauge()
-	}
-}
-
-// AnalyzePackage runs one request over an externally loaded Package
-// through the engine's request path — request accounting, the memory
-// tier and latency observation all apply — without making the
-// package resident (no delta tracking, no eviction). The cfg is taken
-// as given, exactly like the one-shot Analyze.
-func (e *Engine) AnalyzePackage(pkg *Package, cfg Config) (*Report, error) {
-	t0 := time.Now()
-	e.requests.Add(1)
-	if e.serverM != nil {
-		e.serverM.Requests.Inc()
-	}
-	rep, err := analyze(pkg, cfg, e.mem)
-	if err != nil {
-		e.errors.Add(1)
-		if e.serverM != nil {
-			e.serverM.Errors.Inc()
-		}
-	} else {
-		e.account(rep)
-	}
-	if e.serverM != nil {
-		e.serverM.RequestMs.Observe(time.Since(t0).Milliseconds())
-	}
-	return rep, err
 }

@@ -3,10 +3,41 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"rasc/internal/obs"
 )
+
+// internalTree is this repository's own internal/... tree.
+const internalTree = "../..."
+
+// plainRuns memoizes plainReport.
+var plainRuns = struct {
+	sync.Mutex
+	reps map[string]*Report
+}{reps: map[string]*Report{}}
+
+// plainReport returns the report of a plain one-shot run over path,
+// analyzed at most once per test binary: the reference that
+// instrumented and cached runs must reproduce.
+func plainReport(t *testing.T, path string) *Report {
+	t.Helper()
+	plainRuns.Lock()
+	defer plainRuns.Unlock()
+	rep := plainRuns.reps[path]
+	if rep == nil {
+		pkg, err := LoadPaths([]string{path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep, err = Analyze(pkg, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		plainRuns.reps[path] = rep
+	}
+	return rep
+}
 
 // analyzeJSON runs Analyze with cfg and returns the rendered JSON
 // report, the canonical byte-identity surface.
@@ -27,44 +58,66 @@ func analyzeJSON(t *testing.T, pkg *Package, cfg Config) []byte {
 // observability stack (tracer, metrics, progress) is on or off: the
 // hooks observe the run, they never steer it.
 func TestObservabilityDoesNotChangeReport(t *testing.T) {
-	plain := analyzeJSON(t, loadCorpus(t), Config{})
+	for _, input := range []struct{ name, path string }{
+		{"src", "testdata/src/..."},
+		{"internal", internalTree},
+	} {
+		t.Run(input.name, func(t *testing.T) {
+			var plain bytes.Buffer
+			if err := plainReport(t, input.path).JSON(&plain); err != nil {
+				t.Fatal(err)
+			}
+			pkg, err := LoadPaths([]string{input.path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTracer()
+			reg := obs.NewRegistry()
+			var progOut bytes.Buffer
+			instrumented := analyzeJSON(t, pkg, Config{
+				Trace:    tr,
+				Metrics:  reg,
+				Progress: obs.NewProgress(&progOut),
+			})
+			if !bytes.Equal(plain.Bytes(), instrumented) {
+				t.Errorf("instrumented report differs from plain report:\nplain:\n%s\ninstrumented:\n%s", plain.Bytes(), instrumented)
+			}
 
-	tr := obs.NewTracer()
-	reg := obs.NewRegistry()
-	var progOut bytes.Buffer
-	instrumented := analyzeJSON(t, loadCorpus(t), Config{
-		Trace:    tr,
-		Metrics:  reg,
-		Progress: obs.NewProgress(&progOut),
-	})
-	if !bytes.Equal(plain, instrumented) {
-		t.Errorf("instrumented report differs from plain report:\nplain:\n%s\ninstrumented:\n%s", plain, instrumented)
-	}
-
-	// The instruments themselves must have observed the run.
-	var traceBuf bytes.Buffer
-	if err := tr.WriteJSON(&traceBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateTraceJSON(traceBuf.Bytes()); err != nil {
-		t.Errorf("trace JSON invalid: %v", err)
-	}
-	var metricsBuf bytes.Buffer
-	if err := reg.WriteJSON(&metricsBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateMetricsJSON(metricsBuf.Bytes()); err != nil {
-		t.Errorf("metrics JSON invalid: %v", err)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["driver.jobs"] == 0 {
-		t.Error("driver.jobs counter did not observe any jobs")
-	}
-	if snap.Counters["solver.edges_added"] == 0 {
-		t.Error("solver.edges_added counter did not observe any edges")
-	}
-	if progOut.Len() == 0 {
-		t.Error("progress writer saw no output")
+			// The instruments themselves must have observed the run.
+			var traceBuf bytes.Buffer
+			if err := tr.WriteJSON(&traceBuf); err != nil {
+				t.Fatal(err)
+			}
+			if err := obs.ValidateTraceJSON(traceBuf.Bytes()); err != nil {
+				t.Errorf("trace JSON invalid: %v", err)
+			}
+			var metricsBuf bytes.Buffer
+			if err := reg.WriteJSON(&metricsBuf); err != nil {
+				t.Fatal(err)
+			}
+			if err := obs.ValidateMetricsJSON(metricsBuf.Bytes()); err != nil {
+				t.Errorf("metrics JSON invalid: %v", err)
+			}
+			snap := reg.Snapshot()
+			if snap.Counters["driver.jobs"] == 0 {
+				t.Error("driver.jobs counter did not observe any jobs")
+			}
+			if snap.Counters["solver.edges_added"] == 0 {
+				t.Error("solver.edges_added counter did not observe any edges")
+			}
+			// The registry's relational counting checkers must show up in
+			// the spec metrics, not just leave a well-formed snapshot.
+			for _, name := range []string{"spec.relations", "spec.relation_states", "spec.relation_saturations"} {
+				_, counter := snap.Counters[name]
+				_, gauge := snap.Gauges[name]
+				if !counter && !gauge {
+					t.Errorf("metrics snapshot lacks %s", name)
+				}
+			}
+			if progOut.Len() == 0 {
+				t.Error("progress writer saw no output")
+			}
+		})
 	}
 }
 
@@ -79,6 +132,7 @@ func TestExplainProvenanceOnAllFindings(t *testing.T) {
 	}{
 		{"src", []string{"testdata/src/..."}},
 		{"race", []string{"testdata/race"}},
+		{"internal", []string{internalTree}},
 	} {
 		t.Run(corpus.name, func(t *testing.T) {
 			pkg, err := LoadPaths(corpus.paths)

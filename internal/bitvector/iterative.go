@@ -150,7 +150,7 @@ func CheckIterative(prog *minic.Program) (*IterResult, error) {
 		}
 		if ev, ok := events.Match(n.Call, n.AssignTo); ok {
 			nodeEvs[n.ID] = nodeEv{ev.Symbol, intern(ev.Label)}
-		} else if def, defined := prog.ByName[n.Call.Name]; defined {
+		} else if def, defined := prog.Callee(n.Call); defined {
 			callTo[n.ID] = def.Name // resolve aliases to the canonical name
 		}
 	}

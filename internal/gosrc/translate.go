@@ -223,8 +223,9 @@ func (t *translator) funcDecl(fd *ast.FuncDecl) (*minic.FuncDef, bool) {
 
 // registerAliases applies the bare-name alias pass: x.M(...) translates
 // to M(x, ...), so a uniquely named method resolves interprocedurally
-// through the alias. An ambiguous name (several receivers) stays
-// external, noted once. Shared by the one-shot and memoized translation
+// through the alias (minic.Program.Callee; a plain call M(...) never
+// does). An ambiguous name (several receivers) stays external, noted
+// once. Shared by the one-shot and memoized translation
 // paths so both resolve calls identically.
 func registerAliases(out *Translation, methodsByBare map[string][]*minic.FuncDef) {
 	prog := out.Prog
@@ -954,7 +955,7 @@ func (t *translator) specialCall(c *ast.CallExpr, line int) []minic.Stmt {
 	case *ast.Ident:
 		inner = &minic.CallExpr{Name: arg.Name, Line: line}
 	case *ast.SelectorExpr:
-		inner = &minic.CallExpr{Name: arg.Sel.Name, Args: []minic.Expr{t.argExpr(arg.X)}, Line: line}
+		inner = &minic.CallExpr{Name: arg.Sel.Name, Args: []minic.Expr{t.argExpr(arg.X)}, Line: line, Method: true}
 	default:
 		return nil
 	}
@@ -1101,7 +1102,8 @@ func (t *translator) expr(e ast.Expr) minic.Expr {
 }
 
 // call translates a Go call: plain calls keep their name; method calls
-// x.M(a) become M(x, a) so the receiver is argument 0.
+// x.M(a) become M(x, a) so the receiver is argument 0, and only they
+// may resolve through a method's bare-name alias.
 func (t *translator) call(c *ast.CallExpr) *minic.CallExpr {
 	out := &minic.CallExpr{Line: t.line(c.Pos())}
 	switch fun := c.Fun.(type) {
@@ -1109,6 +1111,7 @@ func (t *translator) call(c *ast.CallExpr) *minic.CallExpr {
 		out.Name = fun.Name
 	case *ast.SelectorExpr:
 		out.Name = fun.Sel.Name
+		out.Method = true
 		if recv := t.argExpr(fun.X); recv != nil {
 			out.Args = append(out.Args, recv)
 		}

@@ -258,7 +258,7 @@ func (f *fpWriter) expr(e minic.Expr) {
 		f.str("nil")
 	case *minic.CallExpr:
 		resolved := ""
-		if def, ok := f.mc.ByName[x.Name]; ok {
+		if def, ok := f.mc.Callee(x); ok {
 			resolved = def.Name
 		}
 		f.tag("call", x.Line)

@@ -20,13 +20,19 @@ func goldenProgram() *minic.Program {
 	call := func(name string, line int, args ...minic.Expr) *minic.CallExpr {
 		return &minic.CallExpr{Name: name, Args: args, Line: line}
 	}
+	// Only a method call resolves through an alias.
+	method := func(name string, line int, args ...minic.Expr) *minic.CallExpr {
+		c := call(name, line, args...)
+		c.Method = true
+		return c
+	}
 	mainFn := &minic.FuncDef{Name: "main", Params: []string{"argc", "argv"}, Line: 3, File: "a.go", Body: []minic.Stmt{
 		&minic.DeclStmt{Name: "fd", Init: call("open", 4, &minic.StrExpr{Text: `/tmp/x \"q\"\n\t€ ünï ✓`}, num("0x1F")), Line: 4},
 		&minic.DeclStmt{Name: "i", Line: 5},
 		&minic.AssignStmt{Name: "i", X: &minic.UnaryExpr{Op: "-", X: num("1")}, Line: 6},
 		&minic.StoreStmt{Name: "p", X: &minic.BinExpr{Op: "+", L: id("i"), R: num("2")}, Line: 7},
 		&minic.IfStmt{Cond: &minic.BinExpr{Op: "==", L: id("fd"), R: num("0")},
-			Then: []minic.Stmt{&minic.ExprStmt{X: call("run", 8, id("fd")), Line: 8}},
+			Then: []minic.Stmt{&minic.ExprStmt{X: method("run", 8, id("fd")), Line: 8}},
 			Else: []minic.Stmt{&minic.ExprStmt{X: call("printf", 9, &minic.StrExpr{Text: "bad\x01\xffé"}), Line: 9}},
 			Line: 8},
 		&minic.IfStmt{Cond: id("argc"), Then: []minic.Stmt{&minic.ReturnStmt{Line: 10}}, Line: 10},

@@ -219,7 +219,7 @@ func build(mc *minic.Program, meta Meta) (*Program, error) {
 		if (n.Kind != NAction && n.Kind != NSpawn) || n.Call == nil {
 			continue
 		}
-		def, ok := mc.ByName[n.Call.Name]
+		def, ok := mc.Callee(n.Call)
 		if !ok {
 			continue
 		}
@@ -281,7 +281,7 @@ func (p *Program) Roots() []string {
 			if (n.Kind != NAction && n.Kind != NSpawn) || n.Call == nil {
 				continue
 			}
-			if def, ok := p.MC.ByName[n.Call.Name]; ok {
+			if def, ok := p.MC.Callee(n.Call); ok {
 				called[def.Name] = true
 			}
 		}

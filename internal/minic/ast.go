@@ -7,8 +7,23 @@ import (
 
 // Program is a parsed translation unit.
 type Program struct {
-	Funcs  []*FuncDef
+	Funcs []*FuncDef
+	// ByName maps each definition's name to it. A front end with method
+	// syntax may also map a method's bare name to its one definition (an
+	// alias); resolve calls through Callee, which honours aliases only
+	// for method calls.
 	ByName map[string]*FuncDef
+}
+
+// Callee resolves a call to the function it invokes. Only a method call
+// resolves through a bare-name alias, so a plain call such as the
+// builtin len(x) never links to a method T.len.
+func (p *Program) Callee(c *CallExpr) (*FuncDef, bool) {
+	def, ok := p.ByName[c.Name]
+	if !ok || (def.Name != c.Name && !c.Method) {
+		return nil, false
+	}
+	return def, true
 }
 
 // FuncDef is a function definition.
@@ -202,6 +217,8 @@ type CallExpr struct {
 	Name string
 	Args []Expr
 	Line int
+	// Method marks a call written x.M(...): Args[0] is the receiver x.
+	Method bool
 }
 
 // IdentExpr is an identifier use.

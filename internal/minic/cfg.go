@@ -190,7 +190,7 @@ func (b *cfgBuilder) classifyLock(n *Node, call *CallExpr) {
 	if !ok || len(call.Args) == 0 {
 		return
 	}
-	if _, defined := b.g.Prog.ByName[call.Name]; defined {
+	if _, defined := b.g.Prog.Callee(call); defined {
 		return
 	}
 	n.Conc, n.ConcArg = op, call.Args[0].Render()

@@ -664,7 +664,7 @@ func (p *parser) primary() (Expr, error) {
 			if _, err := p.punct(")"); err != nil {
 				return nil, err
 			}
-			return &CallExpr{t.text, args, t.line}, nil
+			return &CallExpr{Name: t.text, Args: args, Line: t.line}, nil
 		}
 		return &IdentExpr{t.text}, nil
 	case tPunct:

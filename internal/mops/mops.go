@@ -298,7 +298,7 @@ func buildPDS(prog *minic.Program, prop *spec.Property, events *minic.EventMap) 
 					return nil, nil, fmt.Errorf("mops: event symbol %q not in property alphabet", ev.Symbol)
 				}
 				sym = s
-			} else if def, defined := prog.ByName[n.Call.Name]; defined {
+			} else if def, defined := prog.Callee(n.Call); defined {
 				isCall = true
 				callee = def.Name // resolve aliases to the canonical name
 			}

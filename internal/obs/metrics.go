@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,34 +124,46 @@ func (h *Histogram) Sum() int64 {
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) from the bucket
-// counts: it returns the upper bound of the first bucket at which the
-// cumulative count reaches q of the total. The estimate is exact up to
-// bucket granularity; samples landing in the implicit +inf bucket
-// report one past the last finite bound. Returns 0 on nil or when no
-// samples were observed.
+// counts by nearest rank (see nearestRank): exact up to bucket
+// granularity, with samples in the implicit +inf bucket reporting one
+// past the last finite bound. Returns 0 on nil or when no samples were
+// observed.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
+	counts := make([]int64, len(h.counts))
+	var total int64
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
 	if total == 0 {
 		return 0
 	}
-	need := int64(q * float64(total))
-	if need < 1 {
-		need = 1
+	return nearestRank(h.bounds, counts, total, q)
+}
+
+// nearestRank is the package's one quantile rule, shared by
+// Histogram.Quantile and Window.Stats. Given per-bucket counts of total
+// samples over ascending bounds plus a final overflow bucket, it returns
+// the upper bound of the bucket holding the sample of rank ⌈q·total⌉,
+// or one past the last bound for the overflow bucket. With fewer than
+// 100 samples, the 0.99 rank is the last sample, so p99 is the slowest
+// request's bucket.
+func nearestRank(bounds, counts []int64, total int64, q float64) int64 {
+	rank := int64(math.Ceil(q * float64(total)))
+	if rank < 1 {
+		rank = 1
 	}
 	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= need {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1] + 1
+	for i, c := range counts {
+		cum += c
+		if cum >= rank && i < len(bounds) {
+			return bounds[i]
 		}
 	}
-	return h.bounds[len(h.bounds)-1] + 1
+	return bounds[len(bounds)-1] + 1
 }
 
 // Registry interns named counters, gauges and histograms. Interning is

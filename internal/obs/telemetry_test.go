@@ -390,3 +390,43 @@ func TestHistogramBucketEdges(t *testing.T) {
 		t.Fatalf("max quantile = %d, want %d (overflow)", got, last+1)
 	}
 }
+
+// The histogram behind /v1/metrics and the sliding windows behind
+// /v1/health answer every quantile alike for the same samples. With
+// fewer than 100 samples, p99 is the slowest sample's bucket (128 for
+// 100 ms, 1024 for 1000 ms).
+func TestHistogramAndWindowQuantilesAgree(t *testing.T) {
+	for _, tc := range []struct {
+		samples  []int64
+		p50, p99 int64
+	}{
+		{[]int64{1, 100, 100}, 128, 128},
+		{append(repeat(1, 49), 1000), 1, 1024},
+		{append(repeat(1, 59), 1000), 1, 1024},
+		{append(repeat(1, 99), 1000), 1, 1},
+	} {
+		h := newHistogram(DefaultLatencyBounds)
+		w := NewWindow(nil)
+		now := time.Unix(1_000_000, 0)
+		for _, ms := range tc.samples {
+			h.Observe(ms)
+			w.Observe(now, ms, false)
+		}
+		st := w.Stats(now, time.Minute)
+		n := len(tc.samples)
+		if got := [2]int64{h.Quantile(0.50), h.Quantile(0.99)}; got != [2]int64{tc.p50, tc.p99} {
+			t.Errorf("N=%d: histogram p50/p99 = %v, want %d/%d", n, got, tc.p50, tc.p99)
+		}
+		if got := [2]int64{st.P50MS, st.P99MS}; got != [2]int64{tc.p50, tc.p99} {
+			t.Errorf("N=%d: window p50/p99 = %v, want %d/%d", n, got, tc.p50, tc.p99)
+		}
+	}
+}
+
+func repeat(v int64, n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}

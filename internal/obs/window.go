@@ -91,10 +91,10 @@ type WindowStats struct {
 }
 
 // Stats aggregates the span seconds ending at t (exclusive of seconds
-// older than the span, inclusive of t's own second). Quantiles report
-// the smallest configured latency bound covering the quantile, or the
-// largest bound + 1 for overflow — the same convention as
-// Histogram.Quantile. Nil-safe (zero).
+// older than the span, inclusive of t's own second). Quantiles follow
+// Histogram.Quantile's nearest-rank rule (nearestRank): the bound of
+// the bucket holding the quantile's sample, or the largest bound + 1
+// for overflow. Nil-safe (zero).
 func (w *Window) Stats(t time.Time, span time.Duration) WindowStats {
 	if w == nil {
 		return WindowStats{}
@@ -125,28 +125,8 @@ func (w *Window) Stats(t time.Time, span time.Duration) WindowStats {
 	st.RatePerSec = float64(st.Requests) / float64(secs)
 	if st.Requests > 0 {
 		st.ErrorRate = float64(st.Errors) / float64(st.Requests)
-		st.P50MS = quantileFromBuckets(w.bounds, merged, st.Requests, 0.50)
-		st.P99MS = quantileFromBuckets(w.bounds, merged, st.Requests, 0.99)
+		st.P50MS = nearestRank(w.bounds, merged, st.Requests, 0.50)
+		st.P99MS = nearestRank(w.bounds, merged, st.Requests, 0.99)
 	}
 	return st
-}
-
-// quantileFromBuckets resolves quantile q against cumulative-by-merge
-// bucket counts.
-func quantileFromBuckets(bounds, counts []int64, total int64, q float64) int64 {
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			if i < len(bounds) {
-				return bounds[i]
-			}
-			return bounds[len(bounds)-1] + 1
-		}
-	}
-	return bounds[len(bounds)-1] + 1
 }

@@ -158,7 +158,7 @@ func BuildSkeleton(p *ir.Program, entry string, opts core.Options,
 			// continues unchanged. This is a sound single-trace
 			// abstraction, not a happens-before model; interleavings with
 			// the spawner are not enumerated.
-			if def, defined := prog.ByName[n.Call.Name]; defined {
+			if def, defined := prog.Callee(n.Call); defined {
 				sys.AddVarE(sv, nodeVar[cfg.Entry[def.Name]])
 			}
 			for _, m := range n.Succs {
@@ -167,7 +167,7 @@ func BuildSkeleton(p *ir.Program, entry string, opts core.Options,
 			continue
 		}
 		if n.Kind == minic.NAction && n.Call != nil {
-			def, defined := prog.ByName[n.Call.Name]
+			def, defined := prog.Callee(n.Call)
 			if maybeEvent == nil || maybeEvent(n.Call, n.AssignTo) {
 				// Event-or-not depends on the property: defer, but
 				// pre-declare the call-site constructor so the

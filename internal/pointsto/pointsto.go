@@ -242,7 +242,7 @@ func (r *Result) eval(fn string, e minic.Expr) (core.VarID, core.VarID, error) {
 		}
 		return pt, ct, nil
 	case *minic.CallExpr:
-		fd, defined := r.prog.ByName[x.Name]
+		fd, defined := r.prog.Callee(x)
 		if !defined {
 			// External call: no pointer effects tracked.
 			pt, ct := r.tmp(fn)

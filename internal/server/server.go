@@ -99,8 +99,8 @@ type ManifestResponse struct {
 type MetricsResponse struct {
 	Engine   analysis.EngineStats   `json:"engine"`
 	Programs []analysis.ProgramInfo `json:"programs"`
-	// P50MS / P99MS are bucket-granular estimates over the engine's
-	// request-latency histogram since process start.
+	// P50MS / P99MS are nearest-rank, bucket-granular quantiles of the
+	// engine's request-latency histogram since process start.
 	P50MS   int64               `json:"p50_ms"`
 	P99MS   int64               `json:"p99_ms"`
 	Metrics obs.MetricsSnapshot `json:"metrics"`
