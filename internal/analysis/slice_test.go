@@ -80,7 +80,7 @@ func TestSkeletonVarsMatchEntryClosure(t *testing.T) {
 				nodes++
 				n := pkg.Prog.Graph.Nodes[id]
 				if n.Kind == minic.NAction && n.Call != nil && !callees[n.Call.Name] {
-					if _, defined := pkg.Prog.MC.ByName[n.Call.Name]; defined {
+					if _, defined := pkg.Prog.MC.Callee(n.Call); defined {
 						returns++
 					}
 				}
