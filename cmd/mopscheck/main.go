@@ -13,7 +13,8 @@
 //
 // -table1 regenerates Table 1: it generates the four synthetic packages at
 // the paper's sizes, checks each executable with both engines against the
-// full privilege property, and prints the timing table.
+// full privilege property, and prints the timing table. It exits 1 when
+// the engines disagree on some executable's verdict.
 package main
 
 import (
@@ -41,7 +42,10 @@ func main() {
 	flag.Parse()
 
 	if *table1 {
-		runTable1()
+		if n := runTable1(); n > 0 {
+			fmt.Fprintf(os.Stderr, "mopscheck: the engines disagree on %d program(s)\n", n)
+			os.Exit(1)
+		}
 		return
 	}
 	if flag.NArg() != 1 {
@@ -153,7 +157,9 @@ func resolveProperty(name string) (*spec.Property, *minic.EventMap, error) {
 	}
 }
 
-func runTable1() {
+// runTable1 prints Table 1 and returns the number of programs on whose
+// verdict the two engines disagree.
+func runTable1() (disagree int) {
 	prop := pdm.FullPrivilegeProperty()
 	events := pdm.FullPrivilegeEvents()
 	fmt.Printf("%-18s %6s %9s %12s %12s\n", "Benchmark", "Size", "Programs", "RASC (s)", "MOPS (s)")
@@ -181,6 +187,7 @@ func runTable1() {
 			tMops += time.Since(t0)
 			if (len(res.Violations) > 0) != mres.Violating {
 				fmt.Fprintf(os.Stderr, "WARNING: engines disagree on %s program %d\n", row.Name, p)
+				disagree++
 			}
 			anyViol = anyViol || mres.Violating
 		}
@@ -188,6 +195,7 @@ func runTable1() {
 			row.Name, row.Lines/1000, row.Programs,
 			tRasc.Seconds(), tMops.Seconds(), anyViol)
 	}
+	return disagree
 }
 
 func fatal(err error) {

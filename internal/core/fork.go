@@ -11,10 +11,10 @@ func clip[T any](s []T) []T { return s[:len(s):len(s)] }
 // the fork sees every variable, constructor expression, edge, derived
 // fact and clash of s, can be extended and solved on its own, and never
 // writes back into s. Large per-variable arrays are shared copy-on-write
-// (appends reallocate, the reach index is copied on first insert) and
-// the dedup tables are shared through read-only base layers, so forking
-// costs one pass over the variable headers rather than a rebuild of the
-// derivation.
+// (appends reallocate; the reach index and the list indexes are copied
+// on first write) and the intern and clash tables are shared through
+// read-only base layers, so forking costs one pass over the variable
+// headers rather than a rebuild of the derivation.
 //
 // Contract: the receiver must be quiescent — Solve has drained its work
 // queue — and must not be mutated (or queried through PNReach, whose
@@ -37,9 +37,6 @@ func (s *System) Fork(alg Algebra) *System {
 		prefixIndex:   maps.Clone(s.prefixIndex),
 		varIndex:      s.varIndex.fork(),
 		consIndex:     s.consIndex.fork(),
-		edgeSeen:      s.edgeSeen.fork(),
-		sinkSeen:      s.sinkSeen.fork(),
-		projSeen:      s.projSeen.fork(),
 		clashSeen:     s.clashSeen.fork(),
 		clashes:       clip(s.clashes),
 		raw:           clip(s.raw),

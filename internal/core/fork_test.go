@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -19,6 +21,7 @@ type sysOp struct {
 	x, y, z int // var indices
 	c       int // constant index (kind 4)
 	idx     int // projection index (kind 3)
+	pair    int // binary constructor index (kinds 1-3)
 	a       Annot
 }
 
@@ -35,10 +38,54 @@ func randomOps(r *rand.Rand, nOps, nVars, nConsts int, annot func() Annot) []sys
 	return ops
 }
 
+// numPairs is the number of binary constructors a sysEnv declares.
+const numPairs = 12
+
+// hubOps returns a stream in which the first nHubs variables are hubs:
+// every op attaches an edge, a sink, a projection (over one of the first
+// nPairs constructors) or a lower bound at a hub, so enough ops push a
+// hub's lists past scanLimit and dedup through an index. No constraint
+// flows into a hub, so no cycle collapses one. Every op is issued twice,
+// the repeats in shuffled order.
+func hubOps(r *rand.Rand, nOps, nHubs, nVars, nConsts, nPairs int, annot func() Annot) []sysOp {
+	other := func() int { return nHubs + r.Intn(nVars-nHubs) }
+	ops := make([]sysOp, nOps, 2*nOps)
+	for i := range ops {
+		op := sysOp{
+			kind: []int{0, 0, 1, 2, 2, 3, 3, 4}[r.Intn(8)],
+			x:    r.Intn(nHubs), y: other(), z: other(),
+			c: r.Intn(nConsts), idx: r.Intn(2), pair: r.Intn(nPairs),
+			a: annot(),
+		}
+		if op.kind == 1 { // the lower bound's constructor flows into the hub
+			op.x, op.z = op.z, op.x
+		}
+		ops[i] = op
+	}
+	for _, i := range r.Perm(nOps) {
+		ops = append(ops, ops[i])
+	}
+	return ops
+}
+
+// hubVars is the number of variables of the hub-heavy streams.
+const hubVars = 32
+
+// hubStreams returns a base and a layer stream over 3 hubs (see hubOps).
+// The base, over identity annotations and 11 constructors, grows each
+// hub's out, sink and projection lists past scanLimit; the layer, over
+// any annotation and every constructor, grows them again.
+func hubStreams(r *rand.Rand, nConsts int, ident, anyAnnot func() Annot) (base, layer []sysOp) {
+	base = hubOps(r, 500, 3, hubVars, nConsts, 11, ident)
+	layer = hubOps(r, 200, 3, hubVars, nConsts, numPairs, anyAnnot)
+	return base, layer
+}
+
 // sysEnv binds a System to the shared var/constant layout the ops index.
 type sysEnv struct {
 	s      *System
-	pair   terms.ConsID
+	pair   terms.ConsID // pairs[0]
+	pairs  []terms.ConsID
 	vars   []VarID
 	consts []CNode
 }
@@ -53,6 +100,10 @@ func newSysEnv(alg Algebra, opts Options, nVars, nConsts int) *sysEnv {
 	for i := 0; i < nConsts; i++ {
 		c := sig.MustDeclare(fmt.Sprintf("k%d", i), 0)
 		e.consts = append(e.consts, s.Constant(c))
+	}
+	e.pairs = append(e.pairs, e.pair)
+	for i := 1; i < numPairs; i++ {
+		e.pairs = append(e.pairs, sig.MustDeclare(fmt.Sprintf("pair%d", i), 2))
 	}
 	return e
 }
@@ -71,11 +122,11 @@ func (e *sysEnv) apply(ops []sysOp) {
 		case 0:
 			s.AddVar(e.vars[op.x], e.vars[op.y], op.a)
 		case 1:
-			s.AddLower(s.Cons(e.pair, e.vars[op.x], e.vars[op.y]), e.vars[op.z], op.a)
+			s.AddLower(s.Cons(e.pairs[op.pair], e.vars[op.x], e.vars[op.y]), e.vars[op.z], op.a)
 		case 2:
-			s.AddUpper(e.vars[op.x], s.Cons(e.pair, e.vars[op.y], e.vars[op.z]), op.a)
+			s.AddUpper(e.vars[op.x], s.Cons(e.pairs[op.pair], e.vars[op.y], e.vars[op.z]), op.a)
 		case 3:
-			s.AddProj(e.pair, op.idx, e.vars[op.x], e.vars[op.y], op.a)
+			s.AddProj(e.pairs[op.pair], op.idx, e.vars[op.x], e.vars[op.y], op.a)
 		case 4:
 			s.AddLower(e.consts[op.c], e.vars[op.x], op.a)
 		}
@@ -200,64 +251,80 @@ func annotsEqual(a, b []Annot) bool {
 func TestQuickForkEquivalentToMonolithic(t *testing.T) {
 	mon := oneBitMonoid(t)
 	alg := FuncAlgebra{mon}
+	ident := func() Annot { return Annot(mon.Identity()) }
 	const nVars, nConsts = 8, 3
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		ident := func() Annot { return Annot(mon.Identity()) }
 		anyAnnot := func() Annot { return Annot(r.Intn(mon.Size())) }
 		baseOps := randomOps(r, 12, nVars, nConsts, ident)
 		layerOps := randomOps(r, 10, nVars, nConsts, anyAnnot)
-
-		mono := newSysEnv(alg, Options{}, nVars, nConsts)
-		mono.apply(baseOps)
-		mono.apply(layerOps)
-		mono.s.Solve()
-
-		base := newSysEnv(alg, Options{}, nVars, nConsts)
-		base.apply(baseOps)
-		base.s.Solve()
-		base.s.Freeze()
-		layered := base.fork(alg)
-		layered.apply(layerOps)
-		layered.s.Solve()
-
-		for ci := range mono.consts {
-			for vi := range mono.vars {
-				want := mono.s.ConstAnnots(mono.consts[ci], mono.vars[vi])
-				got := layered.s.ConstAnnots(layered.consts[ci], layered.vars[vi])
-				if !annotsEqual(got, want) {
-					return false
-				}
-			}
-		}
-		norm := jointNorm(mono, layered)
-		wantClash := mono.canonClashesNorm(norm)
-		gotClash := layered.canonClashesNorm(norm)
-		if len(wantClash) != len(gotClash) {
-			return false
-		}
-		for i := range wantClash {
-			if wantClash[i] != gotClash[i] {
-				return false
-			}
-		}
-		// PN reachability through the fork agrees too.
-		pnWant := mono.s.PNReach(mono.consts[0])
-		pnGot := layered.s.PNReach(layered.consts[0])
-		for vi := range mono.vars {
-			a := append([]Annot(nil), pnWant.At(mono.vars[vi])...)
-			b := append([]Annot(nil), pnGot.At(layered.vars[vi])...)
-			sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-			sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-			if !annotsEqual(a, b) {
-				return false
-			}
-		}
-		return true
+		return forkMatchesMonolithic(alg, nVars, nConsts, baseOps, layerOps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+
+	// The random streams rarely grow a list past scanLimit. In this one
+	// the hubs' lists outgrow it in the base and grow again in the fork
+	// (over more constructors and any annotation), so dedup runs through
+	// an index and through the fork's copy of it.
+	r := rand.New(rand.NewSource(3))
+	baseOps, layerOps := hubStreams(r, nConsts, ident, func() Annot { return Annot(r.Intn(mon.Size())) })
+	if !forkMatchesMonolithic(alg, hubVars, nConsts, baseOps, layerOps) {
+		t.Error("hub-heavy stream: the fork disagrees with the monolithic system")
+	}
+}
+
+// forkMatchesMonolithic reports whether layering layerOps on a fork of a
+// solved base of baseOps answers every query as one system that saw
+// both streams.
+func forkMatchesMonolithic(alg Algebra, nVars, nConsts int, baseOps, layerOps []sysOp) bool {
+	mono := newSysEnv(alg, Options{}, nVars, nConsts)
+	mono.apply(baseOps)
+	mono.apply(layerOps)
+	mono.s.Solve()
+
+	base := newSysEnv(alg, Options{}, nVars, nConsts)
+	base.apply(baseOps)
+	base.s.Solve()
+	base.s.Freeze()
+	layered := base.fork(alg)
+	layered.apply(layerOps)
+	layered.s.Solve()
+
+	for ci := range mono.consts {
+		for vi := range mono.vars {
+			want := mono.s.ConstAnnots(mono.consts[ci], mono.vars[vi])
+			got := layered.s.ConstAnnots(layered.consts[ci], layered.vars[vi])
+			if !annotsEqual(got, want) {
+				return false
+			}
+		}
+	}
+	norm := jointNorm(mono, layered)
+	wantClash := mono.canonClashesNorm(norm)
+	gotClash := layered.canonClashesNorm(norm)
+	if len(wantClash) != len(gotClash) {
+		return false
+	}
+	for i := range wantClash {
+		if wantClash[i] != gotClash[i] {
+			return false
+		}
+	}
+	// PN reachability through the fork agrees too.
+	pnWant := mono.s.PNReach(mono.consts[0])
+	pnGot := layered.s.PNReach(layered.consts[0])
+	for vi := range mono.vars {
+		a := append([]Annot(nil), pnWant.At(mono.vars[vi])...)
+		b := append([]Annot(nil), pnGot.At(layered.vars[vi])...)
+		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+		if !annotsEqual(a, b) {
+			return false
+		}
+	}
+	return true
 }
 
 // Property: the solver optimizations are transparent. Replaying one
@@ -324,43 +391,122 @@ func TestQuickDifferentialOptions(t *testing.T) {
 }
 
 // A fork never writes back: after heavy mutation of the fork, the base's
-// statistics, derived facts and consistency are untouched.
+// statistics, derived facts, consistency and list indexes are untouched.
+// The hub-heavy input has indexed lists in the base that grow again in
+// the fork, so the fork must copy those indexes before writing them.
 func TestForkIsolation(t *testing.T) {
 	mon := oneBitMonoid(t)
 	alg := FuncAlgebra{mon}
-	base := newSysEnv(alg, Options{}, 6, 2)
+	ident := func() Annot { return Annot(mon.Identity()) }
 	r := rand.New(rand.NewSource(7))
-	base.apply(randomOps(r, 10, 6, 2, func() Annot { return Annot(mon.Identity()) }))
-	base.s.Solve()
-	base.s.Freeze()
+	random := randomOps(r, 10, 6, 2, ident)
+	hubBase, hubLayer := hubStreams(r, 2, ident, func() Annot { return Annot(r.Intn(mon.Size())) })
+	for _, in := range []struct {
+		name        string
+		nVars       int
+		base, layer []sysOp
+	}{
+		{"random", 6, random, nil},
+		{"hubs", hubVars, hubBase, hubLayer},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			base := newSysEnv(alg, Options{}, in.nVars, 2)
+			base.apply(in.base)
+			base.s.Solve()
+			base.s.Freeze()
 
-	before := base.s.Stats()
-	snapshot := map[int][]Annot{}
-	for vi, v := range base.vars {
-		snapshot[vi] = base.s.ConstAnnots(base.consts[0], v)
-	}
+			before := base.s.Stats()
+			snapshot := map[int][]Annot{}
+			for vi, v := range base.vars {
+				snapshot[vi] = base.s.ConstAnnots(base.consts[0], v)
+			}
+			indexes := copyIndexes(base.s)
 
-	f := base.fork(alg)
-	g, _ := mon.SymbolFuncByName("g")
-	for i := 0; i+1 < len(f.vars); i++ {
-		f.s.AddVar(f.vars[i], f.vars[i+1], Annot(g))
-		f.s.AddLower(f.consts[1], f.vars[i], Annot(g))
-	}
-	// A clash in the fork must not leak into the base either.
-	f.s.AddUpper(f.vars[0], f.s.Cons(f.pair, f.vars[1], f.vars[2]), Annot(mon.Identity()))
-	f.s.Solve()
+			f := base.fork(alg)
+			f.apply(in.layer)
+			g, _ := mon.SymbolFuncByName("g")
+			for i := 0; i+1 < len(f.vars); i++ {
+				f.s.AddVar(f.vars[i], f.vars[i+1], Annot(g))
+				f.s.AddLower(f.consts[1], f.vars[i], Annot(g))
+			}
+			// A clash in the fork must not leak into the base either.
+			f.s.AddUpper(f.vars[0], f.s.Cons(f.pair, f.vars[1], f.vars[2]), Annot(mon.Identity()))
+			f.s.Solve()
 
-	if got := base.s.Stats(); got != before {
-		t.Errorf("base stats changed after fork mutation: %+v -> %+v", before, got)
+			if got := base.s.Stats(); got != before {
+				t.Errorf("base stats changed after fork mutation: %+v -> %+v", before, got)
+			}
+			for vi, v := range base.vars {
+				if !annotsEqual(base.s.ConstAnnots(base.consts[0], v), snapshot[vi]) {
+					t.Errorf("base ConstAnnots changed at var %d", vi)
+				}
+			}
+			if got := len(base.s.Clashes()); got != before.Clashes {
+				t.Errorf("fork clash leaked into base: %d -> %d", before.Clashes, got)
+			}
+			if !reflect.DeepEqual(copyIndexes(base.s), indexes) {
+				t.Error("fork wrote into the base's list indexes")
+			}
+			for _, s := range []*System{base.s, f.s} {
+				if err := listsDuplicateFree(s); err != nil {
+					t.Error(err)
+				}
+			}
+			if in.name != "hubs" {
+				return
+			}
+			copied := 0
+			for v := range base.s.vars {
+				if ix := f.s.vars[v].index; ix != nil && base.s.vars[v].index != nil && ix != base.s.vars[v].index {
+					copied++
+				}
+			}
+			if len(indexes) == 0 || copied == 0 {
+				t.Errorf("test premise: %d indexed base vars, %d copied by the fork; want both > 0", len(indexes), copied)
+			}
+		})
 	}
-	for vi, v := range base.vars {
-		if !annotsEqual(base.s.ConstAnnots(base.consts[0], v), snapshot[vi]) {
-			t.Errorf("base ConstAnnots changed at var %d", vi)
+}
+
+// listsDuplicateFree checks, without the solver's own dedup, that no
+// variable's out, sink or projection list holds an entry twice.
+func listsDuplicateFree(s *System) error {
+	for v := range s.vars {
+		d := &s.vars[v]
+		if n := len(d.out); len(setOf(d.out)) != n {
+			return fmt.Errorf("v%d: duplicate out edge", v)
+		}
+		if n := len(d.sinks); len(setOf(d.sinks)) != n {
+			return fmt.Errorf("v%d: duplicate sink", v)
+		}
+		if n := len(d.projs); len(setOf(d.projs)) != n {
+			return fmt.Errorf("v%d: duplicate projection", v)
 		}
 	}
-	if got := len(base.s.Clashes()); got != before.Clashes {
-		t.Errorf("fork clash leaked into base: %d -> %d", before.Clashes, got)
+	return nil
+}
+
+func setOf[T comparable](list []T) map[T]bool {
+	set := map[T]bool{}
+	for _, x := range list {
+		set[x] = true
 	}
+	return set
+}
+
+// copyIndexes deep-copies the list indexes of s's variables.
+func copyIndexes(s *System) map[int][3]listIndex {
+	out := map[int][3]listIndex{}
+	for v := range s.vars {
+		if ix := s.vars[v].index; ix != nil {
+			var c [3]listIndex
+			for k, l := range ix.lists {
+				c[k] = listIndex{table: slices.Clone(l.table), n: l.n}
+			}
+			out[v] = c
+		}
+	}
+	return out
 }
 
 // Concurrent forks of one frozen base, each layering its own constraints,

@@ -33,7 +33,7 @@ type ForwardResult struct {
 	// creach[v]: compound facts keyed by (cons node, segment function).
 	creach []map[reachKey]struct{}
 
-	edges    []map[edgeKey]struct{} // derived+original edges per source var
+	edges    []map[edge]struct{} // derived+original edges per source var
 	outEdges [][]edge
 	sinks    [][]sinkRef
 	projs    [][]projRef
@@ -78,7 +78,7 @@ func (s *System) SolveForward(demand []CNode) (*ForwardResult, error) {
 		mon:      fa.Mon,
 		kreach:   make([]map[fwdConstKey]struct{}, n),
 		creach:   make([]map[reachKey]struct{}, n),
-		edges:    make([]map[edgeKey]struct{}, n),
+		edges:    make([]map[edge]struct{}, n),
 		outEdges: make([][]edge, n),
 		sinks:    make([][]sinkRef, n),
 		projs:    make([][]projRef, n),
@@ -92,7 +92,7 @@ func (s *System) SolveForward(demand []CNode) (*ForwardResult, error) {
 	for i := range r.kreach {
 		r.kreach[i] = map[fwdConstKey]struct{}{}
 		r.creach[i] = map[reachKey]struct{}{}
-		r.edges[i] = map[edgeKey]struct{}{}
+		r.edges[i] = map[edge]struct{}{}
 	}
 
 	// Index the raw constraints.
@@ -125,12 +125,12 @@ func (s *System) SolveForward(demand []CNode) (*ForwardResult, error) {
 }
 
 func (r *ForwardResult) addEdge(x, y VarID, a Annot) {
-	k := edgeKey{int32(x), int32(y), a}
-	if _, dup := r.edges[x][k]; dup {
+	e := edge{y, a}
+	if _, dup := r.edges[x][e]; dup {
 		return
 	}
-	r.edges[x][k] = struct{}{}
-	r.outEdges[x] = append(r.outEdges[x], edge{y, a})
+	r.edges[x][e] = struct{}{}
+	r.outEdges[x] = append(r.outEdges[x], e)
 	g := monoid.FuncID(a)
 	for fk := range r.kreach[x] {
 		r.addConst(y, fk.cn, r.mon.Apply(g, fk.st))

@@ -509,15 +509,10 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 	edgesAll := aliasPairs[edge](eflat, canAliasEdge, func(to, a uint32) edge {
 		return edge{VarID(to), Annot(a)}
 	})
-	edgeSeenBase := make(map[edgeKey]struct{}, len(edgesAll))
 	for v := range vars {
 		vars[v].out = clip(edgesAll[eoffs[v]:eoffs[v+1]])
-		for _, e := range vars[v].out {
-			k := edgeKey{int32(v), int32(e.to), e.a}
-			if _, dup := edgeSeenBase[k]; dup {
-				return nil, bad("duplicate edge v%d -> v%d", v, e.to)
-			}
-			edgeSeenBase[k] = struct{}{}
+		if duplicated(vars[v].out) {
+			return nil, bad("duplicate edge at v%d", v)
 		}
 	}
 
@@ -540,15 +535,10 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 	sinksAll := aliasPairs[sinkRef](sflat, canAliasSink, func(cn, a uint32) sinkRef {
 		return sinkRef{CNode(cn), Annot(a)}
 	})
-	sinkSeenBase := make(map[edgeKey]struct{}, len(sinksAll))
 	for v := range vars {
 		vars[v].sinks = clip(sinksAll[soffs[v]:soffs[v+1]])
-		for _, sk := range vars[v].sinks {
-			k := edgeKey{int32(v), int32(sk.cn), sk.a}
-			if _, dup := sinkSeenBase[k]; dup {
-				return nil, bad("duplicate sink at v%d", v)
-			}
-			sinkSeenBase[k] = struct{}{}
+		if duplicated(vars[v].sinks) {
+			return nil, bad("duplicate sink at v%d", v)
 		}
 	}
 
@@ -574,15 +564,10 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 		}
 		projsAll[i] = projRef{terms.ConsID(c), int(idx), VarID(to), Annot(a)}
 	}
-	projSeenBase := make(map[projKey]struct{}, len(projsAll))
 	for v := range vars {
 		vars[v].projs = clip(projsAll[poffs[v]:poffs[v+1]])
-		for _, pr := range vars[v].projs {
-			k := projKey{VarID(v), pr.cons, pr.idx, pr.to, pr.a}
-			if _, dup := projSeenBase[k]; dup {
-				return nil, bad("duplicate projection at v%d", v)
-			}
-			projSeenBase[k] = struct{}{}
+		if duplicated(vars[v].projs) {
+			return nil, bad("duplicate projection at v%d", v)
 		}
 	}
 
@@ -856,9 +841,6 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 		consIndex:     internBase(consIndexBase),
 		freshPrefixes: freshPrefixes,
 		prefixIndex:   prefixIndex,
-		edgeSeen:      seenBase(edgeSeenBase),
-		sinkSeen:      seenBase(sinkSeenBase),
-		projSeen:      seenBase(projSeenBase),
 		clashSeen:     seenBase(clashSeenBase),
 		work:          make([]workItem, 0, 64),
 		clashes:       clashes,

@@ -109,7 +109,7 @@ func TestQuickSnapshotForkEquivalence(t *testing.T) {
 		live.apply(layerOps)
 		live.s.Solve()
 
-		loaded := &sysEnv{s: decoded.Fork(alg), pair: base.pair, vars: base.vars, consts: base.consts}
+		loaded := &sysEnv{s: decoded.Fork(alg), pair: base.pair, pairs: base.pairs, vars: base.vars, consts: base.consts}
 		loaded.apply(layerOps)
 		loaded.s.Solve()
 

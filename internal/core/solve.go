@@ -24,10 +24,11 @@ func (s *System) AddLowerE(cn CNode, y VarID) { s.AddLower(cn, y, s.Alg.Identity
 func (s *System) AddUpper(x VarID, cn CNode, a Annot) {
 	s.raw = append(s.raw, rawConstraint{kind: rawUpper, x: x, cn: cn, a: a})
 	x = s.find(x)
-	if !s.sinkSeen.add(edgeKey{int32(x), int32(cn), a}) {
+	sk := sinkRef{cn, a}
+	if contains(s, x, listSinks, s.vars[x].sinks, sk) {
 		return
 	}
-	s.vars[x].sinks = append(s.vars[x].sinks, sinkRef{cn, a})
+	s.vars[x].sinks = append(s.vars[x].sinks, sk)
 	// Meet with sources already known to reach x. Snapshot the fact list:
 	// a meet may derive new facts at x, and those are propagated to this
 	// sink when their own work items drain.
@@ -95,7 +96,7 @@ func (s *System) AddProjE(c terms.ConsID, idx int, x, z VarID) {
 
 func (s *System) addProjDirect(x VarID, pr projRef) {
 	x = s.find(x)
-	if !s.projSeen.add(projKey{x, pr.cons, pr.idx, pr.to, pr.a}) {
+	if contains(s, x, listProjs, s.vars[x].projs, pr) {
 		return
 	}
 	s.vars[x].projs = append(s.vars[x].projs, pr)
@@ -122,10 +123,11 @@ func (s *System) addEdge(x, y VarID, a Annot) {
 	if x == y && ident {
 		return
 	}
-	if !s.edgeSeen.add(edgeKey{int32(x), int32(y), a}) {
+	e := edge{y, a}
+	if contains(s, x, listOut, s.vars[x].out, e) {
 		return
 	}
-	s.vars[x].out = append(s.vars[x].out, edge{y, a})
+	s.vars[x].out = append(s.vars[x].out, e)
 	s.nEdges++
 	facts := s.vars[x].reach.facts
 	if m := s.metrics; m != nil {
@@ -231,6 +233,7 @@ func (s *System) union(winner, loser VarID) {
 	s.vars[loser].out = nil
 	s.vars[loser].sinks = nil
 	s.vars[loser].projs = nil
+	s.vars[loser].index = nil
 	s.vars[loser].reach = reachSet{}
 	s.vars[loser].projMerge = nil
 	s.vars[loser].uf = winner
@@ -245,7 +248,7 @@ func (s *System) union(winner, loser VarID) {
 	}
 	for _, sk := range ld.sinks {
 		w := s.find(winner)
-		if s.sinkSeen.add(edgeKey{int32(w), int32(sk.cn), sk.a}) {
+		if !contains(s, w, listSinks, s.vars[w].sinks, sk) {
 			s.vars[w].sinks = append(s.vars[w].sinks, sk)
 			facts := s.vars[w].reach.facts
 			if m := s.metrics; m != nil {

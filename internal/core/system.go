@@ -108,6 +108,9 @@ type varData struct {
 	out   []edge
 	sinks []sinkRef
 	projs []projRef
+	// index over out, sinks and projs once one of them outgrows a scan
+	// (see dedup.go); nil until then.
+	index *listIndexes
 	reach reachSet
 
 	// occurrences of this var as an argument of constructor expressions,
@@ -189,10 +192,6 @@ type System struct {
 	prefixIndex   map[string]int32
 	nameFn        func(VarID) string
 
-	edgeSeen seenSet[edgeKey]
-	sinkSeen seenSet[edgeKey]
-	projSeen seenSet[projKey]
-
 	work      []workItem
 	clashes   []Clash
 	clashSeen seenSet[Clash]
@@ -214,19 +213,6 @@ type System struct {
 	// caller opts in through SetMetrics; every hook site gates on one
 	// nil test.
 	metrics *obs.SolverMetrics
-}
-
-type edgeKey struct {
-	x, y int32 // y is a VarID for edges, a CNode for sinks
-	a    Annot
-}
-
-type projKey struct {
-	x    VarID
-	cons terms.ConsID
-	idx  int
-	to   VarID
-	a    Annot
 }
 
 // consKey identifies a constructor expression for hash-consing without
@@ -272,9 +258,6 @@ func NewSystem(alg Algebra, sig *terms.Signature, opts Options) *System {
 		varIndex:    newInternMap[string, VarID](),
 		consIndex:   newInternMap[consKey, CNode](),
 		prefixIndex: make(map[string]int32),
-		edgeSeen:    newSeenSet[edgeKey](),
-		sinkSeen:    newSeenSet[edgeKey](),
-		projSeen:    newSeenSet[projKey](),
 		clashSeen:   newSeenSet[Clash](),
 		work:        make([]workItem, 0, 64),
 	}

@@ -250,6 +250,12 @@ func build(mc *minic.Program, meta Meta) (*Program, error) {
 // FromProgram lowers a bare kernel program with empty metadata.
 func FromProgram(mc *minic.Program) (*Program, error) { return New(mc, Meta{}) }
 
+// Lower is FromProgram without fingerprints: it builds the CFG, the call
+// graph and its SCCs, and leaves every Function's Fingerprint and
+// Summary zero. It serves one-shot consumers that key no cache on the
+// program.
+func Lower(mc *minic.Program) (*Program, error) { return build(mc, Meta{}) }
+
 // FromMiniC parses mini-C source and lowers it.
 func FromMiniC(src string) (*Program, error) {
 	mc, err := minic.Parse(src)

@@ -27,10 +27,11 @@ import (
 type Result struct {
 	// Sys is the underlying constraint system, for advanced queries.
 	Sys *core.System
-	// Base holds the solver statistics of the shared skeleton the run was
-	// layered on. Sys.Stats() includes it; Sys.Stats().Minus(Base) is the
-	// work attributable to this property alone. Zero when the run built
-	// its own system.
+	// Base holds the solver statistics of the skeleton the property was
+	// layered on: the shared skeleton a Skeleton.Check forked, or the
+	// private one Check built. Sys.Stats() includes it;
+	// Sys.Stats().Minus(Base) is the work attributable to this property
+	// alone.
 	Base core.Stats
 	// PN is the program counter's PN-reachability result.
 	PN *core.PNResult
@@ -117,14 +118,16 @@ func (v Violation) String() string {
 // map calls to alphabet symbols. entry is the entry function ("" means
 // main). opts configures the underlying solver.
 //
-// Check is a convenience wrapper over the two-phase API: it lowers prog
-// into the IR, builds a fresh Skeleton whose deferred set is exactly the
-// statements events classifies as property events, then layers the
-// property on it. Drivers checking several properties over the same
-// entry should lower once, call BuildSkeleton once, and Skeleton.Check
-// per property instead.
+// Check is the one-shot form of the two-phase API: it lowers prog into
+// the IR, builds a Skeleton whose deferred set is exactly the statements
+// events classifies as property events, then layers the property on it.
+// The skeleton is private to the call, so Check neither forks it (the
+// property is layered on its system in place) nor fingerprints the IR
+// (ir.Lower). Drivers checking several properties over the same entry
+// should lower once, call BuildSkeleton once, and Skeleton.Check per
+// property instead.
 func Check(prog *minic.Program, prop *spec.Property, events *minic.EventMap, entry string, opts core.Options) (*Result, error) {
-	p, err := ir.FromProgram(prog)
+	p, err := ir.Lower(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +138,7 @@ func Check(prog *minic.Program, prop *spec.Property, events *minic.EventMap, ent
 	if err != nil {
 		return nil, err
 	}
-	return sk.Check(prop, events)
+	return sk.layer(prop, events, nil, true)
 }
 
 // collectViolations implements §6.2 literally: record each statement that

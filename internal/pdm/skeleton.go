@@ -30,7 +30,9 @@ type Skeleton struct {
 	cfg   *minic.CFG
 	entry string
 
-	sys *core.System // frozen: forked, never mutated, after build
+	// sys is frozen after build: forked, never mutated. Only the one-shot
+	// Check layers on it in place, on a skeleton private to that call.
+	sys *core.System
 	// slice lists the CFG nodes of the entry's call-graph closure,
 	// ascending; per-property passes visit only these.
 	slice []int
@@ -237,6 +239,14 @@ func (sk *Skeleton) Check(prop *spec.Property, events *minic.EventMap) (*Result,
 
 // CheckObs is Check with observability hooks attached; see Obs.
 func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs) (*Result, error) {
+	return sk.layer(prop, events, o, false)
+}
+
+// layer layers prop on a fork of the skeleton's solved system or, with
+// inPlace set, on that system itself, which is then no longer a
+// skeleton: only a caller that owns sk and drops it afterwards may ask
+// for that (the one-shot Check).
+func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, inPlace bool) (*Result, error) {
 	var alg core.Algebra
 	var envTab *subst.Table
 	if prop.IsParametric() {
@@ -248,12 +258,19 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 	if alg.Identity() != 0 {
 		return nil, fmt.Errorf("pdm: algebra must represent identity as annotation 0 to layer on a shared skeleton")
 	}
-	sys := sk.sys.Fork(alg)
-	if o != nil {
-		sys.SetMetrics(o.Solver)
-		if o.PDM != nil {
+	sys := sk.sys
+	if inPlace {
+		// The skeleton holds identity annotations only, which alg
+		// represents as 0 too (checked above).
+		sys.Alg = alg
+	} else {
+		sys = sys.Fork(alg)
+		if o != nil && o.PDM != nil {
 			o.PDM.SkeletonForks.Inc()
 		}
+	}
+	if o != nil {
+		sys.SetMetrics(o.Solver)
 	}
 
 	// annotOf computes the edge annotation for an event.

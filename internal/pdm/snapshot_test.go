@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rasc/internal/core"
@@ -231,6 +232,79 @@ func sliceCorruptions(t testing.TB, prog *ir.Program, data []byte) map[string][]
 				w[i], w[3+i] = w[3+i], w[i]
 			}
 		}),
+	}
+}
+
+// sectionWords returns a copy of the uint32 payload of section id.
+func sectionWords(t testing.TB, data []byte, id uint32) []uint32 {
+	var out []uint32
+	patchSection(t, data, id, func(w []uint32) { out = append(out, w...) })
+	return out
+}
+
+// listCorruptions returns resealed snapshots in which one variable's
+// out-edge list, or one variable's projection list, holds its first
+// entry twice: the second entry is overwritten with the first.
+func listCorruptions(t testing.TB, data []byte) map[string][]byte {
+	t.Helper()
+	dup := func(offsID, listID uint32, width int) []byte {
+		offs := sectionWords(t, data, offsID)
+		for v := 0; v+1 < len(offs); v++ {
+			if offs[v+1]-offs[v] >= 2 {
+				first := int(offs[v]) * width
+				return patchSection(t, data, listID, func(w []uint32) {
+					copy(w[first+width:first+2*width], w[first:first+width])
+				})
+			}
+		}
+		t.Fatalf("no variable has two entries in section %d", listID)
+		return nil
+	}
+	// The core sections: 8 and 9 hold the out-edge offsets and (to, a)
+	// pairs, 12 and 13 the projection offsets and (cons, idx, to, a)
+	// quads.
+	return map[string][]byte{
+		"edge list holds an entry twice":       dup(8, 9, 2),
+		"projection list holds an entry twice": dup(12, 13, 4),
+	}
+}
+
+// The decoder rejects a variable's out-edge or projection list that
+// holds an entry twice: the solver never builds one, and dedup on a
+// decoded system checks each new entry against the list as it stands.
+func TestSkeletonSnapshotDuplicateLists(t *testing.T) {
+	// helper's two call sites give its exit two projections; the
+	// branches give nodes two out edges.
+	prog, err := ir.FromMiniC(`
+void main() {
+    int f = open("a");
+    if (f) { helper(f); } else { use(f); }
+    helper(f);
+    close(f);
+}
+void helper(int f) {
+    while (f) { use(f); }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, events := snapTestProp(t)
+	sk, err := BuildSkeleton(prog, "main", core.Options{}, func(call *minic.CallExpr, assignTo string) bool {
+		_, ok := events.Match(call, assignTo)
+		return ok
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := sk.Snapshot()
+	if _, err := LoadSkeleton(data, prog, "main", core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range listCorruptions(t, data) {
+		_, err := LoadSkeleton(data, prog, "main", core.Options{})
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "duplicate") {
+			t.Errorf("%s: err = %v, want ErrCorrupt for a duplicate", name, err)
+		}
 	}
 }
 
