@@ -22,8 +22,11 @@
 // suppresses a whole file. The github format emits ::error/::warning
 // workflow commands for inline pull-request annotations. Exit status is
 // 3 when findings at or above the -fail-on severity remain, 1 on
-// errors, 2 on usage errors; a bad -format or -fail-on value is a usage
-// error caught before anything is loaded or analyzed.
+// errors, 2 on usage errors; a bad -format or -fail-on value, or a flag
+// the chosen mode does not read (-cache-dir, -parallel, -trace-out,
+// -metrics-json, -progress, -cpuprofile or -memprofile with -server;
+// -program or -server-timeout without it), is a usage error caught
+// before anything is loaded, analyzed or sent.
 //
 // -cache-dir enables the incremental result cache: job results are
 // content-keyed by function summaries (internal/ir), so an unchanged
@@ -54,7 +57,6 @@ import (
 	"strings"
 
 	"rasc/internal/analysis"
-	"rasc/internal/core"
 	"rasc/internal/obs"
 )
 
@@ -107,6 +109,10 @@ func run() int {
 	}
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: gocheck [flags] path...  (gocheck -list for checkers)")
+		return 2
+	}
+	if msg := ignoredFlag(*serverAddr != ""); msg != "" {
+		fmt.Fprintln(os.Stderr, "gocheck:", msg)
 		return 2
 	}
 	threshold, ok := parseThreshold(*failOn)
@@ -184,7 +190,6 @@ func run() int {
 		Checkers: checkers,
 		Entries:  entries,
 		Parallel: *parallel,
-		Opts:     core.Options{},
 		Cache:    cache,
 		Trace:    tracer,
 		Metrics:  registry,
@@ -268,6 +273,32 @@ func writeObsOutputs(tracer *obs.Tracer, tracePath string, registry *obs.Registr
 		}
 	}
 	return nil
+}
+
+// serverOnly and oneShotOnly name the flags only one of gocheck's two
+// modes reads: runServer never opens a cache, a pool, a profile or a
+// trace or metrics file, and an in-process run has no daemon to name a
+// program on or time out against.
+var (
+	serverOnly  = []string{"program", "server-timeout"}
+	oneShotOnly = []string{"cache-dir", "parallel", "trace-out", "metrics-json", "progress", "cpuprofile", "memprofile"}
+)
+
+// ignoredFlag returns a usage error naming the first flag set on the
+// command line that the chosen mode would ignore, or "" when none is.
+func ignoredFlag(server bool) string {
+	ignored, why := serverOnly, "requires -server"
+	if server {
+		ignored, why = oneShotOnly, "does not apply to -server"
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range ignored {
+		if set[name] {
+			return "-" + name + " " + why
+		}
+	}
+	return ""
 }
 
 // parseThreshold maps a -fail-on value to a severity.

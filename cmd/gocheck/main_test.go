@@ -196,12 +196,14 @@ var badValues = [][]string{
 	{"-format", "yaml"},
 }
 
-// A bad -fail-on or -format value fails the one-shot run with exit 2
-// before it loads or analyzes anything, so nothing reaches the cache
-// directory. A valid run over the same corpus is the control: it
-// fills the cache and exits 3 on the corpus's findings.
+// A bad -fail-on or -format value, or a flag only -server reads, fails
+// the one-shot run with exit 2 before it loads or analyzes anything, so
+// nothing reaches the cache directory. A valid run over the same corpus
+// is the control: it fills the cache and exits 3 on the corpus's
+// findings.
 func TestBadFlagValuesFailBeforeAnalysis(t *testing.T) {
-	for _, bad := range badValues {
+	serverFlags := [][]string{{"-program", "p"}, {"-server-timeout", "1s"}}
+	for _, bad := range append(serverFlags, badValues...) {
 		dir := filepath.Join(t.TempDir(), "cache")
 		code, _, stderr := gocheck(t, append(bad, "-cache-dir", dir, corpus)...)
 		if code != 2 {
@@ -221,8 +223,8 @@ func TestBadFlagValuesFailBeforeAnalysis(t *testing.T) {
 	}
 }
 
-// In -server mode a bad value fails with exit 2 before any request
-// reaches the daemon.
+// In -server mode a bad value, or a flag only an in-process run reads,
+// fails with exit 2 before any request reaches the daemon.
 func TestBadFlagValuesSendNoRequest(t *testing.T) {
 	var requests atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -230,7 +232,17 @@ func TestBadFlagValuesSendNoRequest(t *testing.T) {
 		http.Error(w, "no request expected", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	for _, bad := range badValues {
+	dir := t.TempDir()
+	oneShotFlags := [][]string{
+		{"-cache-dir", filepath.Join(dir, "cache")},
+		{"-parallel", "2"},
+		{"-trace-out", filepath.Join(dir, "trace.json")},
+		{"-metrics-json", filepath.Join(dir, "metrics.json")},
+		{"-progress"},
+		{"-cpuprofile", filepath.Join(dir, "cpu.prof")},
+		{"-memprofile", filepath.Join(dir, "mem.prof")},
+	}
+	for _, bad := range append(oneShotFlags, badValues...) {
 		code, _, stderr := gocheck(t, append(bad, "-server", srv.URL, corpus)...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr: %s)", bad, code, stderr)

@@ -1,8 +1,8 @@
 // The result store. A job's result is a function of its recordKey —
-// checker-registry fingerprint, solver options with the explain marker,
-// checker fingerprint, entry function and the entry's transitive summary
-// digest (internal/ir) — because skeletons and property layers cover only
-// the entry's call-graph closure. So a key can never resolve to a result
+// checker-registry fingerprint, explain marker, checker fingerprint,
+// entry function and the entry's transitive summary digest
+// (internal/ir) — because skeletons and property layers cover only the
+// entry's call-graph closure. So a key can never resolve to a result
 // computed from different analysis input, and invalidation is free: an
 // edit changes the summary digests of exactly the edited function's SCC
 // and its transitive callers, their keys stop resolving, and only those
@@ -68,19 +68,25 @@ func (c *Cache) Dir() string { return c.dir }
 // recordKey names one job's result in both tiers of the store.
 type recordKey struct {
 	regFP   string // checker-registry fingerprint
-	opts    string // solver options, as %+v
 	explain bool   // explain records store provenance, so they key apart
 	checker string // checker fingerprint
 	entry   string
 	summary string // the entry's transitive summary digest
 }
 
+// solverOpts is the solver-options field hashed into every record file
+// name: the zero core.Options, every skeleton's options, rendered with
+// %+v. Caches filled while the options were a run setting hashed this
+// same string, so changing it turns every existing record file into a
+// miss.
+const solverOpts = "{NoCycleElim:false NoProjMerge:false NoHashCons:false NoWitness:false CycleBudget:0 PruneDead:false}"
+
 // fileName is the name of the file holding the job records of the key's
 // entry: the SHA-256 of the key without the checker. Every job of one
-// entry, summary, option set and explain mode files its record there,
-// under its slot.
+// entry, summary and explain mode files its record there, under its
+// slot.
 func (k recordKey) fileName() string {
-	opts := k.opts
+	opts := solverOpts
 	if k.explain {
 		opts += " explain"
 	}
@@ -174,7 +180,6 @@ type storeRun struct {
 	pkg  *Package
 
 	regFP   string
-	opts    string
 	explain bool
 	// summaries holds each entry's summary digest, rendered once per run.
 	summaries map[string]string
@@ -198,7 +203,6 @@ func newStoreRun(mem *memTier, pkg *Package, entries []string, cfg *Config, ob *
 		disk:      cfg.Cache,
 		pkg:       pkg,
 		regFP:     registryFingerprint(),
-		opts:      fmt.Sprintf("%+v", cfg.Opts),
 		explain:   cfg.Explain,
 		summaries: make(map[string]string, len(entries)),
 		noted:     map[string]bool{},
@@ -217,7 +221,7 @@ func newStoreRun(mem *memTier, pkg *Package, entries []string, cfg *Config, ob *
 
 // key returns the record key of c's job on entry.
 func (s *storeRun) key(c *Checker, entry string) recordKey {
-	return recordKey{regFP: s.regFP, opts: s.opts, explain: s.explain,
+	return recordKey{regFP: s.regFP, explain: s.explain,
 		checker: c.fingerprint(), entry: entry, summary: s.summaries[entry]}
 }
 

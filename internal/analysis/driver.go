@@ -32,17 +32,11 @@ type Package struct {
 
 	// skels caches the property-independent constraint skeleton per entry
 	// function, shared read-only by every property checker's job. The
-	// cache is keyed by the checker-registry generation and the solver
-	// options the skeletons were built under; a mismatch (new checker
-	// registered, different Options) drops it wholesale.
+	// cache is keyed by the checker-registry generation the skeletons
+	// were built under; a new checker registration drops it wholesale.
 	skelMu  sync.Mutex
-	skelKey skelCacheKey
+	skelGen int
 	skels   map[string]*skelEntry
-}
-
-type skelCacheKey struct {
-	gen  int
-	opts core.Options
 }
 
 type skelEntry struct {
@@ -56,11 +50,11 @@ type skelEntry struct {
 // on one build; distinct entries build independently. ob (nil OK)
 // records the build as a trace span and feeds the skeleton-layer
 // metrics; reuse of an already-built skeleton records nothing.
-func (p *Package) skeleton(entry string, opts core.Options, ob *obsState) (*pdm.Skeleton, error) {
-	key := skelCacheKey{gen: generation(), opts: opts}
+func (p *Package) skeleton(entry string, ob *obsState) (*pdm.Skeleton, error) {
+	gen := generation()
 	p.skelMu.Lock()
-	if p.skels == nil || p.skelKey != key {
-		p.skelKey = key
+	if p.skels == nil || p.skelGen != gen {
+		p.skelGen = gen
 		p.skels = map[string]*skelEntry{}
 	}
 	e := p.skels[entry]
@@ -72,7 +66,7 @@ func (p *Package) skeleton(entry string, opts core.Options, ob *obsState) (*pdm.
 	e.once.Do(func() {
 		sp := ob.span("skeleton:" + entry)
 		callees := eventCallees()
-		e.sk, e.err = pdm.BuildSkeleton(p.Prog, entry, opts,
+		e.sk, e.err = pdm.BuildSkeleton(p.Prog, entry, core.Options{},
 			func(call *minic.CallExpr, _ string) bool { return callees[call.Name] })
 		if e.err == nil {
 			sp.SetAttr("deferred", e.sk.Deferred())
@@ -95,8 +89,6 @@ type Config struct {
 	Entries []string
 	// Parallel bounds the worker pool; <= 0 means GOMAXPROCS.
 	Parallel int
-	// Opts configures the underlying constraint solver.
-	Opts core.Options
 	// KeepSuppressed reports suppressed diagnostics instead of dropping
 	// them (still counted in Report.Suppressed).
 	KeepSuppressed bool
@@ -324,7 +316,7 @@ func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 				rec, ok := st.load(k, sp)
 				if !ok {
 					ssp := sp.Child("solve")
-					rec, errs[i] = runJob(pkg, c, e, cfg.Opts, ob)
+					rec, errs[i] = runJob(pkg, c, e, ob)
 					ssp.Finish()
 					if errs[i] == nil {
 						st.store(k, rec)
@@ -447,7 +439,7 @@ func coversChecker(names []string, checker string) bool {
 // OK) supplies metric hooks and the explain flag; with explain on, every
 // diagnostic leaves with a non-empty provenance chain, so stored records
 // round-trip explain output unchanged.
-func runJob(pkg *Package, c *Checker, entry string, opts core.Options, ob *obsState) (jobRecord, error) {
+func runJob(pkg *Package, c *Checker, entry string, ob *obsState) (jobRecord, error) {
 	if c.Run != nil {
 		ds := c.Run(pkg, c, entry)
 		if ob.explainOn() {
@@ -456,7 +448,7 @@ func runJob(pkg *Package, c *Checker, entry string, opts core.Options, ob *obsSt
 		return jobRecord{Diagnostics: ds}, nil
 	}
 	prop, events := c.compiled()
-	sk, err := pkg.skeleton(entry, opts, ob)
+	sk, err := pkg.skeleton(entry, ob)
 	if err != nil {
 		return jobRecord{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
 	}

@@ -337,6 +337,38 @@ func TestEngineMemoCountersMatchRequests(t *testing.T) {
 	}
 }
 
+// A file set the program has been at before swaps its lowered snapshot
+// back in from the ring instead of re-lowering. The tick stream adds a
+// file outside every entry's closure and flips its body; once both
+// bodies have been seen, every flip re-lowers nothing, misses no job and
+// returns the seed push's findings byte for byte.
+func TestEngineRingSwapsSeenFileSetsBackIn(t *testing.T) {
+	in := driverCorpus()
+	pkg, err := LoadFiles(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := pkg.Roots()
+	reg := obs.NewRegistry()
+	eng := NewEngine(EngineConfig{Metrics: reg})
+	seed := seedPush(t, eng, in, entries)
+	tick(t, eng, entries, 1, seed)
+	tick(t, eng, entries, 2, seed)
+	relowers := obs.NewServerMetrics(reg).RelowerMs
+	if n := relowers.Count(); n != 3 {
+		t.Fatalf("%d re-lowerings after the seed push and both tick bodies, want 3", n)
+	}
+	for i := 3; i <= 6; i++ {
+		rep, _ := tick(t, eng, entries, i, seed)
+		if rep.MemoMisses != 0 {
+			t.Errorf("tick %d missed %d job(s)", i, rep.MemoMisses)
+		}
+		if n := relowers.Count(); n != 3 {
+			t.Errorf("tick %d re-lowered a file set the program has been at (%d re-lowerings)", i, n)
+		}
+	}
+}
+
 // TestEngineEviction caps the memory budget below two resident
 // programs, checks three, and expects LRU eviction plus a correct
 // re-check of an evicted program once its full set is pushed again.

@@ -12,6 +12,7 @@ import (
 	"rasc/internal/core"
 	"rasc/internal/gosrc"
 	"rasc/internal/minic"
+	"rasc/internal/pdm"
 	"rasc/internal/synth"
 )
 
@@ -71,7 +72,8 @@ func TestSkeletonVarsMatchEntryClosure(t *testing.T) {
 	callees := eventCallees()
 	for _, opts := range []core.Options{{}, {NoProjMerge: true}} {
 		for _, e := range pkg.Roots() {
-			sk, err := pkg.skeleton(e, opts, nil)
+			sk, err := pdm.BuildSkeleton(pkg.Prog, e, opts,
+				func(call *minic.CallExpr, _ string) bool { return callees[call.Name] })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,11 +116,11 @@ func TestUnrelatedRootLeavesEntriesUnchanged(t *testing.T) {
 	}
 
 	for _, e := range roots {
-		skB, err := before.skeleton(e, core.Options{}, nil)
+		skB, err := before.skeleton(e, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		skA, err := after.skeleton(e, core.Options{}, nil)
+		skA, err := after.skeleton(e, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +128,11 @@ func TestUnrelatedRootLeavesEntriesUnchanged(t *testing.T) {
 			t.Errorf("%s: base stats %+v, were %+v", e, skA.BaseStats(), skB.BaseStats())
 		}
 		for _, c := range All() {
-			recB, err := runJob(before, c, e, core.Options{}, nil)
+			recB, err := runJob(before, c, e, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			recA, err := runJob(after, c, e, core.Options{}, nil)
+			recA, err := runJob(after, c, e, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +193,7 @@ func jobAlloc(t *testing.T, pkg *Package, c *Checker, entry string, ob *obsState
 	for i := 0; i < 9; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r, err := runJob(pkg, c, entry, core.Options{}, ob)
+		r, err := runJob(pkg, c, entry, ob)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -253,7 +255,7 @@ func TestJobCostScalesWithSlice(t *testing.T) {
 
 	for _, e := range entries {
 		pkg := loadMap(t, files)
-		if _, err := pkg.skeleton(e, core.Options{}, nil); err != nil {
+		if _, err := pkg.skeleton(e, nil); err != nil {
 			t.Fatal(err)
 		}
 		pkg.concModel()
@@ -280,7 +282,7 @@ func TestJobCostScalesWithSlice(t *testing.T) {
 						t.Errorf("%s/%s reads a CFG node outside its entry's slice: %v", c.Name, e, r)
 					}
 				}()
-				if _, err := runJob(pkg, c, e, core.Options{}, ob); err != nil {
+				if _, err := runJob(pkg, c, e, ob); err != nil {
 					t.Fatal(err)
 				}
 			}()

@@ -38,16 +38,15 @@ func renderAll(t *testing.T, rep *Report) string {
 func snapshotSeeded(t *testing.T) (*Package, map[string]*pdm.Skeleton) {
 	t.Helper()
 	live, pkg := loadCorpus(t), loadCorpus(t)
-	var opts core.Options
-	pkg.skelKey = skelCacheKey{gen: generation(), opts: opts}
+	pkg.skelGen = generation()
 	pkg.skels = map[string]*skelEntry{}
 	decoded := map[string]*pdm.Skeleton{}
 	for _, e := range pkg.Roots() {
-		sk, err := live.skeleton(e, opts, nil)
+		sk, err := live.skeleton(e, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := pdm.LoadSkeleton(sk.Snapshot(), pkg.Prog, e, opts)
+		dec, err := pdm.LoadSkeleton(sk.Snapshot(), pkg.Prog, e, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
 		}
