@@ -11,6 +11,7 @@ import (
 
 	"rasc/internal/gosrc"
 	"rasc/internal/obs"
+	"rasc/internal/pdm"
 )
 
 // cacheSrc: Top -> mid -> leaf (double lock) and Other -> ok (clean),
@@ -68,6 +69,64 @@ func findingsJSON(t *testing.T, rep *Report) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// A panic in a job becomes the run's error, naming the checker and the
+// entry, and is stored in neither tier of the result store: a second
+// run over the same memory tier and disk cache computes the job again
+// and fails the same way, while the sound job beside it is served.
+func TestJobPanicBecomesError(t *testing.T) {
+	pkg, err := LoadFiles([]gosrc.File{{Name: "c.go", Src: cacheSrc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl, _ := Get("doublelock")
+	boom := &Checker{Name: "boom", Run: func(*Package, *Checker, string) []Diagnostic { panic("boom") }}
+	mem := newMemTier(0, nil)
+	for run := 1; run <= 2; run++ {
+		reg := obs.NewRegistry()
+		rep, err := analyze(pkg, Config{
+			Checkers: []*Checker{dl, boom},
+			Entries:  []string{"Top"},
+			Cache:    cache,
+			Metrics:  reg,
+		}, mem)
+		const want = "analysis: boom/Top: panic: boom"
+		if rep != nil || err == nil || err.Error() != want {
+			t.Fatalf("run %d: report %v, error %v; want error %q", run, rep, err, want)
+		}
+		if got := obs.NewDriverMetrics(reg).JobsSolved.Value(); got != int64(3-run) {
+			t.Errorf("run %d solved %d job(s), want %d", run, got, 3-run)
+		}
+	}
+}
+
+// A panic while an entry's shared state is computed — its null layer,
+// or the goroutine abstraction that race and lockorder share — fails
+// that job, and every later job that needs the state fails too: the
+// Once guarding it never runs again, so they must not read its zero
+// value (zero stats, no goroutines) and report nothing. Each case plants
+// the state a panic leaves: a skeleton with no system, whose null layer
+// panics, and an enumeration that never returned.
+func TestPanickedSharedStateFailsLaterJobs(t *testing.T) {
+	pkg := loadCorpus(t)
+	entry := pkg.Roots()[0]
+	broken := &skelEntry{sk: &pdm.Skeleton{}}
+	broken.once.Do(func() {})
+	pkg.skelGen, pkg.skels = generation(), map[string]*skelEntry{entry: broken}
+	unfinished := &entryGoroutines{}
+	unfinished.once.Do(func() {})
+	pkg.concModel().gsCache[entry] = unfinished
+	for _, name := range []string{"fileleak", "doublelock", "lockorder", "race"} {
+		c, _ := Get(name)
+		if rec, err := runJob(pkg, c, entry, nil); err == nil {
+			t.Errorf("%s/%s: record %+v, want an error", name, entry, rec)
+		}
+	}
 }
 
 // A warm fully-cached run must hit on every lookup, re-solve zero

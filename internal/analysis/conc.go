@@ -123,6 +123,14 @@ type concModel struct {
 	mu       sync.Mutex
 	closures map[string][]int             // root fn -> closure's nodes, ascending
 	lsCache  map[string]map[int][]lockset // root fn -> node -> locksets
+	gsCache  map[string]*entryGoroutines  // entry fn -> its goroutines
+}
+
+// entryGoroutines is one entry's goroutine abstraction, built once and
+// shared read-only by that entry's race and lockorder jobs.
+type entryGoroutines struct {
+	once sync.Once
+	gs   []*goroutine
 }
 
 // concModel builds (once) the concurrency model of the package.
@@ -135,6 +143,7 @@ func (p *Package) concModel() *concModel {
 			flowSuccs: make([][]int, len(cfg.Nodes)),
 			closures:  map[string][]int{},
 			lsCache:   map[string]map[int][]lockset{},
+			gsCache:   map[string]*entryGoroutines{},
 		}
 		retSites := map[string][]int{}
 		callee := func(n *minic.Node) *minic.FuncDef {
@@ -274,10 +283,31 @@ func (m *concModel) inCycle(root string, id int) bool {
 	return false
 }
 
-// goroutines enumerates the abstract goroutines of an entry function:
-// g0 (the entry itself) plus one per reachable static spawn site, each
-// owned by the first goroutine (in discovery order) that reaches it.
+// goroutines returns (and memoizes) the abstract goroutines of an entry
+// function; concurrent callers for one entry block on one enumeration.
+// The result is shared: callers must not modify it.
 func (m *concModel) goroutines(p *Package, entry string) []*goroutine {
+	m.mu.Lock()
+	e := m.gsCache[entry]
+	if e == nil {
+		e = &entryGoroutines{}
+		m.gsCache[entry] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.gs = m.enumerate(p, entry) })
+	if e.gs == nil {
+		// enumerate, which always yields g0, panicked in an earlier job;
+		// the Once will not run again, and an empty list would read as
+		// "no findings".
+		panic(errEarlierPanic)
+	}
+	return e.gs
+}
+
+// enumerate builds the abstract goroutines of an entry function: g0
+// (the entry itself) plus one per reachable static spawn site, each
+// owned by the first goroutine (in discovery order) that reaches it.
+func (m *concModel) enumerate(p *Package, entry string) []*goroutine {
 	g0 := &goroutine{ID: 0, Root: entry}
 	m.explore(g0)
 	out := []*goroutine{g0}

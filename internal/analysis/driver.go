@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"rasc/internal/minic"
 	"rasc/internal/obs"
 	"rasc/internal/pdm"
+	"rasc/internal/spec"
 )
 
 // Package is a loaded and translated set of Go sources, ready to be
@@ -39,10 +41,22 @@ type Package struct {
 	skels   map[string]*skelEntry
 }
 
+// errEarlierPanic stands for per-entry shared state (a skeleton, a null
+// layer, a goroutine abstraction) whose computation panicked: its Once
+// never runs again, so the jobs after the one that panicked must fail
+// too, not read a nil skeleton, zero stats or no goroutines.
+var errEarlierPanic = errors.New("an earlier job panicked computing the entry's shared state")
+
 type skelEntry struct {
 	once sync.Once
 	sk   *pdm.Skeleton
 	err  error
+
+	// null holds the full solver stats of the entry's null layer, solved
+	// by the first null job to need it (see runJob).
+	nullOnce sync.Once
+	null     core.Stats
+	nullErr  error
 }
 
 // skeleton returns the cached property-independent skeleton for entry,
@@ -50,7 +64,7 @@ type skelEntry struct {
 // on one build; distinct entries build independently. ob (nil OK)
 // records the build as a trace span and feeds the skeleton-layer
 // metrics; reuse of an already-built skeleton records nothing.
-func (p *Package) skeleton(entry string, ob *obsState) (*pdm.Skeleton, error) {
+func (p *Package) skeleton(entry string, ob *obsState) *skelEntry {
 	gen := generation()
 	p.skelMu.Lock()
 	if p.skels == nil || p.skelGen != gen {
@@ -64,6 +78,7 @@ func (p *Package) skeleton(entry string, ob *obsState) (*pdm.Skeleton, error) {
 	}
 	p.skelMu.Unlock()
 	e.once.Do(func() {
+		e.err = errEarlierPanic // replaced below unless the build panics
 		sp := ob.span("skeleton:" + entry)
 		callees := eventCallees()
 		e.sk, e.err = pdm.BuildSkeleton(p.Prog, entry, core.Options{},
@@ -77,7 +92,25 @@ func (p *Package) skeleton(entry string, ob *obsState) (*pdm.Skeleton, error) {
 		}
 		sp.Finish()
 	})
-	return e.sk, e.err
+	return e
+}
+
+// nullStats returns the full solver stats of the entry's null layer,
+// layering prop, whose events must match none of the skeleton's
+// deferred statements, through ob's hooks on first use. Such a layer
+// adds only identity annotations, so its solve is the same for every
+// property that matches nothing here.
+func (e *skelEntry) nullStats(prop *spec.Property, events *minic.EventMap, ob *obsState) (core.Stats, error) {
+	e.nullOnce.Do(func() {
+		e.nullErr = errEarlierPanic // replaced below unless the layer panics
+		res, err := e.sk.CheckObs(prop, events, ob.pdmObs())
+		if err != nil {
+			e.nullErr = err
+			return
+		}
+		e.null, e.nullErr = res.Sys.Stats(), nil
+	})
+	return e.null, e.nullErr
 }
 
 // Config drives one Analyze run.
@@ -227,9 +260,11 @@ func (p *Package) fileOf(fn string) string { return p.Prog.FileOf(fn) }
 // Analyze runs (checker x entry) jobs over a bounded worker pool. The
 // property-independent constraint skeleton of each entry is built once
 // (first job to need it) and shared read-only: each property job forks
-// it and solves only its own event layer. The shared translated program,
-// compiled properties and frozen skeletons are read-only, so jobs need
-// no locking beyond the skeleton cache's.
+// it and solves only its own event layer, except that the jobs whose
+// property matches no event on the entry share one null layer solve
+// (see runJob). The shared translated program, compiled properties and
+// frozen skeletons are read-only, so jobs need no locking beyond the
+// skeleton cache's.
 //
 // With cfg.Cache set, each job's raw result is first looked up by its
 // content key — registry fingerprint, solver options, checker, and the
@@ -438,8 +473,14 @@ func coversChecker(names []string, checker string) bool {
 // solver statistics and the shared skeleton's base statistics. ob (nil
 // OK) supplies metric hooks and the explain flag; with explain on, every
 // diagnostic leaves with a non-empty provenance chain, so stored records
-// round-trip explain output unchanged.
-func runJob(pkg *Package, c *Checker, entry string, ob *obsState) (jobRecord, error) {
+// round-trip explain output unchanged. A panic anywhere in the job
+// becomes its error, so one bad checker fails its run, not the process.
+func runJob(pkg *Package, c *Checker, entry string, ob *obsState) (rec jobRecord, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			rec, err = jobRecord{}, fmt.Errorf("analysis: %s/%s: panic: %v", c.Name, entry, r)
+		}
+	}()
 	if c.Run != nil {
 		ds := c.Run(pkg, c, entry)
 		if ob.explainOn() {
@@ -448,10 +489,34 @@ func runJob(pkg *Package, c *Checker, entry string, ob *obsState) (jobRecord, er
 		return jobRecord{Diagnostics: ds}, nil
 	}
 	prop, events := c.compiled()
-	sk, err := pkg.skeleton(entry, ob)
+	se := pkg.skeleton(entry, ob)
+	if se.err != nil {
+		return jobRecord{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, se.err)
+	}
+	if !nullable(prop) || se.sk.Matches(events) {
+		return layerJob(pkg, c, entry, se.sk, ob)
+	}
+	// A null job: the property matches no event here and its start state
+	// does not accept, so the layer can report nothing and its stats are
+	// the entry's null layer's.
+	null, err := se.nullStats(prop, events, ob)
 	if err != nil {
 		return jobRecord{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
 	}
+	base := se.sk.BaseStats()
+	return jobRecord{Stats: null.Minus(base), Base: base}, nil
+}
+
+// nullable reports whether a property's jobs may share their entry's
+// null layer: with an event map that matches nothing, every annotation
+// is the identity, so a property whose start state does not accept has
+// nothing to report.
+func nullable(prop *spec.Property) bool { return !prop.Mon.Accepting(prop.Mon.Identity()) }
+
+// layerJob layers c's property on sk in full: fork, solve, PN query and
+// the checker's result query.
+func layerJob(pkg *Package, c *Checker, entry string, sk *pdm.Skeleton, ob *obsState) (jobRecord, error) {
+	prop, events := c.compiled()
 	res, err := sk.CheckObs(prop, events, ob.pdmObs())
 	if err != nil {
 		return jobRecord{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)

@@ -28,6 +28,8 @@ package analysis
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
@@ -49,8 +51,8 @@ type EngineConfig struct {
 	Parallel int
 	// MemoryBudget caps the estimated resident-program footprint in
 	// bytes; past it, least-recently-used programs are evicted wholesale
-	// (their next request reloads from the pushed file set). 0 means no
-	// eviction.
+	// (their next request must push the full file set again; an evicted
+	// program's Manifest is empty). 0 means no eviction.
 	MemoryBudget int64
 	// MemoEntries bounds the memory tier of the result store in job
 	// records, not bytes: up to MemoEntries records that keep hitting
@@ -486,6 +488,28 @@ func checkersByName(names []string) ([]*Checker, error) {
 		out = append(out, c)
 	}
 	return out, nil
+}
+
+// Manifest returns the named resident program's file set as file name
+// -> hex SHA-256 of its source, or an empty map when the program is not
+// resident: never pushed, or evicted under the memory budget. Clients
+// diff it against their local files to push a minimal delta, so it
+// must describe exactly the files the next request starts from.
+func (e *Engine) Manifest(program string) map[string]string {
+	e.mu.Lock()
+	rp := e.progs[programName(program)]
+	e.mu.Unlock()
+	out := map[string]string{}
+	if rp == nil {
+		return out
+	}
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	for name, f := range rp.files {
+		sum := sha256.Sum256([]byte(f.Src))
+		out[name] = hex.EncodeToString(sum[:])
+	}
+	return out
 }
 
 // ProgramInfo describes one resident program for list/metrics

@@ -116,16 +116,12 @@ func TestUnrelatedRootLeavesEntriesUnchanged(t *testing.T) {
 	}
 
 	for _, e := range roots {
-		skB, err := before.skeleton(e, nil)
-		if err != nil {
-			t.Fatal(err)
+		skB, skA := before.skeleton(e, nil), after.skeleton(e, nil)
+		if skB.err != nil || skA.err != nil {
+			t.Fatal(skB.err, skA.err)
 		}
-		skA, err := after.skeleton(e, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if skA.BaseStats() != skB.BaseStats() {
-			t.Errorf("%s: base stats %+v, were %+v", e, skA.BaseStats(), skB.BaseStats())
+		if skA.sk.BaseStats() != skB.sk.BaseStats() {
+			t.Errorf("%s: base stats %+v, were %+v", e, skA.sk.BaseStats(), skB.sk.BaseStats())
 		}
 		for _, c := range All() {
 			recB, err := runJob(before, c, e, nil)
@@ -255,7 +251,7 @@ func TestJobCostScalesWithSlice(t *testing.T) {
 
 	for _, e := range entries {
 		pkg := loadMap(t, files)
-		if _, err := pkg.skeleton(e, nil); err != nil {
+		if err := pkg.skeleton(e, nil).err; err != nil {
 			t.Fatal(err)
 		}
 		pkg.concModel()

@@ -42,17 +42,17 @@ func snapshotSeeded(t *testing.T) (*Package, map[string]*pdm.Skeleton) {
 	pkg.skels = map[string]*skelEntry{}
 	decoded := map[string]*pdm.Skeleton{}
 	for _, e := range pkg.Roots() {
-		sk, err := live.skeleton(e, nil)
-		if err != nil {
-			t.Fatal(err)
+		se := live.skeleton(e, nil)
+		if se.err != nil {
+			t.Fatal(se.err)
 		}
-		dec, err := pdm.LoadSkeleton(sk.Snapshot(), pkg.Prog, e, core.Options{})
+		dec, err := pdm.LoadSkeleton(se.sk.Snapshot(), pkg.Prog, e, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
 		}
-		se := &skelEntry{sk: dec}
-		se.once.Do(func() {})
-		pkg.skels[e], decoded[e] = se, dec
+		seeded := &skelEntry{sk: dec}
+		seeded.once.Do(func() {})
+		pkg.skels[e], decoded[e] = seeded, dec
 	}
 	return pkg, decoded
 }

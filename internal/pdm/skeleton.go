@@ -217,6 +217,20 @@ func (sk *Skeleton) BaseStats() core.Stats { return sk.base }
 // CFG returns the control-flow graph the skeleton was built over.
 func (sk *Skeleton) CFG() *minic.CFG { return sk.cfg }
 
+// Matches reports whether events classifies any deferred statement as a
+// property event. When it does not, a property layered with events puts
+// only identity annotations on the skeleton, the same ones for every
+// such property.
+func (sk *Skeleton) Matches(events *minic.EventMap) bool {
+	for _, d := range sk.deferred {
+		n := sk.cfg.Nodes[d.id]
+		if _, ok := events.Match(n.Call, n.AssignTo); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // Obs bundles the observability options of one Check: solver and
 // skeleton-layer metric hooks, and whether to extract finding
 // provenance. A nil *Obs (or nil fields) disables everything; the

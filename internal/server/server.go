@@ -139,12 +139,6 @@ type Handler struct {
 	// (once, asynchronously) to stop the daemon.
 	onShutdown   func()
 	shutdownOnce sync.Once
-
-	// manifest bookkeeping: the handler tracks each program's pushed
-	// file hashes so GET /v1/manifest answers without touching engine
-	// internals. Guarded by mu.
-	mu        sync.Mutex
-	manifests map[string]map[string]string
 }
 
 // Engine is the handler's view of the resident engine.
@@ -184,7 +178,6 @@ func NewHandler(cfg HandlerConfig) *Handler {
 		windows:    obs.NewWindow(nil),
 		start:      time.Now(),
 		onShutdown: cfg.OnShutdown,
-		manifests:  map[string]map[string]string{},
 	}
 }
 
@@ -267,7 +260,6 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		info.program = programLabel(req.Program)
 		info.memoHits, info.memoMisses = rep.MemoHits, rep.MemoMisses
 	}
-	h.updateManifest(req)
 	// Strip cache telemetry exactly like the one-shot CLI does before
 	// rendering: the client's render must be byte-identical to a
 	// one-shot run's.
@@ -286,34 +278,6 @@ func programLabel(name string) string {
 	return name
 }
 
-// updateManifest folds a successfully applied delta into the tracked
-// file-hash manifest for the program.
-func (h *Handler) updateManifest(req CheckRequest) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	name := req.Program
-	if name == "" {
-		name = "default"
-	}
-	m := h.manifests[name]
-	if m == nil || req.Reset {
-		m = map[string]string{}
-		h.manifests[name] = m
-	}
-	if req.Reset {
-		for k := range m {
-			delete(m, k)
-		}
-	}
-	for _, rm := range req.Removes {
-		delete(m, rm)
-	}
-	for _, f := range req.Upserts {
-		sum := sha256.Sum256([]byte(f.Src))
-		m[f.Name] = hex.EncodeToString(sum[:])
-	}
-}
-
 func (h *Handler) handleManifest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
@@ -323,13 +287,7 @@ func (h *Handler) handleManifest(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "default"
 	}
-	h.mu.Lock()
-	files := map[string]string{}
-	for k, v := range h.manifests[name] {
-		files[k] = v
-	}
-	h.mu.Unlock()
-	writeJSON(w, http.StatusOK, ManifestResponse{Program: name, Files: files})
+	writeJSON(w, http.StatusOK, ManifestResponse{Program: name, Files: h.engine.Manifest(name)})
 }
 
 func (h *Handler) handleList(w http.ResponseWriter, r *http.Request) {

@@ -186,6 +186,55 @@ func TestServerRoundTripMatchesOneShot(t *testing.T) {
 	}
 }
 
+// The manifest describes the files the engine holds, not the files
+// clients once pushed: after a program is evicted under the memory
+// budget, its manifest is empty, so CheckFiles pushes the whole set
+// again instead of a delta against files the engine dropped.
+func TestServerManifestAfterEviction(t *testing.T) {
+	registry := obs.NewRegistry()
+	engine := analysis.NewEngine(analysis.EngineConfig{Metrics: registry, MemoryBudget: 1})
+	ts := httptest.NewServer(NewHandler(HandlerConfig{Engine: engine, Registry: registry}).Root())
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL)
+
+	p1 := []gosrc.File{{Name: "a.go", Src: srvASrc}, {Name: "b.go", Src: srvBSrc}}
+	p2 := []gosrc.File{{Name: "c.go", Src: srvBSrc}}
+	for _, push := range []struct {
+		program string
+		files   []gosrc.File
+	}{{"p1", p1}, {"p2", p2}} {
+		if _, err := client.CheckFiles(push.program, push.files, CheckRequest{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ev := engine.Stats().Evictions; ev != 1 {
+		t.Fatalf("%d evictions, want 1 (p1, under a 1-byte budget)", ev)
+	}
+	m, err := client.Manifest("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Files) != 0 {
+		t.Errorf("evicted program's manifest = %v, want empty", m.Files)
+	}
+
+	p1[1].Src = strings.Replace(srvBSrc, "mu2.Unlock()", "mu2.Lock()", 1)
+	rep, err := client.CheckFiles("p1", p1, CheckRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oneShot(t, p1, false)
+	if rep.Files != 2 {
+		t.Errorf("server report covers %d file(s), want 2", rep.Files)
+	}
+	if got, exp := jsonOf(t, rep), jsonOf(t, want); got != exp {
+		t.Fatalf("server JSON after eviction differs from one-shot:\nserver:\n%s\none-shot:\n%s", got, exp)
+	}
+	if m, err = client.Manifest("p1"); err != nil || len(m.Files) != 2 {
+		t.Fatalf("manifest after the re-push = %v (%v), want 2 files", m.Files, err)
+	}
+}
+
 // TestServerConcurrentClients hits one daemon with goroutines mixing
 // check, explain, metrics, health and list traffic. A -race exercise
 // for the handler + engine stack; also asserts response stability and
