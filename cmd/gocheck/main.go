@@ -142,7 +142,7 @@ func run() int {
 			program:   *program,
 			timeout:   *serverTimeout,
 			paths:     flag.Args(),
-			checkers:  *checkersFlag,
+			checkers:  checkers,
 			entries:   entries,
 			write:     write,
 			threshold: threshold,

@@ -190,6 +190,25 @@ func TestServerModeOverInternal(t *testing.T) {
 	}
 }
 
+// Spaces around the names of a -checkers list are ignored: the spaced
+// list gives the same stdout and exit code as the unspaced one, one-shot
+// and with -server.
+func TestSpacedCheckerList(t *testing.T) {
+	h := server.NewHandler(server.HandlerConfig{Engine: analysis.NewEngine(analysis.EngineConfig{})})
+	srv := httptest.NewServer(h.Root())
+	defer srv.Close()
+	for _, mode := range [][]string{nil, {"-server", srv.URL}} {
+		wantCode, want, stderr := gocheck(t, append(mode, "-checkers", "doublelock,fileleak", corpus)...)
+		if wantCode != 3 {
+			t.Fatalf("%v unspaced: exit %d, want 3 (stderr: %s)", mode, wantCode, stderr)
+		}
+		code, got, stderr := gocheck(t, append(mode, "-checkers", "doublelock, fileleak", corpus)...)
+		if code != wantCode || got != want {
+			t.Errorf("%v spaced: exit %d, want %d; stdout equal: %v (stderr: %s)", mode, code, wantCode, got == want, stderr)
+		}
+	}
+}
+
 // badValues are flag values gocheck must reject as usage errors.
 var badValues = [][]string{
 	{"-fail-on", "bogus"},

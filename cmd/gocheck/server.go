@@ -3,7 +3,6 @@ package main
 import (
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"rasc/internal/analysis"
@@ -16,7 +15,7 @@ type serverOpts struct {
 	program   string
 	timeout   time.Duration
 	paths     []string
-	checkers  string
+	checkers  []*analysis.Checker
 	entries   []string
 	write     func(*analysis.Report, io.Writer) error
 	threshold analysis.Severity
@@ -33,17 +32,13 @@ func runServer(o serverOpts) int {
 	if err != nil {
 		return fail(err)
 	}
-	var checkerNames []string
-	if o.checkers != "" && o.checkers != "all" {
-		for _, name := range strings.Split(o.checkers, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				checkerNames = append(checkerNames, name)
-			}
-		}
+	checkerNames := make([]string, len(o.checkers))
+	for i, c := range o.checkers {
+		checkerNames[i] = c.Name
 	}
 
-	// The client retries a connection-refused failure once with backoff
-	// by default, so a daemon mid-restart doesn't fail the check; server
+	// The client retries a connection-refused failure once, after a
+	// short wait, so a daemon mid-restart doesn't fail the check; server
 	// errors come back tagged with the request's trace ID for log lookup.
 	c := server.NewClientWith(o.addr, server.ClientOptions{Timeout: o.timeout})
 	rep, err := c.CheckFiles(o.program, files, server.CheckRequest{

@@ -10,10 +10,9 @@
 // Usage:
 //
 //	gocheckd [-addr 127.0.0.1:7433] [-cache-dir dir]
-//	         [-parallel N] [-memory-budget MB] [-memo-entries N]
+//	         [-parallel N] [-memory-budget MB]
 //	         [-allow-shutdown=false] [-log-level info] [-debug-addr addr]
-//	         [-flight-entries N] [-flight-slowest N] [-slow-ms N] [-flight-dir dir]
-//	         [-slo-p99-ms N] [-slo-error-rate F]
+//	         [-slow-ms N -flight-dir dir]
 //
 // Endpoints: POST /v1/check, GET /v1/manifest, GET /v1/list,
 // GET /v1/metrics (?format=prometheus), GET /v1/health,
@@ -25,11 +24,14 @@
 // default) POST /v1/shutdown, draining in-flight requests first.
 //
 // Telemetry: every request is recorded in a bounded in-memory flight
-// recorder (-flight-entries recent, plus the -flight-slowest slowest
-// ever), dumpable via /v1/debug/flight; requests slower than -slow-ms
-// are persisted as Chrome trace JSON under -flight-dir (-slow-ms without
-// -flight-dir is a usage error, exit 2). Access and lifecycle logs are
-// structured JSON lines on stderr at -log-level.
+// recorder (the 64 most recent, plus the 8 slowest ever), dumpable via
+// /v1/debug/flight; requests slower than -slow-ms are persisted as
+// Chrome trace JSON under -flight-dir (-slow-ms without -flight-dir is
+// a usage error, exit 2). /v1/health degrades past a p99 of 2000 ms or
+// a 5% error rate over at least 5 requests. The memory tier of the
+// job-result store keeps up to 8192 job records that keep hitting, and
+// holds at most twice that. Access and lifecycle logs are structured
+// JSON lines on stderr at -log-level.
 package main
 
 import (
@@ -63,16 +65,11 @@ func run() int {
 	cacheDir := flag.String("cache-dir", "", "directory for the shared on-disk incremental cache (empty = memory only)")
 	parallel := flag.Int("parallel", 0, "per-request worker pool size (0 = GOMAXPROCS)")
 	budgetMB := flag.Int64("memory-budget", 0, "resident-program memory budget in MiB; past it, least-recently-used programs are evicted (0 = unlimited)")
-	memoEntries := flag.Int("memo-entries", 0, "memory tier of the job-result store: up to N job records that keep hitting stay in memory; it holds at most 2N (0 = default 8192)")
 	allowShutdown := flag.Bool("allow-shutdown", true, "enable POST /v1/shutdown")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty = pprof off)")
-	flightEntries := flag.Int("flight-entries", 64, "flight recorder: recent requests retained")
-	flightSlowest := flag.Int("flight-slowest", 8, "flight recorder: slowest-ever requests retained beyond the ring")
 	slowMS := flag.Int64("slow-ms", 0, "persist traces of requests slower than this many milliseconds (0 = off)")
 	flightDir := flag.String("flight-dir", "", "directory for persisted slow-request traces (required by -slow-ms)")
-	sloP99 := flag.Int64("slo-p99-ms", 0, "degrade /v1/health when a window's p99 exceeds this (0 = default 2000)")
-	sloErrRate := flag.Float64("slo-error-rate", 0, "degrade /v1/health when a window's error fraction exceeds this (0 = default 0.05)")
 	flag.Parse()
 	if *slowMS > 0 && *flightDir == "" {
 		os.Stderr.WriteString("gocheckd: -slow-ms requires -flight-dir\n")
@@ -93,8 +90,6 @@ func run() int {
 		}
 	}
 	flight := obs.NewFlight(obs.FlightConfig{
-		Recent:  *flightEntries,
-		Slowest: *flightSlowest,
 		SlowUS:  *slowMS * 1000,
 		Dir:     *flightDir,
 		Metrics: registry,
@@ -103,7 +98,6 @@ func run() int {
 		Cache:        cache,
 		Parallel:     *parallel,
 		MemoryBudget: *budgetMB << 20,
-		MemoEntries:  *memoEntries,
 		Metrics:      registry,
 		Flight:       flight,
 	})
@@ -119,7 +113,6 @@ func run() int {
 		Flight:     flight,
 		Log:        log,
 		OnShutdown: onShutdown,
-		SLO:        server.SLOConfig{P99MS: *sloP99, ErrorRate: *sloErrRate},
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -155,10 +148,7 @@ func run() int {
 		"cache_dir", *cacheDir,
 		"parallel", *parallel,
 		"memory_budget_mb", *budgetMB,
-		"memo_entries", *memoEntries,
 		"allow_shutdown", *allowShutdown,
-		"flight_entries", *flightEntries,
-		"flight_slowest", *flightSlowest,
 		"slow_ms", *slowMS,
 		"flight_dir", *flightDir,
 		"log_level", level.String(),

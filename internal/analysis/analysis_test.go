@@ -25,18 +25,39 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("checker %s not registered", name)
 		}
 	}
-	got, err := Resolve("doublelock,fileleak")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name != "doublelock" || got[1].Name != "fileleak" {
-		t.Errorf("Resolve = %v", got)
+	for _, list := range []string{"doublelock,fileleak", " doublelock , fileleak,doublelock,"} {
+		got, err := Resolve(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 || got[0].Name != "doublelock" || got[1].Name != "fileleak" {
+			t.Errorf("Resolve(%q) = %v", list, got)
+		}
 	}
 	if _, err := Resolve("nosuch"); err == nil {
 		t.Error("unknown checker must error")
 	}
 	if all2, err := Resolve("all"); err != nil || len(all2) != len(all) {
 		t.Errorf("Resolve(all) = %v, %v", all2, err)
+	}
+
+	// A checker table with an unnamed checker, a checker of neither or
+	// both forms, or a duplicate name does not make a registry.
+	run := func(*Package, *Checker, string) []Diagnostic { return nil }
+	for name, cs := range map[string][]*Checker{
+		"unnamed":   {{Run: run}},
+		"no form":   {{Name: "a"}},
+		"two forms": {{Name: "a", Run: run, NewProperty: gosrc.DoubleLockProperty, NewEvents: gosrc.DoubleLockEvents}},
+		"duplicate": {{Name: "a", Run: run}, {Name: "a", Run: run}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: newRegistry accepted the table", name)
+				}
+			}()
+			newRegistry(cs)
+		}()
 	}
 }
 

@@ -86,7 +86,7 @@ func TestJobPanicBecomesError(t *testing.T) {
 	}
 	dl, _ := Get("doublelock")
 	boom := &Checker{Name: "boom", Run: func(*Package, *Checker, string) []Diagnostic { panic("boom") }}
-	mem := newMemTier(0, nil)
+	mem := newMemTier(nil)
 	for run := 1; run <= 2; run++ {
 		reg := obs.NewRegistry()
 		rep, err := analyze(pkg, Config{
@@ -117,7 +117,7 @@ func TestPanickedSharedStateFailsLaterJobs(t *testing.T) {
 	entry := pkg.Roots()[0]
 	broken := &skelEntry{sk: &pdm.Skeleton{}}
 	broken.once.Do(func() {})
-	pkg.skelGen, pkg.skels = generation(), map[string]*skelEntry{entry: broken}
+	pkg.skels = map[string]*skelEntry{entry: broken}
 	unfinished := &entryGoroutines{}
 	unfinished.once.Do(func() {})
 	pkg.concModel().gsCache[entry] = unfinished
@@ -125,6 +125,33 @@ func TestPanickedSharedStateFailsLaterJobs(t *testing.T) {
 		c, _ := Get(name)
 		if rec, err := runJob(pkg, c, entry, nil); err == nil {
 			t.Errorf("%s/%s: record %+v, want an error", name, entry, rec)
+		}
+	}
+}
+
+// The cache keys are pinned. A change to the registry fingerprint, to
+// a checker's fingerprint (the record's slot) or to how a record file
+// is named turns every record a filled cache holds into a miss, so it
+// must fail here before it ships.
+func TestCacheKeysGolden(t *testing.T) {
+	if got, want := registryFingerprint(), "65e48563d22ec97b296bf3bfcbb4a21f64535856527a9d8687c800600019689a"; got != want {
+		t.Errorf("registry fingerprint %s, want %s", got, want)
+	}
+	dl, _ := Get("doublelock")
+	k := recordKey{regFP: "reg", checker: dl.fingerprint(), entry: "Top", summary: "sum"}
+	if got, want := k.slot(), "a65fb18d98a1d332e088ba55a22af0efaf25234554f819fe732036f385e59f14"; got != want {
+		t.Errorf("doublelock slot %s, want %s", got, want)
+	}
+	for _, tc := range []struct {
+		explain bool
+		want    string
+	}{
+		{false, "job-d4b76d440cf5c892179e1aabed03c53b6ff402acf8dd4b8d1b618b760454494e.json"},
+		{true, "job-bea79745a68bb9d9145a154cc4b101475cbc22ddeae866f9e63f64e08be8e7d4.json"},
+	} {
+		k.explain = tc.explain
+		if got := k.fileName(); got != tc.want {
+			t.Errorf("explain=%v: record file %s, want %s", tc.explain, got, tc.want)
 		}
 	}
 }

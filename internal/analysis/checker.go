@@ -160,43 +160,35 @@ func containsVerb(s string) bool {
 	return false
 }
 
-var (
-	regMu    sync.RWMutex
-	regGen   int
-	registry = map[string]*Checker{}
-)
+// registry is the checker table: builtin.go's checkers by name, built
+// and validated once at package init. Nothing adds to it afterwards, so
+// lookups take no lock and everything derived from it is computed once.
+var registry = newRegistry(builtins)
 
-// Register adds a checker to the global registry. Registering a
-// duplicate name panics: checker names are part of the suppression and
-// CLI surface.
-func Register(c *Checker) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	propertyBased := c.NewProperty != nil && c.NewEvents != nil
-	if c.Name == "" || propertyBased == (c.Run != nil) {
-		panic("analysis: Register: checker needs a name and exactly one of Run or NewProperty+NewEvents")
+// newRegistry indexes a checker table by name. A checker needs a name
+// and exactly one of Run or NewProperty+NewEvents; a duplicate name
+// panics, since checker names are part of the suppression and CLI
+// surface.
+func newRegistry(cs []*Checker) map[string]*Checker {
+	reg := make(map[string]*Checker, len(cs))
+	for _, c := range cs {
+		propertyBased := c.NewProperty != nil && c.NewEvents != nil
+		if c.Name == "" || propertyBased == (c.Run != nil) {
+			panic("analysis: checker needs a name and exactly one of Run or NewProperty+NewEvents")
+		}
+		if _, dup := reg[c.Name]; dup {
+			panic("analysis: duplicate checker " + c.Name)
+		}
+		reg[c.Name] = c
 	}
-	if _, dup := registry[c.Name]; dup {
-		panic("analysis: Register: duplicate checker " + c.Name)
-	}
-	registry[c.Name] = c
-	regGen++
-}
-
-// generation identifies the registry state; it changes whenever a
-// checker registers, invalidating skeletons whose deferred-statement set
-// was computed against the smaller registry.
-func generation() int {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return regGen
+	return reg
 }
 
 // fingerprint renders the checker's analysis-relevant content: identity,
 // diagnostic shape, declared spec/version, and — for property checkers —
 // the compiled event rules, whose plain-struct rendering is stable. A
-// checker is immutable once registered, so the rendering is computed
-// once; every job's memo and cache key reads it.
+// checker is immutable, so the rendering is computed once; every job's
+// memo and cache key reads it.
 func (c *Checker) fingerprint() string {
 	c.fpOnce.Do(func() {
 		var b strings.Builder
@@ -213,41 +205,23 @@ func (c *Checker) fingerprint() string {
 	return c.fp
 }
 
-// regFP caches registryFingerprint per registry generation.
-var regFP struct {
-	sync.Mutex
-	gen int
-	fp  string
-}
-
 // registryFingerprint hashes the full registry's content. The whole
 // registry matters to every cached result — the shared skeleton's
 // deferred-statement set is computed from the union of all checkers'
-// event callees — so persistent cache keys include this fingerprint the
-// way in-process skeleton caching includes generation(). It is computed
-// once per registry generation.
-func registryFingerprint() string {
-	regFP.Lock()
-	defer regFP.Unlock()
-	regMu.RLock()
-	gen := regGen
-	regMu.RUnlock()
-	if regFP.fp != "" && regFP.gen == gen {
-		return regFP.fp
-	}
+// event callees — so persistent cache keys include this fingerprint.
+var registryFingerprint = sync.OnceValue(func() string {
 	h := sha256.New()
 	for _, c := range All() {
 		fmt.Fprintf(h, "%s\n", c.fingerprint())
 	}
-	regFP.gen, regFP.fp = gen, hex.EncodeToString(h.Sum(nil))
-	return regFP.fp
-}
+	return hex.EncodeToString(h.Sum(nil))
+})
 
-// eventCallees returns the union of callee names appearing in any
-// registered property checker's event rules — a conservative
-// over-approximation of "some checker might treat a call to this
-// function as an event".
-func eventCallees() map[string]bool {
+// eventCallees is the union of callee names appearing in any registered
+// property checker's event rules — a conservative over-approximation of
+// "some checker might treat a call to this function as an event". Every
+// skeleton defers exactly the calls to these names.
+var eventCallees = sync.OnceValue(func() map[string]bool {
 	set := map[string]bool{}
 	for _, c := range All() {
 		if c.NewProperty == nil || c.NewEvents == nil {
@@ -259,20 +233,16 @@ func eventCallees() map[string]bool {
 		}
 	}
 	return set
-}
+})
 
 // Get looks a checker up by name.
 func Get(name string) (*Checker, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	c, ok := registry[name]
 	return c, ok
 }
 
 // All returns every registered checker, sorted by name.
 func All() []*Checker {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]*Checker, 0, len(registry))
 	for _, c := range registry {
 		out = append(out, c)
@@ -282,20 +252,15 @@ func All() []*Checker {
 }
 
 // Resolve turns a comma-separated checker list into checkers; "" or
-// "all" yields the full registry.
+// "all" yields the full registry. Spaces around a name are ignored.
 func Resolve(names string) ([]*Checker, error) {
 	if names == "" || names == "all" {
 		return All(), nil
 	}
 	var out []*Checker
 	seen := map[string]bool{}
-	start := 0
-	for i := 0; i <= len(names); i++ {
-		if i < len(names) && names[i] != ',' {
-			continue
-		}
-		name := names[start:i]
-		start = i + 1
+	for _, name := range strings.Split(names, ",") {
+		name = strings.TrimSpace(name)
 		if name == "" || seen[name] {
 			continue
 		}

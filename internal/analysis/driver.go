@@ -33,12 +33,9 @@ type Package struct {
 	conc     *concModel
 
 	// skels caches the property-independent constraint skeleton per entry
-	// function, shared read-only by every property checker's job. The
-	// cache is keyed by the checker-registry generation the skeletons
-	// were built under; a new checker registration drops it wholesale.
-	skelMu  sync.Mutex
-	skelGen int
-	skels   map[string]*skelEntry
+	// function, shared read-only by every property checker's job.
+	skelMu sync.Mutex
+	skels  map[string]*skelEntry
 }
 
 // errEarlierPanic stands for per-entry shared state (a skeleton, a null
@@ -65,10 +62,8 @@ type skelEntry struct {
 // records the build as a trace span and feeds the skeleton-layer
 // metrics; reuse of an already-built skeleton records nothing.
 func (p *Package) skeleton(entry string, ob *obsState) *skelEntry {
-	gen := generation()
 	p.skelMu.Lock()
-	if p.skels == nil || p.skelGen != gen {
-		p.skelGen = gen
+	if p.skels == nil {
 		p.skels = map[string]*skelEntry{}
 	}
 	e := p.skels[entry]
@@ -274,7 +269,7 @@ func (p *Package) fileOf(fn string) string { return p.Prog.FileOf(fn) }
 // solver statistics; Report.Cache records hit/miss counts and which
 // functions had to be re-solved.
 func Analyze(pkg *Package, cfg Config) (*Report, error) {
-	return analyze(pkg, cfg, newMemTier(0, nil))
+	return analyze(pkg, cfg, newMemTier(nil))
 }
 
 // analyze is the driver core shared by the one-shot wrapper and the

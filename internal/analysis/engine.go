@@ -54,11 +54,6 @@ type EngineConfig struct {
 	// (their next request must push the full file set again; an evicted
 	// program's Manifest is empty). 0 means no eviction.
 	MemoryBudget int64
-	// MemoEntries bounds the memory tier of the result store in job
-	// records, not bytes: up to MemoEntries records that keep hitting
-	// stay in memory, and the tier holds at most twice that. 0 means
-	// the default.
-	MemoEntries int
 	// Metrics, when non-nil, receives the per-run bundles (solver, pdm,
 	// cache, driver) plus the engine's server.* bundle.
 	Metrics *obs.Registry
@@ -97,7 +92,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	return &Engine{
 		cfg:     cfg,
 		serverM: sm,
-		mem:     newMemTier(cfg.MemoEntries, sm),
+		mem:     newMemTier(sm),
 		progs:   map[string]*residentProgram{},
 	}
 }
@@ -177,8 +172,6 @@ type CheckRequest struct {
 	// KeepSuppressed and Explain are per-request, as in Config.
 	KeepSuppressed bool
 	Explain        bool
-	// Parallel overrides the engine's per-request worker bound when > 0.
-	Parallel int
 
 	// TraceID identifies the request in the flight recorder and access
 	// logs; empty means the engine mints one when tracing is active.
@@ -273,14 +266,10 @@ func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
 		return nil, err
 	}
 
-	parallel := req.Parallel
-	if parallel <= 0 {
-		parallel = e.cfg.Parallel
-	}
 	cfg := Config{
 		Checkers:       checkers,
 		Entries:        req.Entries,
-		Parallel:       parallel,
+		Parallel:       e.cfg.Parallel,
 		KeepSuppressed: req.KeepSuppressed,
 		Cache:          e.cfg.Cache,
 		Trace:          tr,

@@ -122,7 +122,8 @@ func TestEngineDifferentialEditSequence(t *testing.T) {
 				first := true
 				for _, parallel := range []int{1, 8} {
 					for _, explain := range []bool{false, true} {
-						req := CheckRequest{Parallel: parallel, Explain: explain}
+						eng.cfg.Parallel = parallel
+						req := CheckRequest{Explain: explain}
 						if first {
 							// Only the first request of the step carries the
 							// delta; the rest re-check the resident snapshot.
@@ -264,7 +265,8 @@ func TestEngineConcurrentRequests(t *testing.T) {
 // every request. 24 edits fill and drop each generation of 8 more than
 // once.
 func TestEngineMemoryKeepsHotKeys(t *testing.T) {
-	eng := NewEngine(EngineConfig{MemoEntries: 8})
+	eng := NewEngine(EngineConfig{})
+	eng.mem.gen = 8
 	req := func(src string) *Report {
 		t.Helper()
 		rep, err := eng.Check(CheckRequest{Upserts: []gosrc.File{{Name: "c.go", Src: src}}, Checkers: []string{"doublelock"}})
@@ -301,7 +303,8 @@ func TestEngineMemoryHoldsRepeatedRequestUpToBound(t *testing.T) {
 	if jobs < 4 || 2*jobs <= int64(bound) {
 		t.Fatalf("%d jobs do not lie between half and all of the bound %d", jobs, bound)
 	}
-	eng := NewEngine(EngineConfig{MemoEntries: bound})
+	eng := NewEngine(EngineConfig{})
+	eng.mem.gen = bound
 	for i := 0; i < 4; i++ {
 		rep, err := eng.Check(CheckRequest{Upserts: full})
 		if err != nil {

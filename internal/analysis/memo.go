@@ -12,30 +12,27 @@ import (
 // an edit moves the summaries of exactly the entries it dirties, their
 // old keys stop resolving, and every other entry keeps hitting.
 //
-// Capacity is two generations of up to the bound each. Records enter
+// Capacity is two generations of up to memoEntries each. Records enter
 // the current generation; when it is full it becomes the old one and the
 // previous old one is dropped. A hit in the old generation promotes the
-// record back. Any set of up to the bound's records that keeps hitting
+// record back. Any set of up to memoEntries records that keeps hitting
 // (the jobs every request of a resident program touches) therefore stays
 // in memory once one request has touched it, while records of stale
-// summaries age out. The tier holds at most twice the bound.
+// summaries age out. The tier holds at most twice memoEntries.
 type memTier struct {
 	mu       sync.Mutex
-	gen      int
+	gen      int // generation size: memoEntries
 	cur, old map[recordKey]jobRecord
 	m        *obs.ServerMetrics // hit/miss instruments; nil OK
 }
 
-// defaultMemoEntries bounds the memory tier when EngineConfig leaves it
-// unset: enough for dozens of warm programs, small next to the program
-// state itself (a record is one job's diagnostics).
-const defaultMemoEntries = 8192
+// memoEntries bounds each generation of the memory tier in job records,
+// not bytes: enough for dozens of warm programs, small next to the
+// program state itself (a record is one job's diagnostics).
+const memoEntries = 8192
 
-func newMemTier(entries int, m *obs.ServerMetrics) *memTier {
-	if entries <= 0 {
-		entries = defaultMemoEntries
-	}
-	return &memTier{gen: entries, cur: map[recordKey]jobRecord{}, m: m}
+func newMemTier(m *obs.ServerMetrics) *memTier {
+	return &memTier{gen: memoEntries, cur: map[recordKey]jobRecord{}, m: m}
 }
 
 func (m *memTier) get(k recordKey) (jobRecord, bool) {

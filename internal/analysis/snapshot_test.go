@@ -38,7 +38,6 @@ func renderAll(t *testing.T, rep *Report) string {
 func snapshotSeeded(t *testing.T) (*Package, map[string]*pdm.Skeleton) {
 	t.Helper()
 	live, pkg := loadCorpus(t), loadCorpus(t)
-	pkg.skelGen = generation()
 	pkg.skels = map[string]*skelEntry{}
 	decoded := map[string]*pdm.Skeleton{}
 	for _, e := range pkg.Roots() {

@@ -85,32 +85,6 @@ func SQLRowsEvents() *minic.EventMap {
 	}}
 }
 
-// WaitGroupSpecSrc: calling wg.Add after wg.Wait has started is a
-// documented sync.WaitGroup misuse (reuse without a new round of Adds
-// races with the Wait). Parametric in the wait-group receiver.
-const WaitGroupSpecSrc = `
-start state Counting :
-    | add(x) -> Counting
-    | wait(x) -> Waited;
-
-state Waited :
-    | wait(x) -> Waited
-    | add(x) -> Error;
-
-accept state Error;
-`
-
-// WaitGroupProperty compiles WaitGroupSpecSrc.
-func WaitGroupProperty() *spec.Property { return spec.MustCompile(WaitGroupSpecSrc) }
-
-// WaitGroupEvents: wg.Add(n) and wg.Wait(), labelled by the receiver.
-func WaitGroupEvents() *minic.EventMap {
-	return &minic.EventMap{Rules: []minic.Rule{
-		{Callee: "Add", ArgIndex: -1, Symbol: "add", LabelArg: 0},
-		{Callee: "Wait", ArgIndex: -1, Symbol: "wait", LabelArg: 0},
-	}}
-}
-
 // ChanCloseSpecSrc: closing an already-closed channel and sending on a
 // closed channel both panic at run time. The translation exposes channel
 // operations as $chan.send/$chan.close calls parametric in the channel,

@@ -21,36 +21,20 @@ type ClientOptions struct {
 	// Timeout bounds each HTTP request end to end (default 5 minutes —
 	// a cold first check of a large program is a real analysis run).
 	Timeout time.Duration
-	// Retries is how many extra attempts a connection-refused failure
-	// gets (default 1), so a daemon mid-restart doesn't fail clients
-	// hard. Only connection-refused retries: the request never reached
-	// a server, so resending cannot double-apply anything.
-	Retries int
-	// Backoff is the wait before the first retry, doubling per attempt
-	// (default 200ms).
-	Backoff time.Duration
 }
 
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Minute
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 200 * time.Millisecond
-	}
-	return o
-}
+// retryBackoff is the wait before a client resends a request that
+// failed with connection refused. It resends once, so a daemon
+// mid-restart doesn't fail clients hard. Only connection-refused
+// retries: the request never reached a server, so resending cannot
+// double-apply anything.
+const retryBackoff = 200 * time.Millisecond
 
 // Client talks to a gocheckd daemon. The zero value is not usable; use
 // NewClient or NewClientWith.
 type Client struct {
-	base    string
-	http    *http.Client
-	retries int
-	backoff time.Duration
+	base string
+	http *http.Client
 }
 
 // NewClient builds a client with default options. addr may be a bare
@@ -64,12 +48,12 @@ func NewClientWith(addr string, opts ClientOptions) *Client {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	opts = opts.withDefaults()
+	if opts.Timeout <= 0 {
+		opts.Timeout = 5 * time.Minute
+	}
 	return &Client{
-		base:    strings.TrimRight(addr, "/"),
-		http:    &http.Client{Timeout: opts.Timeout},
-		retries: opts.Retries,
-		backoff: opts.Backoff,
+		base: strings.TrimRight(addr, "/"),
+		http: &http.Client{Timeout: opts.Timeout},
 	}
 }
 
@@ -108,11 +92,10 @@ func decode(resp *http.Response, out any) error {
 	return nil
 }
 
-// do issues one request, retrying connection-refused failures with
-// exponential backoff. The body is kept as bytes so every attempt sends
-// a fresh reader.
+// do issues one request, resending it once after retryBackoff when it
+// fails with connection refused. The body is kept as bytes so every
+// attempt sends a fresh reader.
 func (c *Client) do(method, path string, body []byte, out any) error {
-	backoff := c.backoff
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
 		if body != nil {
@@ -127,9 +110,8 @@ func (c *Client) do(method, path string, body []byte, out any) error {
 		}
 		resp, err := c.http.Do(req)
 		if err != nil {
-			if attempt < c.retries && connRefused(err) {
-				time.Sleep(backoff)
-				backoff *= 2
+			if attempt == 0 && connRefused(err) {
+				time.Sleep(retryBackoff)
 				continue
 			}
 			return fmt.Errorf("server: %w", err)

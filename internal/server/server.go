@@ -132,7 +132,6 @@ type Handler struct {
 	flight   *obs.Flight
 	log      *obs.Logger
 	serverM  *obs.ServerMetrics
-	slo      SLOConfig
 	windows  *obs.Window
 	start    time.Time
 	// onShutdown, when non-nil, enables POST /v1/shutdown and is called
@@ -162,8 +161,6 @@ type HandlerConfig struct {
 	// OnShutdown, when non-nil, enables POST /v1/shutdown and is called
 	// (once, asynchronously) to stop the daemon.
 	OnShutdown func()
-	// SLO sets the /v1/health degradation thresholds (zero = defaults).
-	SLO SLOConfig
 }
 
 // NewHandler builds the API handler.
@@ -174,7 +171,6 @@ func NewHandler(cfg HandlerConfig) *Handler {
 		flight:     cfg.Flight,
 		log:        cfg.Log,
 		serverM:    obs.NewServerMetrics(cfg.Registry),
-		slo:        cfg.SLO.withDefaults(),
 		windows:    obs.NewWindow(nil),
 		start:      time.Now(),
 		onShutdown: cfg.OnShutdown,

@@ -65,7 +65,7 @@ func newTestServer(t *testing.T, onShutdown func()) (*Client, *analysis.Engine, 
 // newTelemetryServer is newTestServer with the full telemetry stack on:
 // flight recorder (persisting to a temp dir past slowUS) and a JSON
 // access log captured in the returned buffer.
-func newTelemetryServer(t *testing.T, slowUS int64, dir string, logBuf *bytes.Buffer, slo SLOConfig) (*Client, *httptest.Server) {
+func newTelemetryServer(t *testing.T, slowUS int64, dir string, logBuf *bytes.Buffer) (*Client, *httptest.Server) {
 	t.Helper()
 	registry := obs.NewRegistry()
 	flight := obs.NewFlight(obs.FlightConfig{SlowUS: slowUS, Dir: dir, Metrics: registry})
@@ -79,7 +79,6 @@ func newTelemetryServer(t *testing.T, slowUS int64, dir string, logBuf *bytes.Bu
 		Registry: registry,
 		Flight:   flight,
 		Log:      log,
-		SLO:      slo,
 	})
 	ts := httptest.NewServer(h.Root())
 	t.Cleanup(ts.Close)
@@ -477,7 +476,7 @@ func TestServerMetricsSchema(t *testing.T) {
 // ?trace=1 returns a valid inline Chrome trace.
 func TestServerTelemetryByteIdentity(t *testing.T) {
 	var logBuf bytes.Buffer
-	client, ts := newTelemetryServer(t, 0, "", &logBuf, SLOConfig{})
+	client, ts := newTelemetryServer(t, 0, "", &logBuf)
 	files := []gosrc.File{{Name: "a.go", Src: srvASrc}, {Name: "b.go", Src: srvBSrc}}
 
 	rep, err := client.CheckFiles("default", files, CheckRequest{})
@@ -559,7 +558,7 @@ func TestServerTelemetryByteIdentity(t *testing.T) {
 func TestServerFlightEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	// SlowUS=1: every real request breaches the threshold and persists.
-	client, ts := newTelemetryServer(t, 1, dir, nil, SLOConfig{})
+	client, ts := newTelemetryServer(t, 1, dir, nil)
 	files := []gosrc.File{{Name: "a.go", Src: srvASrc}}
 	rep, err := client.CheckFiles("default", files, CheckRequest{})
 	if err != nil {
@@ -632,10 +631,11 @@ func TestServerFlightEndpoint(t *testing.T) {
 }
 
 // TestServerHealthSLO: health reports ok with build info on an idle
-// daemon and degrades with reasons once the error-rate threshold is
+// daemon, stays ok while a window holds fewer than sloMinRequests
+// requests, and degrades with reasons once the error-rate threshold is
 // breached.
 func TestServerHealthSLO(t *testing.T) {
-	client, _ := newTelemetryServer(t, 0, "", nil, SLOConfig{ErrorRate: 0.001, MinRequests: 1})
+	client, _ := newTelemetryServer(t, 0, "", nil)
 
 	h, err := client.Health()
 	if err != nil {
@@ -648,13 +648,18 @@ func TestServerHealthSLO(t *testing.T) {
 		t.Fatalf("health lacks 1m window: %+v", h)
 	}
 
-	// A failing check (fileless program) breaches the 0.1%% error SLO.
-	if _, err := client.Check(CheckRequest{Program: "empty"}); err == nil {
-		t.Fatal("fileless check succeeded")
-	}
-	h, err = client.Health()
-	if err != nil {
-		t.Fatal(err)
+	// Failing checks (a fileless program) breach the 5% error SLO, but
+	// only once the window holds sloMinRequests of them.
+	for i := 1; i <= sloMinRequests; i++ {
+		if _, err := client.Check(CheckRequest{Program: "empty"}); err == nil {
+			t.Fatal("fileless check succeeded")
+		}
+		if h, err = client.Health(); err != nil {
+			t.Fatal(err)
+		}
+		if i < sloMinRequests && !h.OK {
+			t.Fatalf("health after %d failed request(s) = %+v, want ok", i, h)
+		}
 	}
 	if h.OK || h.Status != "degraded" || len(h.Reasons) == 0 {
 		t.Fatalf("post-error health = %+v, want degraded with reasons", h)
@@ -702,7 +707,7 @@ func TestServerPrometheusEndpoint(t *testing.T) {
 // TestServerDebugVars: the plain-text summary names the daemon, its
 // windows and the engine counters.
 func TestServerDebugVars(t *testing.T) {
-	client, ts := newTelemetryServer(t, 0, "", nil, SLOConfig{})
+	client, ts := newTelemetryServer(t, 0, "", nil)
 	files := []gosrc.File{{Name: "a.go", Src: srvASrc}}
 	if _, err := client.CheckFiles("default", files, CheckRequest{}); err != nil {
 		t.Fatal(err)
@@ -745,12 +750,12 @@ func (f *flakyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestClientRetryOnConnRefused: one connection-refused failure is
-// retried after backoff and succeeds; with retries exhausted (or
-// disabled) the refusal surfaces.
+// retried after retryBackoff and succeeds; with the one retry exhausted
+// the refusal surfaces.
 func TestClientRetryOnConnRefused(t *testing.T) {
 	_, _, ts := newTestServer(t, nil)
 
-	c := NewClientWith(ts.URL, ClientOptions{Retries: 1, Backoff: time.Millisecond})
+	c := NewClient(ts.URL)
 	ft := &flakyTransport{failures: 1, inner: http.DefaultTransport}
 	c.http.Transport = ft
 	if _, err := c.Health(); err != nil {
@@ -760,23 +765,34 @@ func TestClientRetryOnConnRefused(t *testing.T) {
 		t.Fatalf("attempts = %d, want 2", ft.attempts)
 	}
 
-	// POST bodies must survive the retry (fresh reader per attempt).
-	c.http.Transport = &flakyTransport{failures: 1, inner: http.DefaultTransport}
-	files := []gosrc.File{{Name: "a.go", Src: srvASrc}}
-	if _, err := c.CheckFiles("default", files, CheckRequest{}); err != nil {
-		t.Fatalf("check with refusal mid-flow: %v", err)
+	// POST bodies must survive the retry (fresh reader per attempt): the
+	// refused first attempt is the check itself, and the resent body
+	// still carries the file with the double lock.
+	ft = &flakyTransport{failures: 1, inner: http.DefaultTransport}
+	c.http.Transport = ft
+	rep, err := c.Check(CheckRequest{Upserts: []FilePayload{{Name: "a.go", Src: srvASrc}}})
+	if err != nil {
+		t.Fatalf("check with one refusal and one retry: %v", err)
+	}
+	if ft.attempts != 2 || len(rep.Diagnostics) == 0 {
+		t.Fatalf("check attempts = %d, diagnostics = %d; want 2 attempts and the double lock", ft.attempts, len(rep.Diagnostics))
 	}
 
-	// Too many refusals: the error surfaces as connection refused.
-	c.http.Transport = &flakyTransport{failures: 5, inner: http.DefaultTransport}
+	// Too many refusals: the error surfaces as connection refused after
+	// one retry.
+	ft = &flakyTransport{failures: 5, inner: http.DefaultTransport}
+	c.http.Transport = ft
 	if _, err := c.Health(); err == nil || !strings.Contains(err.Error(), "connection refused") {
 		t.Fatalf("exhausted retries: %v", err)
+	}
+	if ft.attempts != 2 {
+		t.Fatalf("attempts with retries exhausted = %d, want 2", ft.attempts)
 	}
 
 	// Retries only cover connection-refused, not HTTP errors — and HTTP
 	// errors carry the trace ID for log correlation.
 	c.http.Transport = http.DefaultTransport
-	_, err := c.Check(CheckRequest{Program: "empty"})
+	_, err = c.Check(CheckRequest{Program: "empty"})
 	if err == nil || !strings.Contains(err.Error(), "(trace ") {
 		t.Fatalf("HTTP error lacks trace id: %v", err)
 	}

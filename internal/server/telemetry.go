@@ -18,33 +18,16 @@ const Version = "0.10.0"
 // TraceHeader carries the request's trace ID on every response.
 const TraceHeader = "X-Rasc-Trace-Id"
 
-// SLOConfig sets the degradation thresholds /v1/health judges the
-// sliding windows against. Zero fields take defaults.
-type SLOConfig struct {
-	// P99MS degrades health when a window's p99 latency exceeds it
-	// (default 2000).
-	P99MS int64
-	// ErrorRate degrades health when a window's error fraction exceeds
-	// it (default 0.05).
-	ErrorRate float64
-	// MinRequests is the minimum window traffic before either threshold
-	// applies — a single failed request on an idle daemon is not an SLO
-	// breach (default 5).
-	MinRequests int64
-}
-
-func (s SLOConfig) withDefaults() SLOConfig {
-	if s.P99MS <= 0 {
-		s.P99MS = 2000
-	}
-	if s.ErrorRate <= 0 {
-		s.ErrorRate = 0.05
-	}
-	if s.MinRequests <= 0 {
-		s.MinRequests = 5
-	}
-	return s
-}
+// The thresholds /v1/health judges the sliding windows against: a
+// window degrades health when its p99 latency exceeds sloP99MS or its
+// error fraction exceeds sloErrorRate, once it holds sloMinRequests
+// requests — a single failed request on an idle daemon is not an SLO
+// breach.
+const (
+	sloP99MS       = 2000
+	sloErrorRate   = 0.05
+	sloMinRequests = 5
+)
 
 // requestInfo is the per-request record the telemetry middleware and
 // the route handlers share: the middleware mints the trace ID and
@@ -148,16 +131,16 @@ func (h *Handler) health(now time.Time) HealthResponse {
 	}{{"1m", time.Minute}, {"5m", 5 * time.Minute}} {
 		st := h.windows.Stats(now, win.span)
 		resp.Windows[win.name] = st
-		if st.Requests < h.slo.MinRequests {
+		if st.Requests < sloMinRequests {
 			continue
 		}
-		if st.ErrorRate > h.slo.ErrorRate {
+		if st.ErrorRate > sloErrorRate {
 			resp.Reasons = append(resp.Reasons, fmt.Sprintf(
-				"%s error rate %.1f%% exceeds %.1f%%", win.name, st.ErrorRate*100, h.slo.ErrorRate*100))
+				"%s error rate %.1f%% exceeds %.1f%%", win.name, st.ErrorRate*100, sloErrorRate*100))
 		}
-		if st.P99MS > h.slo.P99MS {
+		if st.P99MS > sloP99MS {
 			resp.Reasons = append(resp.Reasons, fmt.Sprintf(
-				"%s p99 %dms exceeds %dms", win.name, st.P99MS, h.slo.P99MS))
+				"%s p99 %dms exceeds %dms", win.name, st.P99MS, sloP99MS))
 		}
 	}
 	if len(resp.Reasons) > 0 {
