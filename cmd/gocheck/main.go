@@ -93,7 +93,7 @@ func run() int {
 		return 0
 	}
 	if *speclint {
-		checkers, err := analysis.Resolve(*checkersFlag)
+		checkers, err := analysis.Resolve(strings.Split(*checkersFlag, ","))
 		if err != nil {
 			return fail(err)
 		}
@@ -125,7 +125,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "gocheck: unknown format %q\n", *format)
 		return 2
 	}
-	checkers, err := analysis.Resolve(*checkersFlag)
+	checkers, err := analysis.Resolve(strings.Split(*checkersFlag, ","))
 	if err != nil {
 		return fail(err)
 	}

@@ -26,7 +26,7 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 	for _, list := range []string{"doublelock,fileleak", " doublelock , fileleak,doublelock,"} {
-		got, err := Resolve(list)
+		got, err := Resolve(strings.Split(list, ","))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,10 +34,10 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("Resolve(%q) = %v", list, got)
 		}
 	}
-	if _, err := Resolve("nosuch"); err == nil {
+	if _, err := Resolve([]string{"nosuch"}); err == nil {
 		t.Error("unknown checker must error")
 	}
-	if all2, err := Resolve("all"); err != nil || len(all2) != len(all) {
+	if all2, err := Resolve([]string{"all"}); err != nil || len(all2) != len(all) {
 		t.Errorf("Resolve(all) = %v, %v", all2, err)
 	}
 
@@ -47,7 +47,7 @@ func TestRegistry(t *testing.T) {
 	for name, cs := range map[string][]*Checker{
 		"unnamed":   {{Run: run}},
 		"no form":   {{Name: "a"}},
-		"two forms": {{Name: "a", Run: run, NewProperty: gosrc.DoubleLockProperty, NewEvents: gosrc.DoubleLockEvents}},
+		"two forms": {{Name: "a", Run: run, Spec: gosrc.DoubleLockSpecSrc, NewEvents: gosrc.DoubleLockEvents}},
 		"duplicate": {{Name: "a", Run: run}, {Name: "a", Run: run}},
 	} {
 		func() {
@@ -216,14 +216,6 @@ func D() { mu.Unlock() }
 	}
 	if len(lines) != 2 || lines[0] != 9 || lines[1] != 10 {
 		t.Errorf("diagnostic lines = %v, want [9 10]", lines)
-	}
-	// KeepSuppressed retains them for reporting.
-	rep2, err := Analyze(pkg, Config{Checkers: []*Checker{dl}, KeepSuppressed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep2.Diagnostics) != 4 || rep2.Suppressed != 2 {
-		t.Errorf("KeepSuppressed: %d diags, %d suppressed", len(rep2.Diagnostics), rep2.Suppressed)
 	}
 }
 

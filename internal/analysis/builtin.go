@@ -29,125 +29,113 @@ var builtins = []*Checker{
 		Message:  "locks %s are acquired in opposite orders on different paths (deadlock risk)",
 	},
 	{
-		Name:        "chanclose",
-		Doc:         "channel closed twice or sent on after close",
-		Severity:    SeverityError,
-		Mode:        ModeViolations,
-		Spec:        gosrc.ChanCloseSpecSrc,
-		NewProperty: gosrc.ChanCloseProperty,
-		NewEvents:   gosrc.ChanCloseEvents,
-		Message:     "channel %s may be closed or sent on after being closed",
+		Name:      "chanclose",
+		Doc:       "channel closed twice or sent on after close",
+		Severity:  SeverityError,
+		Mode:      ModeViolations,
+		Spec:      gosrc.ChanCloseSpecSrc,
+		NewEvents: gosrc.ChanCloseEvents,
+		Message:   "channel %s may be closed or sent on after being closed",
 	},
 	{
-		Name:        "rwlock",
-		Doc:         "sync.RWMutex.RUnlock called with no read lock held",
-		Severity:    SeverityError,
-		Mode:        ModeViolations,
-		Spec:        gosrc.RWLockSpecSrc,
-		NewProperty: gosrc.RWLockProperty,
-		NewEvents:   gosrc.RWLockEvents,
-		Message:     "RWMutex %s: RUnlock without a matching RLock",
+		Name:      "rwlock",
+		Doc:       "sync.RWMutex.RUnlock called with no read lock held",
+		Severity:  SeverityError,
+		Mode:      ModeViolations,
+		Spec:      gosrc.RWLockSpecSrc,
+		NewEvents: gosrc.RWLockEvents,
+		Message:   "RWMutex %s: RUnlock without a matching RLock",
 	},
 	{
-		Name:        "doublelock",
-		Doc:         "sync.Mutex locked while held, or unlocked while not held",
-		Severity:    SeverityError,
-		Mode:        ModeViolations,
-		Spec:        gosrc.DoubleLockSpecSrc,
-		NewProperty: gosrc.DoubleLockProperty,
-		NewEvents:   gosrc.DoubleLockEvents,
-		Message:     "mutex %s locked while already held (or unlocked while not held)",
+		Name:      "doublelock",
+		Doc:       "sync.Mutex locked while held, or unlocked while not held",
+		Severity:  SeverityError,
+		Mode:      ModeViolations,
+		Spec:      gosrc.DoubleLockSpecSrc,
+		NewEvents: gosrc.DoubleLockEvents,
+		Message:   "mutex %s locked while already held (or unlocked while not held)",
 	},
 	{
-		Name:        "fileleak",
-		Doc:         "file opened with os.Open/OpenFile/Create possibly not closed",
-		Severity:    SeverityWarning,
-		Mode:        ModeLeakAtExit,
-		Spec:        gosrc.FileLeakSpecSrc,
-		NewProperty: gosrc.FileLeakProperty,
-		NewEvents:   gosrc.FileLeakEvents,
-		Message:     "file %s possibly still open when the entry function returns",
+		Name:      "fileleak",
+		Doc:       "file opened with os.Open/OpenFile/Create possibly not closed",
+		Severity:  SeverityWarning,
+		Mode:      ModeLeakAtExit,
+		Spec:      gosrc.FileLeakSpecSrc,
+		NewEvents: gosrc.FileLeakEvents,
+		Message:   "file %s possibly still open when the entry function returns",
 	},
 	{
-		Name:        "taint",
-		Doc:         "value from source() reaches sink() without sanitize()",
-		Severity:    SeverityError,
-		Mode:        ModeViolations,
-		Spec:        bitvector.TaintSpecSrc,
-		NewProperty: bitvector.TaintProperty,
-		NewEvents:   bitvector.TaintEvents,
-		Message:     "tainted value %s reaches a sink unsanitized",
+		Name:      "taint",
+		Doc:       "value from source() reaches sink() without sanitize()",
+		Severity:  SeverityError,
+		Mode:      ModeViolations,
+		Spec:      bitvector.TaintSpecSrc,
+		NewEvents: bitvector.TaintEvents,
+		Message:   "tainted value %s reaches a sink unsanitized",
 	},
 	{
-		Name:        "sqlrows",
-		Doc:         "sql.Rows from Query/QueryContext possibly not closed",
-		Severity:    SeverityWarning,
-		Mode:        ModeLeakAtExit,
-		Spec:        gosrc.SQLRowsSpecSrc,
-		NewProperty: gosrc.SQLRowsProperty,
-		NewEvents:   gosrc.SQLRowsEvents,
-		Message:     "rows %s possibly still open when the entry function returns",
+		Name:      "sqlrows",
+		Doc:       "sql.Rows from Query/QueryContext possibly not closed",
+		Severity:  SeverityWarning,
+		Mode:      ModeLeakAtExit,
+		Spec:      gosrc.SQLRowsSpecSrc,
+		NewEvents: gosrc.SQLRowsEvents,
+		Message:   "rows %s possibly still open when the entry function returns",
 	},
 	{
-		Name:        "waitgroup",
-		Doc:         "sync.WaitGroup counter misuse: Add after Wait, or Done driving the counter negative",
-		Severity:    SeverityError,
-		Mode:        ModeViolations,
-		Spec:        gosrc.WaitGroupCountSpecSrc,
-		NewProperty: gosrc.WaitGroupCountProperty,
-		NewEvents:   gosrc.WaitGroupCountEvents,
-		Version:     "3",
-		Message:     "WaitGroup %s misused: Add after Wait, or more Done calls than the Add total",
+		Name:      "waitgroup",
+		Doc:       "sync.WaitGroup counter misuse: Add after Wait, or Done driving the counter negative",
+		Severity:  SeverityError,
+		Mode:      ModeViolations,
+		Spec:      gosrc.WaitGroupCountSpecSrc,
+		NewEvents: gosrc.WaitGroupCountEvents,
+		Version:   "3",
+		Message:   "WaitGroup %s misused: Add after Wait, or more Done calls than the Add total",
 	},
 	{
-		Name:        "semabalance",
-		Doc:         "semaphore Acquire/Release balance: permits still held (or over-released) at exit",
-		Severity:    SeverityWarning,
-		Mode:        ModeLeakAtExit,
-		Spec:        gosrc.SemaBalanceSpecSrc,
-		NewProperty: gosrc.SemaBalanceProperty,
-		NewEvents:   gosrc.SemaBalanceEvents,
-		Version:     "2",
-		Message:     "semaphore %s: acquires and releases may be unbalanced when the entry function returns",
+		Name:      "semabalance",
+		Doc:       "semaphore Acquire/Release balance: permits still held (or over-released) at exit",
+		Severity:  SeverityWarning,
+		Mode:      ModeLeakAtExit,
+		Spec:      gosrc.SemaBalanceSpecSrc,
+		NewEvents: gosrc.SemaBalanceEvents,
+		Version:   "2",
+		Message:   "semaphore %s: acquires and releases may be unbalanced when the entry function returns",
 	},
 	{
-		Name:        "lockbalance",
-		Doc:         "mutex Lock/Unlock balance: lock still held (or over-unlocked) at exit",
-		Severity:    SeverityWarning,
-		Mode:        ModeLeakAtExit,
-		Spec:        gosrc.LockBalanceSpecSrc,
-		NewProperty: gosrc.LockBalanceProperty,
-		NewEvents:   gosrc.LockBalanceEvents,
-		Message:     "mutex %s: Lock and Unlock calls may be unbalanced when the entry function returns",
+		Name:      "lockbalance",
+		Doc:       "mutex Lock/Unlock balance: lock still held (or over-unlocked) at exit",
+		Severity:  SeverityWarning,
+		Mode:      ModeLeakAtExit,
+		Spec:      gosrc.LockBalanceSpecSrc,
+		NewEvents: gosrc.LockBalanceEvents,
+		Message:   "mutex %s: Lock and Unlock calls may be unbalanced when the entry function returns",
 	},
 	{
-		Name:        "poolexchange",
-		Doc:         "sync.Pool-style Get/Put exchange: outstanding Get results may exceed the band",
-		Severity:    SeverityWarning,
-		Mode:        ModeViolations,
-		Spec:        gosrc.PoolExchangeSpecSrc,
-		NewProperty: gosrc.PoolExchangeProperty,
-		NewEvents:   gosrc.PoolExchangeEvents,
-		Message:     "pool %s: more than 4 Get results outstanding (Get/Put exchange unbalanced)",
+		Name:      "poolexchange",
+		Doc:       "sync.Pool-style Get/Put exchange: outstanding Get results may exceed the band",
+		Severity:  SeverityWarning,
+		Mode:      ModeViolations,
+		Spec:      gosrc.PoolExchangeSpecSrc,
+		NewEvents: gosrc.PoolExchangeEvents,
+		Message:   "pool %s: more than 4 Get results outstanding (Get/Put exchange unbalanced)",
 	},
 	{
-		Name:        "poolexhaust",
-		Doc:         "connection-pool checkouts in flight may exceed the pool capacity",
-		Severity:    SeverityWarning,
-		Mode:        ModeViolations,
-		Spec:        gosrc.PoolExhaustSpecSrc,
-		NewProperty: gosrc.PoolExhaustProperty,
-		NewEvents:   gosrc.PoolExhaustEvents,
-		Message:     "pool %s: more than 4 connections may be checked out at once",
+		Name:      "poolexhaust",
+		Doc:       "connection-pool checkouts in flight may exceed the pool capacity",
+		Severity:  SeverityWarning,
+		Mode:      ModeViolations,
+		Spec:      gosrc.PoolExhaustSpecSrc,
+		NewEvents: gosrc.PoolExhaustEvents,
+		Message:   "pool %s: more than 4 connections may be checked out at once",
 	},
 	{
-		Name:        "depthbound",
-		Doc:         "Enter/Leave nesting depth may exceed the declared bound",
-		Severity:    SeverityWarning,
-		Mode:        ModeViolations,
-		Spec:        gosrc.DepthBoundSpecSrc,
-		NewProperty: gosrc.DepthBoundProperty,
-		NewEvents:   gosrc.DepthBoundEvents,
-		Message:     "Enter/Leave nesting may exceed depth 4 (counter saturated at its bound)",
+		Name:      "depthbound",
+		Doc:       "Enter/Leave nesting depth may exceed the declared bound",
+		Severity:  SeverityWarning,
+		Mode:      ModeViolations,
+		Spec:      gosrc.DepthBoundSpecSrc,
+		NewEvents: gosrc.DepthBoundEvents,
+		Message:   "Enter/Leave nesting may exceed depth 4 (counter saturated at its bound)",
 	},
 }

@@ -78,8 +78,8 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 // map are built lazily, once, and shared across concurrent jobs: compiled
 // properties (DFA + transition monoid) are read-only after construction.
 //
-// A checker is either property-based (NewProperty + NewEvents, solved
-// with the RASC pushdown engine) or model-based (Run set, inspecting the
+// A checker is either property-based (Spec + NewEvents, solved with the
+// RASC pushdown engine) or model-based (Run set, inspecting the
 // package's concurrency model directly — the race and lockorder
 // checkers). Exactly one of the two forms must be provided.
 type Checker struct {
@@ -91,8 +91,6 @@ type Checker struct {
 	Severity Severity
 	// Mode selects the result query.
 	Mode Mode
-	// NewProperty compiles the property specification.
-	NewProperty func() *spec.Property
 	// NewEvents builds the call-to-alphabet event map.
 	NewEvents func() *minic.EventMap
 	// Run, when set, replaces the property solve: the checker computes
@@ -103,8 +101,9 @@ type Checker struct {
 	// the parameter label (the offending mutex, file, rows value, ...).
 	Message string
 	// Spec is the property specification source the checker compiles
-	// (property-based checkers). It feeds the checker's content
-	// fingerprint, so editing a spec invalidates cached results.
+	// (property-based checkers). It is both what jobs solve and what the
+	// checker's content fingerprint hashes, so editing a spec
+	// invalidates cached results.
 	Spec string
 	// Version is a manual content-version tag for checkers whose
 	// semantics live in code the fingerprint cannot see — bump it when a
@@ -120,6 +119,9 @@ type Checker struct {
 	fp     string
 }
 
+// NewProperty compiles the checker's Spec.
+func (c *Checker) NewProperty() *spec.Property { return spec.MustCompile(c.Spec) }
+
 func (c *Checker) compiled() (*spec.Property, *minic.EventMap) {
 	c.once.Do(func() {
 		c.prop = c.NewProperty()
@@ -127,6 +129,10 @@ func (c *Checker) compiled() (*spec.Property, *minic.EventMap) {
 	})
 	return c.prop, c.events
 }
+
+// propertyBased reports whether the checker is solved from a property
+// (Spec and NewEvents set) rather than computed by Run.
+func (c *Checker) propertyBased() bool { return c.Spec != "" && c.NewEvents != nil }
 
 // Domain describes the checker's annotation domain for display: "model"
 // for model-based checkers (Run set), otherwise the compiled property's
@@ -166,15 +172,13 @@ func containsVerb(s string) bool {
 var registry = newRegistry(builtins)
 
 // newRegistry indexes a checker table by name. A checker needs a name
-// and exactly one of Run or NewProperty+NewEvents; a duplicate name
-// panics, since checker names are part of the suppression and CLI
-// surface.
+// and exactly one of Run or Spec+NewEvents; a duplicate name panics,
+// since checker names are part of the suppression and CLI surface.
 func newRegistry(cs []*Checker) map[string]*Checker {
 	reg := make(map[string]*Checker, len(cs))
 	for _, c := range cs {
-		propertyBased := c.NewProperty != nil && c.NewEvents != nil
-		if c.Name == "" || propertyBased == (c.Run != nil) {
-			panic("analysis: checker needs a name and exactly one of Run or NewProperty+NewEvents")
+		if c.Name == "" || c.propertyBased() == (c.Run != nil) {
+			panic("analysis: checker needs a name and exactly one of Run or Spec+NewEvents")
 		}
 		if _, dup := reg[c.Name]; dup {
 			panic("analysis: duplicate checker " + c.Name)
@@ -194,7 +198,7 @@ func (c *Checker) fingerprint() string {
 		var b strings.Builder
 		fmt.Fprintf(&b, "checker %s\ndoc %s\nsev %d mode %d\nmsg %s\nspec %s\nversion %s\n",
 			c.Name, c.Doc, c.Severity, c.Mode, c.Message, c.Spec, c.Version)
-		if c.NewProperty != nil && c.NewEvents != nil {
+		if c.propertyBased() {
 			_, events := c.compiled()
 			for _, r := range events.Rules {
 				fmt.Fprintf(&b, "rule %+v\n", r)
@@ -224,7 +228,7 @@ var registryFingerprint = sync.OnceValue(func() string {
 var eventCallees = sync.OnceValue(func() map[string]bool {
 	set := map[string]bool{}
 	for _, c := range All() {
-		if c.NewProperty == nil || c.NewEvents == nil {
+		if !c.propertyBased() {
 			continue
 		}
 		_, events := c.compiled()
@@ -251,28 +255,33 @@ func All() []*Checker {
 	return out
 }
 
-// Resolve turns a comma-separated checker list into checkers; "" or
-// "all" yields the full registry. Spaces around a name are ignored.
-func Resolve(names string) ([]*Checker, error) {
-	if names == "" || names == "all" {
-		return All(), nil
-	}
+// Resolve turns checker names into checkers, in first-mention order:
+// spaces around a name are ignored, and so are blank names and repeats.
+// "all", or a list that names no checker, selects the full registry. It
+// resolves both gocheck's -checkers list (split on commas) and the
+// Checkers of an Engine request, so the two select alike.
+func Resolve(names []string) ([]*Checker, error) {
 	var out []*Checker
+	all := false
 	seen := map[string]bool{}
-	for _, name := range strings.Split(names, ",") {
+	for _, name := range names {
 		name = strings.TrimSpace(name)
 		if name == "" || seen[name] {
 			continue
 		}
 		seen[name] = true
+		if name == "all" {
+			all = true
+			continue
+		}
 		c, ok := Get(name)
 		if !ok {
 			return nil, fmt.Errorf("analysis: unknown checker %q (have %s)", name, knownNames())
 		}
 		out = append(out, c)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("analysis: empty checker list")
+	if all || len(out) == 0 {
+		return All(), nil
 	}
 	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"rasc/internal/gosrc"
-	"rasc/internal/spec"
 )
 
 // countingCheckerNames are the bounded-counter checkers, with the
@@ -25,7 +24,7 @@ var countingCheckerNames = map[string]string{
 
 func countingCheckers(t *testing.T) []*Checker {
 	t.Helper()
-	cs, err := Resolve("semabalance,lockbalance,poolexchange,poolexhaust,depthbound,waitgroup")
+	cs, err := Resolve([]string{"semabalance", "lockbalance", "poolexchange", "poolexhaust", "depthbound", "waitgroup"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,19 +141,18 @@ func BurstHold(n int) {
 		t.Fatal(err)
 	}
 
-	relational, err := Resolve("semabalance")
+	relational, err := Resolve([]string{"semabalance"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	indep := &Checker{
-		Name:        "semabalance-indep",
-		Doc:         "v1 single-counter baseline for the relational semabalance",
-		Severity:    SeverityWarning,
-		Mode:        ModeLeakAtExit,
-		Spec:        gosrc.SemaBalanceIndepSpecSrc,
-		NewProperty: func() *spec.Property { return spec.MustCompile(gosrc.SemaBalanceIndepSpecSrc) },
-		NewEvents:   gosrc.SemaBalanceEvents,
-		Message:     "semaphore %s: acquires and releases may be unbalanced when the entry function returns",
+		Name:      "semabalance-indep",
+		Doc:       "v1 single-counter baseline for the relational semabalance",
+		Severity:  SeverityWarning,
+		Mode:      ModeLeakAtExit,
+		Spec:      gosrc.SemaBalanceIndepSpecSrc,
+		NewEvents: gosrc.SemaBalanceEvents,
+		Message:   "semaphore %s: acquires and releases may be unbalanced when the entry function returns",
 	}
 
 	findings := func(cs []*Checker) map[string]bool {

@@ -109,11 +109,9 @@ type Report struct {
 	// Request telemetry, populated by the resident Engine and excluded
 	// from every rendered form (json:"-") so findings and reports stay
 	// byte-identical whether or not telemetry is on. TraceID identifies
-	// the request; TraceJSON holds its Chrome trace when the request
-	// asked for one inline; MemoHits/MemoMisses count this request's
-	// job-memo lookups.
+	// the request (its span tree is in the flight recorder under that
+	// ID); MemoHits/MemoMisses count this request's job-memo lookups.
 	TraceID    string `json:"-"`
-	TraceJSON  []byte `json:"-"`
 	MemoHits   int64  `json:"-"`
 	MemoMisses int64  `json:"-"`
 }

@@ -117,9 +117,6 @@ type Config struct {
 	Entries []string
 	// Parallel bounds the worker pool; <= 0 means GOMAXPROCS.
 	Parallel int
-	// KeepSuppressed reports suppressed diagnostics instead of dropping
-	// them (still counted in Report.Suppressed).
-	KeepSuppressed bool
 	// Cache, when non-nil, enables incremental analysis: per-job results
 	// are looked up by content summary before solving and stored after,
 	// so repeat runs over unchanged code skip the solver entirely.
@@ -148,13 +145,7 @@ type Config struct {
 // recursive "dir/..." patterns, and translates them as one package.
 // Files ending in _test.go are skipped. The file order (and therefore
 // duplicate-definition resolution) is the sorted path order.
-func LoadPaths(paths []string) (*Package, error) {
-	files, err := readPathFiles(paths)
-	if err != nil {
-		return nil, err
-	}
-	return LoadFiles(files)
-}
+func LoadPaths(paths []string) (*Package, error) { return LoadPathsTraced(paths, nil) }
 
 // ReadPathFiles resolves LoadPaths' path patterns (files, directories,
 // recursive "dir/..." trees) and reads the files without translating
@@ -235,13 +226,7 @@ func readPathFiles(paths []string) ([]gosrc.File, error) {
 // LoadFiles translates in-memory sources as one package. Lowering also
 // surfaces CFG construction errors (unresolvable labels, stray
 // break/continue) at load time, once, instead of per job.
-func LoadFiles(files []gosrc.File) (*Package, error) {
-	prog, err := gosrc.Lower(files)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Files: files, Prog: prog}, nil
-}
+func LoadFiles(files []gosrc.File) (*Package, error) { return LoadFilesTraced(files, nil) }
 
 // Roots returns the default entry functions: canonical names of defined
 // functions that no other defined function calls, sorted; if the call
@@ -409,9 +394,7 @@ func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 			seen[k] = true
 			if pkg.suppressed(&d) {
 				rep.Suppressed++
-				if !cfg.KeepSuppressed {
-					continue
-				}
+				continue
 			}
 			rep.Diagnostics = append(rep.Diagnostics, d)
 		}

@@ -27,7 +27,6 @@
 package analysis
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -153,32 +152,29 @@ func (rp *residentProgram) retire() {
 
 // CheckRequest is one engine request: a file delta against a named
 // resident program plus the analysis selection to run on the result.
+// It is also the body of gocheckd's POST /v1/check, decoded as is, so
+// its JSON names are the wire protocol.
 type CheckRequest struct {
 	// Program names the resident program; "" means "default". The first
 	// request for a name must carry the full file set as Upserts.
-	Program string
+	Program string `json:"program,omitempty"`
 	// Upserts adds or replaces files by name; Removes drops files.
 	// Removes apply first. A request with neither re-checks as-is.
-	Upserts []gosrc.File
-	Removes []string
-	// Reset replaces the program's file set with exactly Upserts instead
-	// of applying a delta.
-	Reset bool
+	Upserts []gosrc.File `json:"upserts,omitempty"`
+	Removes []string     `json:"removes,omitempty"`
 
-	// Checkers selects registered checkers by name; nil means all.
-	Checkers []string
+	// Checkers selects registered checkers by name, resolved like
+	// gocheck's -checkers list (Resolve); nil means all.
+	Checkers []string `json:"checkers,omitempty"`
 	// Entries selects entry functions; nil means the package roots.
-	Entries []string
-	// KeepSuppressed and Explain are per-request, as in Config.
-	KeepSuppressed bool
-	Explain        bool
+	Entries []string `json:"entries,omitempty"`
+	// Explain is per-request, as in Config.
+	Explain bool `json:"explain,omitempty"`
 
 	// TraceID identifies the request in the flight recorder and access
-	// logs; empty means the engine mints one when tracing is active.
-	TraceID string
-	// WantTrace asks for the request's Chrome trace inline on
-	// Report.TraceJSON even without a flight recorder.
-	WantTrace bool
+	// logs; empty means the engine mints one when tracing is active. The
+	// server sets it, so it is not part of the wire body.
+	TraceID string `json:"-"`
 }
 
 // Check runs one request. It applies the file delta (re-lowering only
@@ -192,12 +188,12 @@ func (e *Engine) Check(req CheckRequest) (*Report, error) {
 	if e.serverM != nil {
 		e.serverM.Requests.Inc()
 	}
-	// With a flight recorder (or an inline-trace request) the request
-	// runs under its own tracer and trace ID, so its span tree can be
-	// recorded, returned and persisted independently of other requests.
+	// With a flight recorder the request runs under its own tracer and
+	// trace ID, so its span tree can be recorded and persisted
+	// independently of other requests.
 	var tr *obs.Tracer
 	traceID := req.TraceID
-	if e.cfg.Flight != nil || req.WantTrace {
+	if e.cfg.Flight != nil {
 		tr = obs.NewTracer()
 		if traceID == "" {
 			traceID = obs.NewTraceID()
@@ -221,12 +217,6 @@ func (e *Engine) Check(req CheckRequest) (*Report, error) {
 	}
 	if rep != nil {
 		rep.TraceID = traceID
-		if req.WantTrace && tr != nil {
-			var buf bytes.Buffer
-			if werr := tr.WriteJSON(&buf); werr == nil {
-				rep.TraceJSON = buf.Bytes()
-			}
-		}
 	}
 	if e.cfg.Flight != nil {
 		meta := obs.FlightMeta{
@@ -253,7 +243,7 @@ func programName(name string) string {
 }
 
 func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
-	checkers, err := checkersByName(req.Checkers)
+	checkers, err := Resolve(req.Checkers)
 	if err != nil {
 		return nil, err
 	}
@@ -267,14 +257,13 @@ func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
 	}
 
 	cfg := Config{
-		Checkers:       checkers,
-		Entries:        req.Entries,
-		Parallel:       e.cfg.Parallel,
-		KeepSuppressed: req.KeepSuppressed,
-		Cache:          e.cfg.Cache,
-		Trace:          tr,
-		Metrics:        e.cfg.Metrics,
-		Explain:        req.Explain,
+		Checkers: checkers,
+		Entries:  req.Entries,
+		Parallel: e.cfg.Parallel,
+		Cache:    e.cfg.Cache,
+		Trace:    tr,
+		Metrics:  e.cfg.Metrics,
+		Explain:  req.Explain,
 	}
 	rep, err := analyze(pkg, cfg, e.mem)
 	if err != nil {
@@ -291,10 +280,8 @@ func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
 // Package in place, so a bad push never poisons the resident program.
 func (e *Engine) refresh(rp *residentProgram, req CheckRequest) (*Package, error) {
 	next := map[string]gosrc.File{}
-	if !req.Reset {
-		for name, f := range rp.files {
-			next[name] = f
-		}
+	for name, f := range rp.files {
+		next[name] = f
 	}
 	for _, name := range req.Removes {
 		delete(next, name)
@@ -336,12 +323,7 @@ func (e *Engine) refresh(rp *residentProgram, req CheckRequest) (*Package, error
 	if rp.pkg != nil {
 		prev = rp.pkg.Prog
 	}
-	prog, err := ir.NewIncremental(trn.Prog, ir.Meta{
-		Notes:       trn.Notes,
-		Ignores:     trn.Ignores,
-		FileIgnores: trn.FileIgnores,
-		Shared:      trn.Shared,
-	}, prev)
+	prog, err := ir.NewIncremental(trn.Prog, trn.Meta, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -460,23 +442,6 @@ func (e *Engine) account(rep *Report) {
 	e.cacheHits.Add(int64(st.Hits))
 	e.cacheMisses.Add(int64(st.Misses))
 	e.resolvedFns.Add(int64(st.ResolvedFunctions))
-}
-
-// checkersByName resolves checker names; nil selects every registered
-// checker.
-func checkersByName(names []string) ([]*Checker, error) {
-	if len(names) == 0 {
-		return nil, nil // Analyze defaults to All()
-	}
-	out := make([]*Checker, 0, len(names))
-	for _, name := range names {
-		c, ok := Get(name)
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown checker %q", name)
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // Manifest returns the named resident program's file set as file name

@@ -221,7 +221,6 @@ func TestEngineConcurrentRequests(t *testing.T) {
 					// and cross-program cache sharing.
 					req.Program = "alt"
 					req.Upserts = full
-					req.Reset = true
 				case 3:
 					// Stats and Programs must be callable mid-flight.
 					eng.Stats()
@@ -403,7 +402,7 @@ func TestEngineEviction(t *testing.T) {
 		t.Fatal("delta request against an evicted program succeeded")
 	}
 	// ... and a full re-push must answer correctly again.
-	rep, err := eng.Check(CheckRequest{Program: "p1", Upserts: full, Reset: true, Checkers: []string{"doublelock"}})
+	rep, err := eng.Check(CheckRequest{Program: "p1", Upserts: full, Checkers: []string{"doublelock"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,8 +464,46 @@ func TestEngineUnknownChecker(t *testing.T) {
 	}
 }
 
+// A request's checker list resolves as gocheck's -checkers list does: a
+// repeated or spaced name selects its checker once, "all" selects the
+// full registry, and an unknown name fails with the known names. Each
+// selection gives the report of the plain one.
+func TestEngineCheckerSelections(t *testing.T) {
+	full := []gosrc.File{{Name: "a.go", Src: engASrc}, {Name: "b.go", Src: engBSrc}}
+	report := func(names []string) string {
+		t.Helper()
+		rep, err := NewEngine(EngineConfig{}).Check(CheckRequest{Upserts: full, Checkers: names})
+		if err != nil {
+			t.Fatalf("%q: %v", names, err)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	single, registry := report([]string{"doublelock"}), report(nil)
+	for _, tc := range []struct {
+		names []string
+		want  string
+	}{
+		{[]string{"doublelock", "doublelock"}, single},
+		{[]string{" doublelock"}, single},
+		{[]string{"doublelock ", " doublelock"}, single},
+		{[]string{"all"}, registry},
+	} {
+		if got := report(tc.names); got != tc.want {
+			t.Errorf("%q gives\n%s\nwant\n%s", tc.names, got, tc.want)
+		}
+	}
+	_, err := NewEngine(EngineConfig{}).Check(CheckRequest{Upserts: full, Checkers: []string{"nosuch"}})
+	if err == nil || !strings.Contains(err.Error(), "doublelock") {
+		t.Errorf("unknown checker: err = %v, want the known names listed", err)
+	}
+}
+
 // TestEngineStatsJSONSchema pins the EngineStats wire names the metrics
-// endpoint and obslint depend on.
+// endpoint serves.
 func TestEngineStatsJSONSchema(t *testing.T) {
 	b, err := json.Marshal(EngineStats{})
 	if err != nil {

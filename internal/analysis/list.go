@@ -55,7 +55,7 @@ func (f SpeclintFinding) String() string {
 func Speclint(cs []*Checker) []SpeclintFinding {
 	var out []SpeclintFinding
 	for _, c := range cs {
-		if c.NewProperty == nil {
+		if !c.propertyBased() {
 			continue
 		}
 		prop, _ := c.compiled()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rasc/internal/gosrc"
-	"rasc/internal/spec"
 )
 
 // startAcceptingSrc is a leak-mode property whose start state accepts:
@@ -25,13 +24,12 @@ state Closed :
 // fileleak's event rules, whose callees the registry already defers.
 func startAccepting() *Checker {
 	return &Checker{
-		Name:        "startaccept",
-		Severity:    SeverityWarning,
-		Mode:        ModeLeakAtExit,
-		Spec:        startAcceptingSrc,
-		NewProperty: func() *spec.Property { return spec.MustCompile(startAcceptingSrc) },
-		NewEvents:   gosrc.FileLeakEvents,
-		Message:     "%s open at exit",
+		Name:      "startaccept",
+		Severity:  SeverityWarning,
+		Mode:      ModeLeakAtExit,
+		Spec:      startAcceptingSrc,
+		NewEvents: gosrc.FileLeakEvents,
+		Message:   "%s open at exit",
 	}
 }
 

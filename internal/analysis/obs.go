@@ -149,8 +149,9 @@ func LoadPathsTraced(paths []string, tr *obs.Tracer) (*Package, error) {
 }
 
 // LoadFilesTraced is LoadFiles with the translate and IR-lowering
-// phases recorded as separate trace spans. It mirrors gosrc.Lower,
-// split so each phase gets its own span.
+// phases recorded as separate trace spans; a nil tracer makes it
+// equivalent to LoadFiles. It mirrors gosrc.Lower, split so each phase
+// gets its own span.
 func LoadFilesTraced(files []gosrc.File, tr *obs.Tracer) (*Package, error) {
 	tsp := tr.Start("translate")
 	trn, err := gosrc.TranslateFiles(files)
@@ -159,12 +160,7 @@ func LoadFilesTraced(files []gosrc.File, tr *obs.Tracer) (*Package, error) {
 		return nil, err
 	}
 	lsp := tr.Start("ir.lower")
-	prog, err := ir.New(trn.Prog, ir.Meta{
-		Notes:       trn.Notes,
-		Ignores:     trn.Ignores,
-		FileIgnores: trn.FileIgnores,
-		Shared:      trn.Shared,
-	})
+	prog, err := ir.New(trn.Prog, trn.Meta)
 	if err == nil {
 		lsp.SetAttr("functions", len(prog.Funcs))
 	}

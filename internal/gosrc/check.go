@@ -72,9 +72,6 @@ accept state Pending :
     | close(x) -> Done;
 `
 
-// SQLRowsProperty compiles SQLRowsSpecSrc.
-func SQLRowsProperty() *spec.Property { return spec.MustCompile(SQLRowsSpecSrc) }
-
 // SQLRowsEvents: rows, err := db.Query(...) opens rows; rows.Close()
 // closes them.
 func SQLRowsEvents() *minic.EventMap {
@@ -100,9 +97,6 @@ state Closed :
 
 accept state Error;
 `
-
-// ChanCloseProperty compiles ChanCloseSpecSrc.
-func ChanCloseProperty() *spec.Property { return spec.MustCompile(ChanCloseSpecSrc) }
 
 // ChanCloseEvents: the synthesized $chan.send/$chan.close actions,
 // labelled by the channel rendering (argument 0).
@@ -133,9 +127,6 @@ state Deep :
 
 accept state Error;
 `
-
-// RWLockProperty compiles RWLockSpecSrc.
-func RWLockProperty() *spec.Property { return spec.MustCompile(RWLockSpecSrc) }
 
 // RWLockEvents: mu.RLock()/mu.RUnlock(), labelled by the receiver.
 func RWLockEvents() *minic.EventMap {

@@ -180,12 +180,8 @@ func TranslateFilesMemo(files []File, m *Memo) (*Translation, error) {
 	}
 
 	// Phase 3: merge units in file order.
-	out := &Translation{
-		Prog:        &minic.Program{ByName: map[string]*minic.FuncDef{}},
-		Ignores:     map[string]map[int][]string{},
-		FileIgnores: map[string][]string{},
-		Shared:      shared,
-	}
+	out := newTranslation()
+	out.Shared = shared
 	methodsByBare := map[string][]*minic.FuncDef{}
 	for i, f := range files {
 		u := units[i]
@@ -240,11 +236,7 @@ func translateUnit(f File, globals map[string]bool, gocountStart int) (*fileUnit
 	if err != nil {
 		return nil, fmt.Errorf("gosrc: %w", err)
 	}
-	scratch := &Translation{
-		Prog:        &minic.Program{ByName: map[string]*minic.FuncDef{}},
-		Ignores:     map[string]map[int][]string{},
-		FileIgnores: map[string][]string{},
-	}
+	scratch := newTranslation()
 	scratch.gocount = gocountStart
 	tr := &translator{fset: fset, file: f.Name, out: scratch, globals: globals}
 	collectIgnores(fset, f.Name, file, scratch)

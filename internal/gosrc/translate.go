@@ -68,21 +68,19 @@ type Translation struct {
 	// Prog is the merged mini-C program; every FuncDef carries the source
 	// File it came from.
 	Prog *minic.Program
-	// Notes lists translation imprecisions, ordered by file then line.
-	Notes []Note
-	// Ignores maps file name -> line -> checker names named in
-	// //rasc:ignore comments on that line. An empty name list means the
-	// line suppresses every checker.
-	Ignores map[string]map[int][]string
-	// FileIgnores maps file name -> checker names named in
-	// //rasc:ignore-file comments anywhere in that file. A present file
-	// with an empty name list suppresses every checker in the file.
-	FileIgnores map[string][]string
-	// Shared lists the package-level variables treated as shared state
-	// by the concurrency checkers, sorted.
-	Shared []string
+	// Meta holds the translation's notes, //rasc:ignore directives and
+	// shared variables, exactly as lowering attaches them to the IR.
+	ir.Meta
 
 	gocount int // synthesized goroutine-closure counter
+}
+
+// newTranslation returns an empty translation ready to fill.
+func newTranslation() *Translation {
+	return &Translation{
+		Prog: &minic.Program{ByName: map[string]*minic.FuncDef{}},
+		Meta: ir.Meta{Ignores: map[string]map[int][]string{}, FileIgnores: map[string][]string{}},
+	}
 }
 
 // Translate parses a single Go source buffer and translates every
@@ -108,12 +106,7 @@ func Lower(files []File) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ir.New(tr.Prog, ir.Meta{
-		Notes:       tr.Notes,
-		Ignores:     tr.Ignores,
-		FileIgnores: tr.FileIgnores,
-		Shared:      tr.Shared,
-	})
+	return ir.New(tr.Prog, tr.Meta)
 }
 
 // TranslateFiles parses a set of Go files and merges every function
@@ -122,11 +115,7 @@ func Lower(files []File) (*ir.Program, error) {
 // given order; duplicate definitions keep the first body and add a Note.
 func TranslateFiles(files []File) (*Translation, error) {
 	fset := token.NewFileSet()
-	out := &Translation{
-		Prog:        &minic.Program{ByName: map[string]*minic.FuncDef{}},
-		Ignores:     map[string]map[int][]string{},
-		FileIgnores: map[string][]string{},
-	}
+	out := newTranslation()
 	prog := out.Prog
 	// Pass 1: parse every file, so package-level shared variables are
 	// known before any function body is translated.

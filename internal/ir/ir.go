@@ -87,9 +87,9 @@ const (
 // SourceFile is one source file handed to a front end.
 type SourceFile struct {
 	// Name is the file's (display) path, used in positions and notes.
-	Name string
+	Name string `json:"name"`
 	// Src is the file's content.
-	Src string
+	Src string `json:"src"`
 }
 
 // Note is a translation remark: a construct a front end's abstraction
@@ -112,7 +112,8 @@ type Meta struct {
 	// line suppresses every checker.
 	Ignores map[string]map[int][]string
 	// FileIgnores maps file name -> checker names named in
-	// //rasc:ignore-file comments anywhere in that file.
+	// //rasc:ignore-file comments anywhere in that file. A present file
+	// with an empty name list suppresses every checker in the file.
 	FileIgnores map[string][]string
 	// Shared lists the package-level variables treated as shared state by
 	// the concurrency checkers, sorted.

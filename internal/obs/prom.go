@@ -11,7 +11,7 @@ import (
 )
 
 // Prometheus text exposition (format version 0.0.4) of a metrics
-// snapshot, plus the matching validator obslint and CI use to check a
+// snapshot, plus the matching validator the tests use to check a
 // scraped endpoint. Zero-dependency on purpose: the format is a few
 // line shapes, and generating + validating it ourselves keeps the
 // whole telemetry chain inside the repo.

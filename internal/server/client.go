@@ -147,30 +147,18 @@ func (c *Client) Manifest(program string) (ManifestResponse, error) {
 }
 
 // Check posts one check request and returns the server's report, with
-// the envelope's telemetry (trace ID, inline trace) attached to the
-// report's unrendered telemetry fields.
+// the envelope's trace ID attached to the report's unrendered TraceID.
 func (c *Client) Check(req CheckRequest) (*analysis.Report, error) {
-	return c.check("/v1/check", req)
-}
-
-// CheckTraced is Check with ?trace=1: the report comes back with its
-// Chrome trace on Report.TraceJSON.
-func (c *Client) CheckTraced(req CheckRequest) (*analysis.Report, error) {
-	return c.check("/v1/check?trace=1", req)
-}
-
-func (c *Client) check(path string, req CheckRequest) (*analysis.Report, error) {
 	var resp CheckResponse
-	if err := c.post(path, req, &resp); err != nil {
+	if err := c.post("/v1/check", req, &resp); err != nil {
 		return nil, err
 	}
 	if resp.Report == nil {
 		return nil, fmt.Errorf("server: response carried no report")
 	}
 	// json:"-" telemetry fields don't survive the wire inside the
-	// report; rehydrate them from the envelope.
+	// report; rehydrate the trace ID from the envelope.
 	resp.Report.TraceID = resp.TraceID
-	resp.Report.TraceJSON = []byte(resp.Trace)
 	return resp.Report, nil
 }
 

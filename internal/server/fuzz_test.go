@@ -14,8 +14,8 @@ import (
 // to a handler over a fresh engine. The body is the daemon's only
 // untrusted input: whatever it holds, the handler must not panic, and it
 // must answer with a JSON body and one of the statuses the protocol
-// names — 200, 400 (undecodable body), 413 (body too large) or 422 (the
-// engine refused the request).
+// names — 200, 400 (undecodable body, unknown field or trailing data),
+// 413 (body too large) or 422 (the engine refused the request).
 func FuzzCheckRequest(f *testing.F) {
 	valid, err := json.Marshal(CheckRequest{Upserts: []FilePayload{{Name: "a.go", Src: srvASrc}}})
 	if err != nil {
@@ -24,6 +24,10 @@ func FuzzCheckRequest(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{"program":"empty"}`))
+	f.Add([]byte(`{"program":"p"}{"reset":true}`))
+	for _, body := range unknownFieldBodies {
+		f.Add([]byte(body.json))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		h := NewHandler(HandlerConfig{Engine: analysis.NewEngine(analysis.EngineConfig{})})
 		rec := httptest.NewRecorder()

@@ -8,16 +8,18 @@
 //
 // Endpoints (all under /v1/):
 //
-//	POST /v1/check         body CheckRequest -> CheckResponse (?trace=1
-//	                       returns the request's Chrome trace inline;
-//	                       a body over 64 MiB is answered 413)
+//	POST /v1/check         body CheckRequest -> CheckResponse (a body
+//	                       naming an unknown field or holding more than
+//	                       one object is answered 400, one over 64 MiB
+//	                       413)
 //	GET  /v1/manifest      ?program=NAME     -> ManifestResponse (name -> sha256)
 //	GET  /v1/list          registered checkers, text/plain
 //	GET  /v1/metrics       -> MetricsResponse (?format=prometheus for
 //	                       text exposition v0.0.4)
 //	GET  /v1/health        -> HealthResponse (SLO-aware: ok/degraded)
 //	GET  /v1/debug/flight  flight-recorder traces, Chrome trace JSON
-//	                       (?trace=ID for one request, ?list=1 for metadata)
+//	                       (?trace=ID for one request — the ID a check
+//	                       response carries — ?list=1 for metadata)
 //	GET  /v1/debug/vars    plain-text telemetry summary
 //	POST /v1/shutdown      graceful stop (when the daemon enables it)
 //
@@ -39,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -54,38 +57,20 @@ import (
 // own internal/... source is about 1.1 MB.
 const maxCheckBody = 64 << 20
 
+// CheckRequest is the body of POST /v1/check: the engine's request,
+// decoded as is.
+type CheckRequest = analysis.CheckRequest
+
 // FilePayload is one source file on the wire.
-type FilePayload struct {
-	Name string `json:"name"`
-	Src  string `json:"src"`
-}
+type FilePayload = gosrc.File
 
-// CheckRequest is the body of POST /v1/check.
-type CheckRequest struct {
-	// Program names the resident program ("" = "default").
-	Program string `json:"program,omitempty"`
-	// Upserts adds or replaces files; Removes drops them (applied
-	// first); Reset replaces the file set with exactly Upserts.
-	Upserts []FilePayload `json:"upserts,omitempty"`
-	Removes []string      `json:"removes,omitempty"`
-	Reset   bool          `json:"reset,omitempty"`
-	// Checkers and Entries select what to run (nil = all / roots).
-	Checkers []string `json:"checkers,omitempty"`
-	Entries  []string `json:"entries,omitempty"`
-	// KeepSuppressed and Explain mirror the one-shot flags.
-	KeepSuppressed bool `json:"keep_suppressed,omitempty"`
-	Explain        bool `json:"explain,omitempty"`
-}
-
-// CheckResponse is the body of a successful POST /v1/check. TraceID
-// and Trace are envelope-level telemetry: the report itself renders
-// identically with or without them.
+// CheckResponse is the body of a successful POST /v1/check. TraceID is
+// envelope-level telemetry: the report itself renders identically with
+// or without it, and GET /v1/debug/flight?trace=ID serves the request's
+// span tree.
 type CheckResponse struct {
 	Report  *analysis.Report `json:"report"`
 	TraceID string           `json:"trace_id,omitempty"`
-	// Trace is the request's Chrome trace, present when the request
-	// asked for it with ?trace=1.
-	Trace json.RawMessage `json:"trace,omitempty"`
 }
 
 // ManifestResponse maps a resident program's file names to the SHA-256
@@ -215,8 +200,19 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	// A field the request type lacks, or anything after the request
+	// object, is refused rather than ignored, so a misspelt or retired
+	// option never reads as absent.
 	var req CheckRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCheckBody)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCheckBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the request object")
+		}
+	}
+	if err != nil {
 		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 			return
@@ -224,30 +220,15 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	upserts := make([]gosrc.File, len(req.Upserts))
-	for i, f := range req.Upserts {
-		upserts[i] = gosrc.File{Name: f.Name, Src: f.Src}
-	}
 	info := infoFrom(r)
-	areq := analysis.CheckRequest{
-		Program:        req.Program,
-		Upserts:        upserts,
-		Removes:        req.Removes,
-		Reset:          req.Reset,
-		Checkers:       req.Checkers,
-		Entries:        req.Entries,
-		KeepSuppressed: req.KeepSuppressed,
-		Explain:        req.Explain,
-		WantTrace:      r.URL.Query().Get("trace") == "1",
-	}
 	if info != nil {
 		info.check = true
 		// The handler-minted trace ID identifies the request in the
 		// engine's flight recorder, the access log and the response
 		// header alike.
-		areq.TraceID = info.traceID
+		req.TraceID = info.traceID
 	}
-	rep, err := h.engine.Check(areq)
+	rep, err := h.engine.Check(req)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -260,11 +241,7 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// rendering: the client's render must be byte-identical to a
 	// one-shot run's.
 	rep.Cache = nil
-	writeJSON(w, http.StatusOK, CheckResponse{
-		Report:  rep,
-		TraceID: rep.TraceID,
-		Trace:   json.RawMessage(rep.TraceJSON),
-	})
+	writeJSON(w, http.StatusOK, CheckResponse{Report: rep, TraceID: rep.TraceID})
 }
 
 func programLabel(name string) string {
@@ -352,11 +329,11 @@ func HashFiles(files []gosrc.File) map[string]string {
 // Delta computes the minimal CheckRequest file fields that bring a
 // server manifest to the local file set: changed/new files as upserts,
 // names the server has but the client does not as removes.
-func Delta(local []gosrc.File, remote map[string]string) (upserts []FilePayload, removes []string) {
+func Delta(local []gosrc.File, remote map[string]string) (upserts []gosrc.File, removes []string) {
 	localHash := HashFiles(local)
 	for _, f := range local {
 		if remote[f.Name] != localHash[f.Name] {
-			upserts = append(upserts, FilePayload{Name: f.Name, Src: f.Src})
+			upserts = append(upserts, f)
 		}
 	}
 	for name := range remote {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -352,14 +353,17 @@ func TestServerErrorPaths(t *testing.T) {
 		t.Fatalf("GET /v1/check = %d", resp.StatusCode)
 	}
 
-	// Undecodable body.
-	resp, err = http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body = %d", resp.StatusCode)
+	// Undecodable bodies: a truncated object, and a second object after
+	// the request.
+	for _, body := range []string{"{", `{"program":"p"}{"reset":true}`} {
+		resp, err = http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad body %s = %d", body, resp.StatusCode)
+		}
 	}
 
 	// A body over the bound, streamed so that the client never holds it,
@@ -378,6 +382,79 @@ func TestServerErrorPaths(t *testing.T) {
 	// Shutdown disabled (nil onShutdown).
 	if err := client.Shutdown(); err == nil || !strings.Contains(err.Error(), "disabled") {
 		t.Fatalf("disabled shutdown: %v", err)
+	}
+}
+
+// wireGolden is the JSON of a CheckRequest with every field set. Clients
+// send this form, so a change to it breaks them.
+const wireGolden = `{"program":"p","upserts":[{"name":"a.go","src":"package p\n"}],"removes":["b.go"],"checkers":["doublelock","fileleak"],"entries":["Top"],"explain":true}`
+
+// The wire form of a check request is pinned: every field marshals
+// under its JSON name, and the golden bytes decode back to the same
+// request.
+func TestCheckRequestWireGolden(t *testing.T) {
+	req := CheckRequest{
+		Program:  "p",
+		Upserts:  []FilePayload{{Name: "a.go", Src: "package p\n"}},
+		Removes:  []string{"b.go"},
+		Checkers: []string{"doublelock", "fileleak"},
+		Entries:  []string{"Top"},
+		Explain:  true,
+	}
+	got, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != wireGolden {
+		t.Errorf("wire form changed:\ngot:  %s\nwant: %s", got, wireGolden)
+	}
+	var back CheckRequest
+	if err := json.Unmarshal([]byte(wireGolden), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, req) {
+		t.Errorf("golden decodes to %+v, want %+v", back, req)
+	}
+}
+
+// unknownFieldBodies are /v1/check bodies that name a field the request
+// type lacks — a retired option, a server-set field, a misspelling, an
+// unknown key in a file — each with the key the 400 must name.
+var unknownFieldBodies = []struct{ key, json string }{
+	{"reset", `{"upserts":[{"name":"c.go","src":"package p\nfunc C() {}\n"}],"reset":true}`},
+	{"keep_suppressed", `{"upserts":[{"name":"c.go","src":"package p\nfunc C() {}\n"}],"keep_suppressed":true}`},
+	{"trace_id", `{"upserts":[{"name":"c.go","src":"package p\nfunc C() {}\n"}],"trace_id":"0123456789abcdef"}`},
+	{"checker", `{"upserts":[{"name":"c.go","src":"package p\nfunc C() {}\n"}],"checker":["doublelock"]}`},
+	{"mode", `{"upserts":[{"name":"c.go","src":"package p\nfunc C() {}\n","mode":420}]}`},
+}
+
+// A check body that names an unknown field is answered 400 with the key
+// in the error, and the resident program keeps its file set: the
+// request is refused, not run as if the field were absent.
+func TestServerRejectsUnknownFields(t *testing.T) {
+	client, engine, ts := newTestServer(t, nil)
+	files := []gosrc.File{{Name: "a.go", Src: srvASrc}, {Name: "b.go", Src: srvBSrc}}
+	if _, err := client.CheckFiles("default", files, CheckRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	want := HashFiles(files)
+	for _, body := range unknownFieldBodies {
+		resp, err := http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader(body.json))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: undecodable answer: %v", body.key, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, `"`+body.key+`"`) {
+			t.Errorf("%s: status %d, error %q; want 400 naming the key", body.key, resp.StatusCode, er.Error)
+		}
+		if got := engine.Manifest("default"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: resident files became %v", body.key, got)
+		}
 	}
 }
 
@@ -435,9 +512,8 @@ func TestServerListEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerMetricsSchema pins the wire shape obslint and dashboards
-// read: engine stats keys, the latency quantiles, and the server.*
-// registry metrics.
+// TestServerMetricsSchema pins the wire shape dashboards read: engine
+// stats keys, the latency quantiles, and the server.* registry metrics.
 func TestServerMetricsSchema(t *testing.T) {
 	client, _, ts := newTestServer(t, nil)
 	files := []gosrc.File{{Name: "a.go", Src: srvASrc}}
@@ -473,7 +549,7 @@ func TestServerMetricsSchema(t *testing.T) {
 // TestServerTelemetryByteIdentity: with the flight recorder and
 // request tracing on, rendered findings are byte-identical to a plain
 // server and to a one-shot run, every response carries a trace ID, and
-// ?trace=1 returns a valid inline Chrome trace.
+// the flight recorder serves a check's span tree by that ID.
 func TestServerTelemetryByteIdentity(t *testing.T) {
 	var logBuf bytes.Buffer
 	client, ts := newTelemetryServer(t, 0, "", &logBuf)
@@ -504,23 +580,29 @@ func TestServerTelemetryByteIdentity(t *testing.T) {
 		t.Fatalf("health response %s = %q", TraceHeader, id)
 	}
 
-	// ?trace=1 returns the request's span tree inline, and the report
+	// A re-check's span tree is served by its trace ID, and the report
 	// still renders identically.
-	traced, err := client.CheckTraced(CheckRequest{})
+	again, err := client.Check(CheckRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traced.TraceJSON) == 0 {
-		t.Fatal("traced check returned no inline trace")
+	resp, err = http.Get(ts.URL + "/v1/debug/flight?trace=" + again.TraceID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := obs.ValidateTraceJSON(traced.TraceJSON); err != nil {
-		t.Fatalf("inline trace invalid: %v", err)
+	trace, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("flight trace %s = %d, %v", again.TraceID, resp.StatusCode, err)
 	}
-	if !strings.Contains(string(traced.TraceJSON), "request:default") {
-		t.Fatal("inline trace lacks the request root span")
+	if err := obs.ValidateTraceJSON(trace); err != nil {
+		t.Fatalf("request trace invalid: %v", err)
 	}
-	if got, exp := jsonOf(t, traced), jsonOf(t, want); got != exp {
-		t.Fatal("traced JSON differs from one-shot")
+	if !strings.Contains(string(trace), "request:default") {
+		t.Fatal("request trace lacks the request root span")
+	}
+	if got, exp := jsonOf(t, again), jsonOf(t, want); got != exp {
+		t.Fatal("re-check JSON differs from one-shot")
 	}
 
 	// Access log: one JSON line per request, with program and memo
