@@ -71,7 +71,7 @@ func run() int {
 	entryFlag := flag.String("entry", "", "comma-separated entry functions (default: package roots)")
 	format := flag.String("format", "text", "output format: text, json, sarif or github")
 	failOn := flag.String("fail-on", "warning", "lowest severity that fails the run (error, warning or note)")
-	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "job pool size (0 = GOMAXPROCS); the front end always uses GOMAXPROCS")
 	cacheDir := flag.String("cache-dir", "", "directory for the incremental result cache (empty = no cache)")
 	list := flag.Bool("list", false, "list registered checkers and exit")
 	speclint := flag.Bool("speclint", false, "lint the checkers' property specs and exit (3 on findings)")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,9 +24,6 @@ import (
 // corpus is the analysis package's known-buggy test corpus.
 const corpus = "../../internal/analysis/testdata/src"
 
-// internalTree is this repository's own internal/... tree.
-const internalTree = "../../internal/..."
-
 // TestMain makes the test binary double as gocheck: started with
 // GOCHECK_TEST_MAIN=1, it runs main on its arguments instead of the
 // tests.
@@ -33,7 +31,50 @@ func TestMain(m *testing.M) {
 	if os.Getenv("GOCHECK_TEST_MAIN") == "1" {
 		main()
 	}
-	os.Exit(m.Run())
+	code := m.Run()
+	if internalCopy.dir != "" {
+		os.RemoveAll(internalCopy.dir)
+	}
+	os.Exit(code)
+}
+
+// internalCopy holds a copy of the non-test .go files of this
+// repository's internal/ tree, taken at most once per test binary, so
+// that the in-process reference and every gocheck run over it analyse
+// the same bytes, whatever edits the tree sees meanwhile.
+var internalCopy struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+// internalTree returns the copy's "DIR/internal/..." pattern.
+func internalTree(t *testing.T) string {
+	t.Helper()
+	internalCopy.once.Do(func() {
+		internalCopy.dir, internalCopy.err = os.MkdirTemp("", "gocheck-internal-")
+		if internalCopy.err != nil {
+			return
+		}
+		internalCopy.err = filepath.WalkDir("../../internal", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			dst := filepath.Join(internalCopy.dir, strings.TrimPrefix(path, "../../"))
+			if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+				return err
+			}
+			return os.WriteFile(dst, src, 0o644)
+		})
+	})
+	if internalCopy.err != nil {
+		t.Fatal(internalCopy.err)
+	}
+	return filepath.Join(internalCopy.dir, "internal") + "/..."
 }
 
 // gocheck runs the command with args and returns its exit code,
@@ -55,8 +96,8 @@ func gocheck(t *testing.T, args ...string) (int, string, string) {
 	return 0, stdout.String(), stderr.String()
 }
 
-// reference holds an in-process one-shot report over internal/...,
-// analyzed at most once per test binary.
+// reference holds an in-process one-shot report over the copy of
+// internal/..., analyzed at most once per test binary.
 var reference struct {
 	once sync.Once
 	rep  *analysis.Report
@@ -65,8 +106,9 @@ var reference struct {
 
 func internalReport(t *testing.T) *analysis.Report {
 	t.Helper()
+	tree := internalTree(t)
 	reference.once.Do(func() {
-		pkg, err := analysis.LoadPaths([]string{internalTree})
+		pkg, err := analysis.LoadPaths([]string{tree})
 		if err == nil {
 			reference.rep, err = analysis.Analyze(pkg, analysis.Config{})
 		}
@@ -107,7 +149,7 @@ func TestInstrumentedRunOverInternal(t *testing.T) {
 	dir := t.TempDir()
 	tracePath, metricsPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.json")
 	code, stdout, stderr := gocheck(t, "-format", "json", "-trace-out", tracePath,
-		"-metrics-json", metricsPath, "-progress", internalTree)
+		"-metrics-json", metricsPath, "-progress", internalTree(t))
 	if code != 3 {
 		t.Fatalf("exit %d, want 3 (stderr: %s)", code, stderr)
 	}
@@ -181,7 +223,7 @@ func TestServerModeOverInternal(t *testing.T) {
 	h := server.NewHandler(server.HandlerConfig{Engine: analysis.NewEngine(analysis.EngineConfig{})})
 	srv := httptest.NewServer(h.Root())
 	defer srv.Close()
-	code, stdout, stderr := gocheck(t, "-server", srv.URL, "-format", "sarif", internalTree)
+	code, stdout, stderr := gocheck(t, "-server", srv.URL, "-format", "sarif", internalTree(t))
 	if code != 3 {
 		t.Fatalf("exit %d, want 3 (stderr: %s)", code, stderr)
 	}

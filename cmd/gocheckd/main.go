@@ -63,7 +63,7 @@ func main() {
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:7433", "listen address")
 	cacheDir := flag.String("cache-dir", "", "directory for the shared on-disk incremental cache (empty = memory only)")
-	parallel := flag.Int("parallel", 0, "per-request worker pool size (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "per-request job pool size (0 = GOMAXPROCS); the front end always uses GOMAXPROCS")
 	budgetMB := flag.Int64("memory-budget", 0, "resident-program memory budget in MiB; past it, least-recently-used programs are evicted (0 = unlimited)")
 	allowShutdown := flag.Bool("allow-shutdown", true, "enable POST /v1/shutdown")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")

@@ -73,6 +73,18 @@ func BenchmarkDriver(b *testing.B) {
 	}
 }
 
+// BenchmarkLoad measures the front end alone — LoadFiles' parse,
+// translation, lowering and fingerprints — on BenchmarkDriver's corpus,
+// one fresh load per iteration.
+func BenchmarkLoad(b *testing.B) {
+	files := benchFiles(8)
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadFiles(files); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // driverCorpus is the driver benchmark's corpus: a seeded synthetic
 // package of 8 files with 6 functions each, one injected bug per file,
 // and unguarded goroutine writes for the race checker.

@@ -156,6 +156,22 @@ func TestCacheKeysGolden(t *testing.T) {
 	}
 }
 
+// A checker's fingerprint reads only its event rules, so building a
+// cache key compiles no spec: fingerprinting a freshly built copy of
+// each builtin leaves its property uncompiled and matches the builtin's.
+func TestCheckerFingerprintCompilesNoSpec(t *testing.T) {
+	for _, b := range builtins {
+		c := &Checker{Name: b.Name, Doc: b.Doc, Severity: b.Severity, Mode: b.Mode, NewEvents: b.NewEvents,
+			Run: b.Run, Message: b.Message, Spec: b.Spec, Version: b.Version}
+		if got, want := c.fingerprint(), b.fingerprint(); got != want {
+			t.Errorf("%s: fresh fingerprint differs from the builtin's", b.Name)
+		}
+		if c.prop != nil {
+			t.Errorf("%s: fingerprinting compiled the property", b.Name)
+		}
+	}
+}
+
 // A warm fully-cached run must hit on every lookup, re-solve zero
 // functions, and reproduce a byte-identical report. Files the store
 // does not name, such as the skeleton snapshots older versions wrote

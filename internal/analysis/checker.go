@@ -111,9 +111,10 @@ type Checker struct {
 	// behavior without changing Spec.
 	Version string
 
-	once   sync.Once
-	prop   *spec.Property
-	events *minic.EventMap
+	once       sync.Once
+	prop       *spec.Property
+	eventsOnce sync.Once
+	events     *minic.EventMap
 
 	fpOnce sync.Once
 	fp     string
@@ -123,11 +124,15 @@ type Checker struct {
 func (c *Checker) NewProperty() *spec.Property { return spec.MustCompile(c.Spec) }
 
 func (c *Checker) compiled() (*spec.Property, *minic.EventMap) {
-	c.once.Do(func() {
-		c.prop = c.NewProperty()
-		c.events = c.NewEvents()
-	})
-	return c.prop, c.events
+	c.once.Do(func() { c.prop = c.NewProperty() })
+	return c.prop, c.eventMap()
+}
+
+// eventMap builds the event map on first use, apart from the property:
+// cache keys read only its rules, so a fully warm run compiles no spec.
+func (c *Checker) eventMap() *minic.EventMap {
+	c.eventsOnce.Do(func() { c.events = c.NewEvents() })
+	return c.events
 }
 
 // propertyBased reports whether the checker is solved from a property
@@ -199,8 +204,7 @@ func (c *Checker) fingerprint() string {
 		fmt.Fprintf(&b, "checker %s\ndoc %s\nsev %d mode %d\nmsg %s\nspec %s\nversion %s\n",
 			c.Name, c.Doc, c.Severity, c.Mode, c.Message, c.Spec, c.Version)
 		if c.propertyBased() {
-			_, events := c.compiled()
-			for _, r := range events.Rules {
+			for _, r := range c.eventMap().Rules {
 				fmt.Fprintf(&b, "rule %+v\n", r)
 			}
 		}
@@ -231,8 +235,7 @@ var eventCallees = sync.OnceValue(func() map[string]bool {
 		if !c.propertyBased() {
 			continue
 		}
-		_, events := c.compiled()
-		for _, r := range events.Rules {
+		for _, r := range c.eventMap().Rules {
 			set[r.Callee] = true
 		}
 	}

@@ -1,44 +1,50 @@
-// Incremental per-file translation. A Memo caches, per source file, the
-// translated function definitions together with everything else the file
-// contributes to a Translation (notes, suppression directives, shared
-// globals), keyed by the file's content hash and the two pieces of
-// cross-file context a file's translation depends on:
+// Per-file translation units. Every translation treats each file as a
+// unit: parsed with its own token.FileSet, translated on a GOMAXPROCS
+// worker pool, and merged with the others in file order. A unit's
+// translation depends on its file's content and on two pieces of
+// cross-file context, both settled before any body is translated:
 //
 //   - the package-level shared-variable set (access statements are only
-//     emitted for names in it), folded in as a digest of the union over
-//     all files; and
-//   - the synthesized-closure counter offset at the file's position
-//     (closure names are numbered sequentially across the whole package,
-//     so a file's translation is only reusable if every earlier file
-//     synthesizes the same number of closures).
+//     emitted for names in it), the union of every file's declarations;
+//     and
+//   - the qualified names an earlier file defines: first definition
+//     wins, so the unit skips those bodies and notes each one, as a
+//     sequential pass over the files would.
 //
-// A resident analysis engine holds one Memo per program: a request that
-// changes k of n files re-parses and re-translates exactly those k files
-// and merges the cached units for the rest. The merged Translation is
-// semantically identical to TranslateFiles over the same file set; the
-// one case the unit-wise merge cannot reproduce — a duplicate qualified
-// name across files, where the sequential path skips the later body
-// without translating it — is detected and falls back to the one-shot
-// path.
+// Synthesized closures ("f$go1", "f$once2") are numbered package-wide in
+// file order. A unit numbers its own from 1 and records each closure's
+// definition and spawning call; the merge renumbers a freshly translated
+// unit in place to its package-wide offset.
+//
+// A Memo keeps the units across calls for one evolving file set, keyed
+// by content hash and cross-file context. A resident analysis engine
+// holds one Memo per program: a request that changes k of n files
+// re-parses and re-translates those k files, plus any unchanged file
+// whose context moved, and merges the cached units for the rest. A
+// cached unit whose closure offset moved is translated again rather
+// than renamed, so no definition an earlier Translation holds is ever
+// mutated.
 package gosrc
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
+	"rasc/internal/ir"
 	"rasc/internal/minic"
 )
 
 // Memo caches per-file translation units for one evolving file set. The
 // zero value is not usable; call NewMemo. A Memo is safe for concurrent
-// use, but callers translating the same program concurrently serialize
-// on its lock (translation of a file set is not parallel anyway).
+// use; callers translating through the same Memo take turns, and each
+// call translates its stale units in parallel.
 type Memo struct {
 	mu    sync.Mutex
 	files map[string]*memoFile
@@ -47,44 +53,42 @@ type Memo struct {
 // NewMemo returns an empty translation memo.
 func NewMemo() *Memo { return &Memo{files: map[string]*memoFile{}} }
 
-// memoFile is the cached state for one file name.
+// memoFile is one file's cross-file facts and its latest unit.
 type memoFile struct {
-	// hash is the SHA-256 of the source content the parse belongs to.
-	hash string
-	// globals lists the package-level shared-variable names this file
-	// declares (its contribution to the union).
-	globals []string
-	// key is the full context the unit was translated under; unit is nil
-	// until the file has been translated at least once.
+	// hash is the SHA-256 of the source content the facts belong to.
+	hash [sha256.Size]byte
+	// globals lists the package-level shared-variable names the file
+	// declares (its contribution to the union); decls the qualified
+	// names of its function bodies, in order.
+	globals, decls []string
+	// key is the context unit was translated under; unit is nil until
+	// the file has been translated.
 	key  unitKey
 	unit *fileUnit
 }
 
+// unitKey is a unit's cross-file context: the package's shared
+// variables and the names the file defines that an earlier file owns,
+// each joined by newlines.
 type unitKey struct {
-	hash          string
-	globalsDigest string
-	gocountStart  int
+	globals, skip string
 }
 
 // fileUnit is one file's translation output, mergeable into a package
 // Translation.
 type fileUnit struct {
 	// funcs lists the translated definitions in append order — declared
-	// functions interleaved with the closures they synthesize, exactly
-	// the order TranslateFiles would append them in.
+	// functions preceded by the closures their bodies synthesize.
 	funcs []unitFunc
-	// notes are the file's translation remarks (goto, within-file dups).
+	// notes are the file's translation remarks (goto, duplicates).
 	notes []Note
-	// ignores and fileIgnores are the file's suppression directives;
-	// hasFileIgnores distinguishes "directive with empty checker list"
-	// (suppress everything) from "no directive".
-	ignores        map[int][]string
-	fileIgnores    []string
-	hasIgnores     bool
-	hasFileIgnores bool
-	// closures counts the synthesized closure functions, advancing the
-	// package-wide counter for the files after this one.
-	closures int
+	// ignores are the file's suppression directives.
+	ignores []directive
+	// closures lists the synthesized closures in numbering order;
+	// offset is the package-wide number of closures before the file,
+	// which their names carry.
+	closures []closureRef
+	offset   int
 }
 
 type unitFunc struct {
@@ -94,10 +98,43 @@ type unitFunc struct {
 	bare string
 }
 
-// contentHash fingerprints one file's source.
-func contentHash(src string) string {
-	sum := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(sum[:])
+// closureRef is a synthesized closure: its definition, the one call
+// that spawns or runs it, and its name without the number.
+type closureRef struct {
+	def  *minic.FuncDef
+	call *minic.CallExpr
+	base string
+}
+
+// renumber renames a unit's closures for a package-wide offset. Only a
+// unit translated in the same call may be renumbered: its definitions
+// are not yet shared.
+func (u *fileUnit) renumber(offset int) {
+	u.offset = offset
+	if offset == 0 {
+		return
+	}
+	for k, c := range u.closures {
+		name := c.base + strconv.Itoa(offset+k+1)
+		c.def.Name, c.call.Name = name, name
+	}
+}
+
+// source is one parsed file, held only until its unit is translated.
+type source struct {
+	fset *token.FileSet
+	file *ast.File
+}
+
+// parse parses one file with its own FileSet. Positions are file-local,
+// so the lines are those a package-wide FileSet would give.
+func parse(f File) (*source, error) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, f.Name, f.Src, parser.SkipObjectResolution|parser.ParseComments)
+	if err != nil {
+		return nil, fmt.Errorf("gosrc: %w", err)
+	}
+	return &source{fset: fset, file: file}, nil
 }
 
 // TranslateFilesMemo is TranslateFiles with per-file caching: files
@@ -110,89 +147,134 @@ func TranslateFilesMemo(files []File, m *Memo) (*Translation, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return translate(files, m)
+}
 
-	// Drop memo entries for files no longer in the set, so a resident
-	// program's memo tracks its file set instead of growing forever.
-	inSet := make(map[string]bool, len(files))
-	for _, f := range files {
-		inSet[f.Name] = true
-	}
-	for name := range m.files {
-		if !inSet[name] {
-			delete(m.files, name)
+// translate is the one translation path; m is nil for a throwaway memo.
+func translate(files []File, m *Memo) (*Translation, error) {
+	n := len(files)
+	// Parse, in parallel, every file the memo does not hold at this
+	// content, and read off its globals and declared names. The first
+	// parse error in file order wins.
+	ents := make([]*memoFile, n)
+	srcs := make([]*source, n)
+	errs := make([]error, n)
+	ir.ForEach(n, func(_ *struct{}, i int) {
+		var h [sha256.Size]byte
+		if m != nil {
+			h = sha256.Sum256([]byte(files[i].Src))
+			if e := m.files[files[i].Name]; e != nil && e.hash == h {
+				ents[i] = e
+				return
+			}
 		}
-	}
-
-	// Phase 1: bring per-file globals up to date. Only changed files are
-	// parsed here, and the parse is thrown away — the translation phase
-	// re-parses the (few) files it actually translates, so units carry no
-	// token.FileSet state between requests.
-	for _, f := range files {
-		h := contentHash(f.Src)
-		mf := m.files[f.Name]
-		if mf != nil && mf.hash == h {
-			continue
-		}
-		file, err := parseOne(f)
+		s, err := parse(files[i])
 		if err != nil {
-			return nil, err
+			errs[i] = err
+			return
 		}
-		names := make([]string, 0, 4)
-		for name := range collectGlobals(token.NewFileSet(), []*ast.File{file}) {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		m.files[f.Name] = &memoFile{hash: h, globals: names}
+		srcs[i] = s
+		ents[i] = &memoFile{hash: h, globals: fileGlobals(s.fset, s.file), decls: declNames(s.file)}
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
+
+	// Cross-file context: the shared-variable union, and each file's
+	// skipped names (owned by the first file that defines them).
 	union := map[string]bool{}
-	for _, f := range files {
-		for _, name := range m.files[f.Name].globals {
+	for _, e := range ents {
+		for _, name := range e.globals {
 			union[name] = true
 		}
 	}
-	var shared []string // nil when no globals, matching TranslateFiles
+	var shared []string // nil when no globals
 	for name := range union {
 		shared = append(shared, name)
 	}
 	sort.Strings(shared)
-	gh := sha256.New()
-	for _, name := range shared {
-		fmt.Fprintf(gh, "%s\n", name)
-	}
-	globalsDigest := hex.EncodeToString(gh.Sum(nil))
-
-	// Phase 2: translate stale units in file order, threading the
-	// package-wide closure counter through.
-	gocount := 0
-	units := make([]*fileUnit, len(files))
-	for i, f := range files {
-		mf := m.files[f.Name]
-		key := unitKey{hash: mf.hash, globalsDigest: globalsDigest, gocountStart: gocount}
-		if mf.unit == nil || mf.key != key {
-			u, err := translateUnit(f, union, gocount)
-			if err != nil {
-				return nil, err
+	globalsKey := strings.Join(shared, "\n")
+	owner := map[string]int{}
+	keys := make([]unitKey, n)
+	skips := make([]map[string]bool, n)
+	for i, e := range ents {
+		var skipped []string
+		for _, name := range e.decls {
+			if j, ok := owner[name]; !ok {
+				owner[name] = i
+			} else if j < i && !skips[i][name] {
+				if skips[i] == nil {
+					skips[i] = map[string]bool{}
+				}
+				skips[i][name] = true
+				skipped = append(skipped, name)
 			}
-			mf.unit, mf.key = u, key
 		}
-		units[i] = mf.unit
-		gocount += mf.unit.closures
+		keys[i] = unitKey{globals: globalsKey, skip: strings.Join(skipped, "\n")}
 	}
 
-	// Phase 3: merge units in file order.
+	// Translate the stale units in parallel, then the cached ones whose
+	// closure offset moved, and renumber what was translated.
+	units := make([]*fileUnit, n)
+	fresh := make([]bool, n)
+	translateAll := func(idx []int) error {
+		ir.ForEach(len(idx), func(_ *struct{}, k int) {
+			i := idx[k]
+			s := srcs[i]
+			if s == nil { // held by the memo, but its context changed
+				var err error
+				if s, err = parse(files[i]); err != nil {
+					errs[i] = err
+					return
+				}
+			}
+			srcs[i] = nil // drop the syntax once translated
+			units[i] = translateUnit(files[i].Name, s, union, skips[i])
+			fresh[i] = true
+		})
+		return firstError(errs)
+	}
+	var stale, moved []int
+	for i, e := range ents {
+		if e.unit != nil && e.key == keys[i] {
+			units[i] = e.unit
+		} else {
+			stale = append(stale, i)
+		}
+	}
+	if err := translateAll(stale); err != nil {
+		return nil, err
+	}
+	offsets := make([]int, n)
+	for i, off := 0, 0; i < n; i++ {
+		offsets[i] = off
+		if !fresh[i] && units[i].offset != off {
+			moved = append(moved, i)
+		}
+		off += len(units[i].closures)
+	}
+	if err := translateAll(moved); err != nil {
+		return nil, err
+	}
+	if m != nil {
+		m.files = make(map[string]*memoFile, n) // files no longer in the set drop out
+	}
+	for i, u := range units {
+		if fresh[i] {
+			u.renumber(offsets[i])
+		}
+		if m != nil {
+			ents[i].key, ents[i].unit = keys[i], u
+			m.files[files[i].Name] = ents[i]
+		}
+	}
+
+	// Merge the units in file order.
 	out := newTranslation()
 	out.Shared = shared
 	methodsByBare := map[string][]*minic.FuncDef{}
-	for i, f := range files {
-		u := units[i]
+	for i, u := range units {
 		for _, uf := range u.funcs {
-			if _, dup := out.Prog.ByName[uf.def.Name]; dup {
-				// A cross-file duplicate: the sequential path would have
-				// skipped this body (and its closures) entirely, which a
-				// unit translated in isolation cannot know. Rare enough
-				// that correctness beats reuse: take the one-shot path.
-				return TranslateFiles(files)
-			}
 			out.Prog.Funcs = append(out.Prog.Funcs, uf.def)
 			out.Prog.ByName[uf.def.Name] = uf.def
 			if uf.bare != "" {
@@ -200,12 +282,7 @@ func TranslateFilesMemo(files []File, m *Memo) (*Translation, error) {
 			}
 		}
 		out.Notes = append(out.Notes, u.notes...)
-		if u.hasIgnores {
-			out.Ignores[f.Name] = u.ignores
-		}
-		if u.hasFileIgnores {
-			out.FileIgnores[f.Name] = u.fileIgnores
-		}
+		applyIgnores(out, files[i].Name, u.ignores)
 	}
 	if len(out.Prog.Funcs) == 0 {
 		return nil, fmt.Errorf("gosrc: no function bodies found")
@@ -215,59 +292,26 @@ func TranslateFilesMemo(files []File, m *Memo) (*Translation, error) {
 	return out, nil
 }
 
-// parseOne parses a single file with the options TranslateFiles uses.
-func parseOne(f File) (*ast.File, error) {
-	file, err := parser.ParseFile(token.NewFileSet(), f.Name, f.Src,
-		parser.SkipObjectResolution|parser.ParseComments)
-	if err != nil {
-		return nil, fmt.Errorf("gosrc: %w", err)
+// firstError returns the first non-nil error, in file order.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return file, nil
+	return nil
 }
 
-// translateUnit translates one file in isolation: a fresh single-file
-// Translation whose closure counter starts at gocountStart, against the
-// package-wide shared-variable set. Positions are file-local, so a
-// per-file FileSet produces the same line numbers as the package-wide
-// one.
-func translateUnit(f File, globals map[string]bool, gocountStart int) (*fileUnit, error) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, f.Name, f.Src, parser.SkipObjectResolution|parser.ParseComments)
-	if err != nil {
-		return nil, fmt.Errorf("gosrc: %w", err)
-	}
-	scratch := newTranslation()
-	scratch.gocount = gocountStart
-	tr := &translator{fset: fset, file: f.Name, out: scratch, globals: globals}
-	collectIgnores(fset, f.Name, file, scratch)
-	// bareOf records which definitions are methods; synthesized closures
-	// appended by funcDecl's body translation carry no bare name.
-	bareOf := map[*minic.FuncDef]string{}
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		def, isMethod := tr.funcDecl(fd)
-		if def == nil {
-			continue
-		}
-		if isMethod {
-			bareOf[def] = fd.Name.Name
+// translateUnit translates one parsed file against the package-wide
+// shared-variable set, skipping the names an earlier file defines. Its
+// closures are numbered from 1.
+func translateUnit(name string, s *source, globals, skip map[string]bool) *fileUnit {
+	u := &fileUnit{ignores: scanIgnores(s.fset, s.file)}
+	t := &translator{fset: s.fset, file: name, unit: u, globals: globals, skip: skip, defined: map[string]bool{}}
+	for _, decl := range s.file.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+			t.funcDecl(fd)
 		}
 	}
-	u := &fileUnit{
-		notes:    scratch.Notes,
-		closures: scratch.gocount - gocountStart,
-	}
-	for _, def := range scratch.Prog.Funcs {
-		u.funcs = append(u.funcs, unitFunc{def: def, bare: bareOf[def]})
-	}
-	if ign, ok := scratch.Ignores[f.Name]; ok {
-		u.ignores, u.hasIgnores = ign, true
-	}
-	if fi, ok := scratch.FileIgnores[f.Name]; ok {
-		u.fileIgnores, u.hasFileIgnores = fi, true
-	}
-	return u, nil
+	return u
 }

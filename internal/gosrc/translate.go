@@ -46,10 +46,9 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/printer"
 	"go/token"
-	"sort"
+	"strconv"
 	"strings"
 
 	"rasc/internal/ir"
@@ -71,8 +70,6 @@ type Translation struct {
 	// Meta holds the translation's notes, //rasc:ignore directives and
 	// shared variables, exactly as lowering attaches them to the IR.
 	ir.Meta
-
-	gocount int // synthesized goroutine-closure counter
 }
 
 // newTranslation returns an empty translation ready to fill.
@@ -113,75 +110,36 @@ func Lower(files []File) (*ir.Program, error) {
 // across them into one mini-C program, so whole-package properties check
 // interprocedurally before CFG construction. Files are processed in the
 // given order; duplicate definitions keep the first body and add a Note.
-func TranslateFiles(files []File) (*Translation, error) {
-	fset := token.NewFileSet()
-	out := newTranslation()
-	prog := out.Prog
-	// Pass 1: parse every file, so package-level shared variables are
-	// known before any function body is translated.
-	parsed := make([]*ast.File, len(files))
-	for i, f := range files {
-		file, err := parser.ParseFile(fset, f.Name, f.Src, parser.SkipObjectResolution|parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("gosrc: %w", err)
-		}
-		parsed[i] = file
-	}
-	globals := collectGlobals(fset, parsed)
-	for name := range globals {
-		out.Shared = append(out.Shared, name)
-	}
-	sort.Strings(out.Shared)
-	// methodsByBare collects method defs per bare name for alias
-	// registration once all files are seen.
-	methodsByBare := map[string][]*minic.FuncDef{}
-	for i, f := range files {
-		file := parsed[i]
-		tr := &translator{fset: fset, file: f.Name, out: out, globals: globals}
-		collectIgnores(fset, f.Name, file, out)
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			def, isMethod := tr.funcDecl(fd)
-			if def == nil {
-				continue
-			}
-			if isMethod {
-				methodsByBare[fd.Name.Name] = append(methodsByBare[fd.Name.Name], def)
-			}
-		}
-	}
-	if len(prog.Funcs) == 0 {
-		return nil, fmt.Errorf("gosrc: no function bodies found")
-	}
-	registerAliases(out, methodsByBare)
-	sortNotes(out.Notes)
-	return out, nil
-}
+// It is TranslateFilesMemo with a throwaway memo: every file is parsed
+// and translated as its own unit on GOMAXPROCS workers.
+func TranslateFiles(files []File) (*Translation, error) { return translate(files, nil) }
 
-// funcDecl translates one function declaration into t.out's program:
-// dup-checks the qualified name (first definition wins, later ones get a
-// Note and return nil), translates the body with defers expanded, and
-// registers the definition. The second result reports whether the
-// declaration is a method (its bare name is an alias candidate).
-func (t *translator) funcDecl(fd *ast.FuncDecl) (*minic.FuncDef, bool) {
-	name := fd.Name.Name
-	isMethod := false
+// qualifiedName returns the name a function declaration defines —
+// "T.M" for a method of T, the plain name otherwise — and, for a
+// method, its bare name, the candidate alias.
+func qualifiedName(fd *ast.FuncDecl) (name, bare string) {
 	if fd.Recv != nil {
 		if rt := recvTypeName(fd.Recv); rt != "" {
-			name = rt + "." + name
-			isMethod = true
+			return rt + "." + fd.Name.Name, fd.Name.Name
 		}
 	}
-	prog := t.out.Prog
-	if _, dup := prog.ByName[name]; dup {
+	return fd.Name.Name, ""
+}
+
+// funcDecl translates one function declaration into t.unit: it
+// dup-checks the qualified name (first definition wins: a name an
+// earlier file or declaration defines gets a Note and no translation),
+// translates the body with defers expanded, and appends the definition
+// after the closures its body synthesized.
+func (t *translator) funcDecl(fd *ast.FuncDecl) {
+	name, bare := qualifiedName(fd)
+	if t.skip[name] || t.defined[name] {
 		// Same qualified name twice (e.g. two files defining
 		// main): keep the first body, note the rest.
 		t.note(fd.Pos(), fmt.Sprintf("duplicate definition of %s ignored (first wins)", name))
-		return nil, false
+		return
 	}
+	t.defined[name] = true
 	t.deferred = nil
 	t.fnName = name
 	t.locals = localNames(fd)
@@ -205,17 +163,14 @@ func (t *translator) funcDecl(fd *ast.FuncDecl) (*minic.FuncDef, bool) {
 	// were already expanded inside).
 	body = append(body, t.deferredCalls()...)
 	def.Body = body
-	prog.Funcs = append(prog.Funcs, def)
-	prog.ByName[name] = def
-	return def, isMethod
+	t.unit.funcs = append(t.unit.funcs, unitFunc{def: def, bare: bare})
 }
 
 // registerAliases applies the bare-name alias pass: x.M(...) translates
 // to M(x, ...), so a uniquely named method resolves interprocedurally
 // through the alias (minic.Program.Callee; a plain call M(...) never
 // does). An ambiguous name (several receivers) stays external, noted
-// once. Shared by the one-shot and memoized translation
-// paths so both resolve calls identically.
+// once.
 func registerAliases(out *Translation, methodsByBare map[string][]*minic.FuncDef) {
 	prog := out.Prog
 	for bare, defs := range methodsByBare {
@@ -260,29 +215,41 @@ func recvTypeName(recv *ast.FieldList) string {
 	}
 }
 
-// collectGlobals gathers package-level var names across all files; these
-// are the shared variables the concurrency checkers track. Variables of
-// synchronization or function shape (sync.*, channels, funcs) are
-// excluded: they are modeled as events, not data.
-func collectGlobals(fset *token.FileSet, files []*ast.File) map[string]bool {
-	out := map[string]bool{}
-	for _, file := range files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
+// fileGlobals lists the package-level var names one file declares; their
+// union over the package is the shared variables the concurrency
+// checkers track. Variables of synchronization or function shape
+// (sync.*, channels, funcs) are excluded: they are modeled as events,
+// not data.
+func fileGlobals(fset *token.FileSet, file *ast.File) []string {
+	var out []string
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok || syncShaped(fset, vs) {
 				continue
 			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || syncShaped(fset, vs) {
-					continue
-				}
-				for _, n := range vs.Names {
-					if n.Name != "_" {
-						out[n.Name] = true
-					}
+			for _, n := range vs.Names {
+				if n.Name != "_" {
+					out = append(out, n.Name)
 				}
 			}
+		}
+	}
+	return out
+}
+
+// declNames lists the qualified names of a file's function bodies, in
+// declaration order: the names whose first definition wins.
+func declNames(file *ast.File) []string {
+	var out []string
+	for _, decl := range file.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+			name, _ := qualifiedName(fd)
+			out = append(out, name)
 		}
 	}
 	return out
@@ -383,54 +350,64 @@ func localNames(fd *ast.FuncDecl) map[string]bool {
 	return out
 }
 
-// collectIgnores records //rasc:ignore[=checker,...] line directives and
-// //rasc:ignore-file[=checker,...] file directives.
-func collectIgnores(fset *token.FileSet, name string, file *ast.File, out *Translation) {
-	into := out.Ignores
+// directive is one //rasc:ignore[=checker,...] comment: the line it
+// suppresses, or 0 for a //rasc:ignore-file[=checker,...] comment, and
+// the checkers it names (none: every checker).
+type directive struct {
+	line     int
+	checkers []string
+}
+
+// scanIgnores lists a file's suppression directives in source order.
+func scanIgnores(fset *token.FileSet, file *ast.File) []directive {
+	var out []directive
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, "rasc:ignore") {
-				continue
-			}
-			if strings.HasPrefix(text, "rasc:ignore-file") {
-				rest := strings.TrimPrefix(text, "rasc:ignore-file")
-				checkers, ok := ignoreCheckers(rest)
-				if !ok {
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			rest, isFile := strings.CutPrefix(text, "rasc:ignore-file")
+			if !isFile {
+				var ok bool
+				if rest, ok = strings.CutPrefix(text, "rasc:ignore"); !ok {
 					continue
 				}
-				// A bare //rasc:ignore-file suppresses every checker in
-				// the file and absorbs any named ones.
-				cur, seen := out.FileIgnores[name]
-				if len(checkers) == 0 || (seen && len(cur) == 0) {
-					out.FileIgnores[name] = []string{}
-				} else {
-					out.FileIgnores[name] = append(cur, checkers...)
-				}
-				continue
 			}
-			rest := strings.TrimPrefix(text, "rasc:ignore")
 			checkers, ok := ignoreCheckers(rest)
 			if !ok {
 				continue
 			}
-			line := fset.Position(c.Pos()).Line
-			m := into[name]
-			if m == nil {
-				m = map[int][]string{}
-				into[name] = m
+			d := directive{checkers: checkers}
+			if !isFile {
+				d.line = fset.Position(c.Pos()).Line
 			}
-			// An empty checker list (bare //rasc:ignore) suppresses all
-			// checkers on the line and absorbs any named ones.
-			cur, seen := m[line]
-			switch {
-			case len(checkers) == 0 || (seen && len(cur) == 0):
-				m[line] = []string{}
-			default:
-				m[line] = append(cur, checkers...)
-			}
+			out = append(out, d)
 		}
+	}
+	return out
+}
+
+// applyIgnores records a file's directives in out. A directive naming no
+// checker suppresses every checker on its line (or in its file) and
+// absorbs any named ones.
+func applyIgnores(out *Translation, name string, dirs []directive) {
+	absorb := func(cur []string, seen bool, checkers []string) []string {
+		if len(checkers) == 0 || (seen && len(cur) == 0) {
+			return []string{}
+		}
+		return append(cur, checkers...)
+	}
+	for _, d := range dirs {
+		if d.line == 0 {
+			cur, seen := out.FileIgnores[name]
+			out.FileIgnores[name] = absorb(cur, seen, d.checkers)
+			continue
+		}
+		m := out.Ignores[name]
+		if m == nil {
+			m = map[int][]string{}
+			out.Ignores[name] = m
+		}
+		cur, seen := m[d.line]
+		m[d.line] = absorb(cur, seen, d.checkers)
 	}
 }
 
@@ -474,11 +451,14 @@ func MustTranslate(src string) *minic.Program {
 type translator struct {
 	fset *token.FileSet
 	file string
-	out  *Translation
+	unit *fileUnit
 	// globals holds the package-level shared variables; locals the names
 	// bound in the current function (scope-blind, see localNames).
 	globals map[string]bool
 	locals  map[string]bool
+	// skip holds the qualified names an earlier file defines; defined
+	// those this file has defined so far.
+	skip, defined map[string]bool
 	// fnName is the (qualified) name of the function being translated,
 	// used to name synthesized goroutine closures.
 	fnName string
@@ -489,10 +469,7 @@ type translator struct {
 func (t *translator) line(p token.Pos) int { return t.fset.Position(p).Line }
 
 func (t *translator) note(p token.Pos, msg string) {
-	if t.out == nil {
-		return
-	}
-	t.out.Notes = append(t.out.Notes, Note{File: t.file, Line: t.line(p), Msg: msg})
+	t.unit.notes = append(t.unit.notes, Note{File: t.file, Line: t.line(p), Msg: msg})
 }
 
 func (t *translator) render(e ast.Expr) string {
@@ -512,13 +489,18 @@ func (t *translator) deferredCalls() []minic.Stmt {
 	return out
 }
 
-// closureFn synthesizes a function definition from a closure body (a
+// closureCall synthesizes a function definition from a closure body (a
 // go func(){...}() spawn or a once.Do(func(){...}) argument) and returns
-// its name. The "$" in the name cannot collide with a Go identifier.
-func (t *translator) closureFn(fl *ast.FuncLit, suffix string) string {
-	t.out.gocount++
-	name := fmt.Sprintf("%s$%s%d", t.fnName, suffix, t.out.gocount)
+// a call to it at line. The "$" in the name cannot collide with a Go
+// identifier. Closures are numbered from 1 within the unit, in the order
+// they are met; the merge renumbers them package-wide (see
+// fileUnit.renumber).
+func (t *translator) closureCall(fl *ast.FuncLit, suffix string, line int) *minic.CallExpr {
+	base := t.fnName + "$" + suffix
+	name := base + strconv.Itoa(len(t.unit.closures)+1)
 	def := &minic.FuncDef{Name: name, Line: t.line(fl.Pos()), File: t.file}
+	call := &minic.CallExpr{Name: name, Line: line}
+	t.unit.closures = append(t.unit.closures, closureRef{def: def, call: call, base: base})
 	if fl.Type.Params != nil {
 		for _, p := range fl.Type.Params.List {
 			for _, n := range p.Names {
@@ -534,9 +516,8 @@ func (t *translator) closureFn(fl *ast.FuncLit, suffix string) string {
 	body = append(body, t.deferredCalls()...)
 	t.deferred = saved
 	def.Body = body
-	t.out.Prog.Funcs = append(t.out.Prog.Funcs, def)
-	t.out.Prog.ByName[name] = def
-	return name
+	t.unit.funcs = append(t.unit.funcs, unitFunc{def: def})
+	return call
 }
 
 // collectShared walks an expression collecting reads of package-level
@@ -854,7 +835,7 @@ func (t *translator) stmt(st ast.Stmt) []minic.Stmt {
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
 			// go func(...){...}(args): synthesize the closure as a named
 			// function and spawn it; args are evaluated at the spawn.
-			call = &minic.CallExpr{Name: t.closureFn(fl, "go"), Line: line}
+			call = t.closureCall(fl, "go", line)
 			for _, a := range s.Call.Args {
 				call.Args = append(call.Args, t.argExpr(a))
 			}
@@ -940,7 +921,7 @@ func (t *translator) specialCall(c *ast.CallExpr, line int) []minic.Stmt {
 	var inner *minic.CallExpr
 	switch arg := c.Args[0].(type) {
 	case *ast.FuncLit:
-		inner = &minic.CallExpr{Name: t.closureFn(arg, "once"), Line: line}
+		inner = t.closureCall(arg, "once", line)
 	case *ast.Ident:
 		inner = &minic.CallExpr{Name: arg.Name, Line: line}
 	case *ast.SelectorExpr:

@@ -20,8 +20,9 @@ func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 // IsZero reports whether the digest is unset.
 func (d Digest) IsZero() bool { return d == Digest{} }
 
-// fingerprint computes every function's content Fingerprint and then the
-// Summary keys bottom-up over the SCC DAG.
+// fingerprint computes every function's content Fingerprint, on
+// GOMAXPROCS workers, and then the Summary keys bottom-up over the SCC
+// DAG.
 //
 // The fingerprint must change whenever the function's contribution to
 // any analysis result could change. It therefore covers:
@@ -44,10 +45,10 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 // transitive callers — the invalidation frontier incremental drivers
 // re-solve.
 func (p *Program) fingerprint() {
-	fw := &fpWriter{mc: p.MC}
-	for _, f := range p.Funcs {
-		f.Fingerprint = fw.function(f.Def)
-	}
+	ForEach(len(p.Funcs), func(fw *fpWriter, i int) {
+		fw.mc = p.MC
+		p.Funcs[i].Fingerprint = fw.function(p.Funcs[i].Def)
+	})
 	p.summarize()
 }
 

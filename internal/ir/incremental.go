@@ -14,7 +14,8 @@ import (
 // program after a small file delta: the memoized front end (gosrc.Memo)
 // shares *minic.FuncDef pointers for untouched files, so almost every
 // function's fingerprint carries over and re-lowering cost tracks the
-// size of the edit, not the program.
+// size of the edit, not the program. The rest are hashed on GOMAXPROCS
+// workers, as in New.
 //
 // A fingerprint covers the function's own normalized content plus, for
 // every call expression, the canonical name the call resolves to. Reuse
@@ -46,16 +47,17 @@ func NewIncremental(mc *minic.Program, meta Meta, prev *Program) (*Program, erro
 		return p, nil
 	}
 	reuse := resolutionDigest(mc) == resolutionDigest(prev.MC)
-	fw := &fpWriter{mc: mc}
-	for _, f := range p.Funcs {
+	ForEach(len(p.Funcs), func(fw *fpWriter, i int) {
+		f := p.Funcs[i]
 		if reuse {
 			if pf, ok := prev.ByName[f.Name]; ok && pf.Def == f.Def {
 				f.Fingerprint = pf.Fingerprint
-				continue
+				return
 			}
 		}
+		fw.mc = mc
 		f.Fingerprint = fw.function(f.Def)
-	}
+	})
 	p.summarize()
 	return p, nil
 }
