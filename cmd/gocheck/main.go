@@ -2,13 +2,14 @@
 // sources: it loads files, directories or recursive dir/... trees,
 // translates them into the toolkit's intermediate form, and runs the
 // registered API-usage checkers (regularly-annotated-set-constraint
-// properties) concurrently over the package's entry functions.
+// properties) concurrently over the package's entry functions. The front
+// end and the job pool each run GOMAXPROCS workers.
 //
 // Usage:
 //
 //	gocheck [-checkers all|name,...] [-entry fn,...]
 //	        [-format text|json|sarif|github] [-fail-on error|warning|note]
-//	        [-parallel N] [-cache-dir dir]
+//	        [-cache-dir dir]
 //	        [-trace-out f.json] [-metrics-json f.json] [-explain] [-progress]
 //	        [-cpuprofile f.prof] [-memprofile f.prof] path...
 //	gocheck -server addr [-program name] [-server-timeout 30s] path...
@@ -23,10 +24,10 @@
 // workflow commands for inline pull-request annotations. Exit status is
 // 3 when findings at or above the -fail-on severity remain, 1 on
 // errors, 2 on usage errors; a bad -format or -fail-on value, or a flag
-// the chosen mode does not read (-cache-dir, -parallel, -trace-out,
-// -metrics-json, -progress, -cpuprofile or -memprofile with -server;
-// -program or -server-timeout without it), is a usage error caught
-// before anything is loaded, analyzed or sent.
+// the chosen mode does not read (-cache-dir, -trace-out, -metrics-json,
+// -progress, -cpuprofile or -memprofile with -server; -program or
+// -server-timeout without it), is a usage error caught before anything
+// is loaded, analyzed or sent.
 //
 // -cache-dir enables the incremental result cache: job results are
 // content-keyed by function summaries (internal/ir), so an unchanged
@@ -71,7 +72,6 @@ func run() int {
 	entryFlag := flag.String("entry", "", "comma-separated entry functions (default: package roots)")
 	format := flag.String("format", "text", "output format: text, json, sarif or github")
 	failOn := flag.String("fail-on", "warning", "lowest severity that fails the run (error, warning or note)")
-	parallel := flag.Int("parallel", 0, "job pool size (0 = GOMAXPROCS); the front end always uses GOMAXPROCS")
 	cacheDir := flag.String("cache-dir", "", "directory for the incremental result cache (empty = no cache)")
 	list := flag.Bool("list", false, "list registered checkers and exit")
 	speclint := flag.Bool("speclint", false, "lint the checkers' property specs and exit (3 on findings)")
@@ -189,7 +189,6 @@ func run() int {
 	rep, err := analysis.Analyze(pkg, analysis.Config{
 		Checkers: checkers,
 		Entries:  entries,
-		Parallel: *parallel,
 		Cache:    cache,
 		Trace:    tracer,
 		Metrics:  registry,
@@ -276,12 +275,12 @@ func writeObsOutputs(tracer *obs.Tracer, tracePath string, registry *obs.Registr
 }
 
 // serverOnly and oneShotOnly name the flags only one of gocheck's two
-// modes reads: runServer never opens a cache, a pool, a profile or a
-// trace or metrics file, and an in-process run has no daemon to name a
-// program on or time out against.
+// modes reads: runServer never opens a cache, a profile or a trace or
+// metrics file, and an in-process run has no daemon to name a program on
+// or time out against.
 var (
 	serverOnly  = []string{"program", "server-timeout"}
-	oneShotOnly = []string{"cache-dir", "parallel", "trace-out", "metrics-json", "progress", "cpuprofile", "memprofile"}
+	oneShotOnly = []string{"cache-dir", "trace-out", "metrics-json", "progress", "cpuprofile", "memprofile"}
 )
 
 // ignoredFlag returns a usage error naming the first flag set on the

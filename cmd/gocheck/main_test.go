@@ -296,7 +296,6 @@ func TestBadFlagValuesSendNoRequest(t *testing.T) {
 	dir := t.TempDir()
 	oneShotFlags := [][]string{
 		{"-cache-dir", filepath.Join(dir, "cache")},
-		{"-parallel", "2"},
 		{"-trace-out", filepath.Join(dir, "trace.json")},
 		{"-metrics-json", filepath.Join(dir, "metrics.json")},
 		{"-progress"},

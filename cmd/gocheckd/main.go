@@ -9,8 +9,7 @@
 //
 // Usage:
 //
-//	gocheckd [-addr 127.0.0.1:7433] [-cache-dir dir]
-//	         [-parallel N] [-memory-budget MB]
+//	gocheckd [-addr 127.0.0.1:7433] [-cache-dir dir] [-memory-budget MB]
 //	         [-allow-shutdown=false] [-log-level info] [-debug-addr addr]
 //	         [-slow-ms N -flight-dir dir]
 //
@@ -23,15 +22,22 @@
 // stops gracefully on SIGINT/SIGTERM or (with -allow-shutdown, the
 // default) POST /v1/shutdown, draining in-flight requests first.
 //
+// Each request runs its jobs on GOMAXPROCS workers, as the front end
+// does.
+//
 // Telemetry: every request is recorded in a bounded in-memory flight
 // recorder (the 64 most recent, plus the 8 slowest ever), dumpable via
-// /v1/debug/flight; requests slower than -slow-ms are persisted as
-// Chrome trace JSON under -flight-dir (-slow-ms without -flight-dir is
-// a usage error, exit 2). /v1/health degrades past a p99 of 2000 ms or
-// a 5% error rate over at least 5 requests. The memory tier of the
-// job-result store keeps up to 8192 job records that keep hitting, and
-// holds at most twice that. Access and lifecycle logs are structured
-// JSON lines on stderr at -log-level.
+// /v1/debug/flight with its span tree: translate and ir.lower when the
+// request re-lowers, then every job that reads disk or solves. Requests
+// slower than -slow-ms are persisted as Chrome trace JSON under
+// -flight-dir (-slow-ms without -flight-dir is a usage error, exit 2).
+// The engine keeps its counts in the metrics registry, so /v1/metrics'
+// engine block and its Prometheus form read the same instruments.
+// /v1/health degrades past a p99 of 2000 ms or a 5% error rate over at
+// least 5 requests. The memory tier of the job-result store keeps up to
+// 8192 job records that keep hitting, and holds at most twice that.
+// Access and lifecycle logs are structured JSON lines on stderr at
+// -log-level.
 package main
 
 import (
@@ -63,7 +69,6 @@ func main() {
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:7433", "listen address")
 	cacheDir := flag.String("cache-dir", "", "directory for the shared on-disk incremental cache (empty = memory only)")
-	parallel := flag.Int("parallel", 0, "per-request job pool size (0 = GOMAXPROCS); the front end always uses GOMAXPROCS")
 	budgetMB := flag.Int64("memory-budget", 0, "resident-program memory budget in MiB; past it, least-recently-used programs are evicted (0 = unlimited)")
 	allowShutdown := flag.Bool("allow-shutdown", true, "enable POST /v1/shutdown")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
@@ -96,7 +101,6 @@ func run() int {
 	})
 	engine := analysis.NewEngine(analysis.EngineConfig{
 		Cache:        cache,
-		Parallel:     *parallel,
 		MemoryBudget: *budgetMB << 20,
 		Metrics:      registry,
 		Flight:       flight,
@@ -146,7 +150,6 @@ func run() int {
 		"addr", ln.Addr().String(),
 		"debug_addr", *debugAddr,
 		"cache_dir", *cacheDir,
-		"parallel", *parallel,
 		"memory_budget_mb", *budgetMB,
 		"allow_shutdown", *allowShutdown,
 		"slow_ms", *slowMS,

@@ -149,22 +149,23 @@ func TestDriverCorpusCounts(t *testing.T) {
 }
 
 // tickFile is a file outside every entry's closure whose one function
-// toggles between two bodies with i, so alternate requests flip the
-// file set between two states without changing any entry's summary.
-func tickFile(i int) gosrc.File {
+// returns body, so requests that change body move the file set between
+// states without changing any entry's summary.
+func tickFile(body int) gosrc.File {
 	return gosrc.File{
 		Name: "zz_edit_tick.go",
-		Src:  fmt.Sprintf("package bench\n\nfunc editTick() int {\n\tx := %d\n\treturn x\n}\n", i%2),
+		Src:  fmt.Sprintf("package bench\n\nfunc editTick() int {\n\tx := %d\n\treturn x\n}\n", body),
 	}
 }
 
-// tick sends eng the i-th edit of the tick stream and checks that the
-// findings are the seed push's, want, byte for byte. It returns the
-// report and the request's wall time.
+// tick sends eng the i-th edit of the tick stream, which toggles
+// tickFile between two bodies, and checks that the findings are the
+// seed push's, want, byte for byte. It returns the report and the
+// request's wall time.
 func tick(tb testing.TB, eng *Engine, entries []string, i int, want []byte) (*Report, time.Duration) {
 	tb.Helper()
 	start := time.Now()
-	rep, err := eng.Check(CheckRequest{Upserts: []gosrc.File{tickFile(i)}, Entries: entries})
+	rep, err := eng.Check(CheckRequest{Upserts: []gosrc.File{tickFile(i % 2)}, Entries: entries})
 	d := time.Since(start)
 	if err != nil {
 		tb.Fatalf("tick %d: %v", i, err)

@@ -446,6 +446,9 @@ func (s *storeRun) finish() *CacheStats {
 	}
 	sort.Strings(st.Resolved)
 	st.ResolvedFunctions = len(st.Resolved)
+	if s.cacheM != nil {
+		s.cacheM.ResolvedFunctions.Add(int64(st.ResolvedFunctions))
+	}
 	st.Notes = append(st.Notes, s.notes...)
 	sort.Strings(st.Notes)
 	// Version skew is one note per run, however many records it hit.

@@ -86,7 +86,7 @@ func TestJobPanicBecomesError(t *testing.T) {
 	}
 	dl, _ := Get("doublelock")
 	boom := &Checker{Name: "boom", Run: func(*Package, *Checker, string) []Diagnostic { panic("boom") }}
-	mem := newMemTier(nil)
+	mem := newMemTier()
 	for run := 1; run <= 2; run++ {
 		reg := obs.NewRegistry()
 		rep, err := analyze(pkg, Config{

@@ -284,7 +284,7 @@ func main() {
 }
 
 // TestRaceDeterministicParallel8: the race checker's report is
-// byte-identical across repeated runs with -parallel 8.
+// byte-identical across repeated runs with a pool of 8.
 func TestRaceDeterministicParallel8(t *testing.T) {
 	pkg := loadRaceCorpus(t)
 	var outs [][]byte

@@ -254,7 +254,7 @@ func (p *Package) fileOf(fn string) string { return p.Prog.FileOf(fn) }
 // solver statistics; Report.Cache records hit/miss counts and which
 // functions had to be re-solved.
 func Analyze(pkg *Package, cfg Config) (*Report, error) {
-	return analyze(pkg, cfg, newMemTier(nil))
+	return analyze(pkg, cfg, newMemTier())
 }
 
 // analyze is the driver core shared by the one-shot wrapper and the
@@ -366,7 +366,7 @@ func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 		MemoMisses: st.memMisses.Load(),
 	}
 	// Aggregate solver statistics; a sum is independent of completion
-	// order, so the report stays deterministic under any -parallel. Job
+	// order, so the report stays deterministic under any pool size. Job
 	// stats are per-property deltas; each entry's shared skeleton is
 	// counted once, from the base stats its first property job carries.
 	based := map[string]bool{}

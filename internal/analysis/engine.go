@@ -6,13 +6,13 @@
 // edit — changed files re-translate through the per-file memo
 // (gosrc.Memo), unchanged functions keep their fingerprints
 // (ir.NewIncremental), and jobs whose content key is unchanged replay
-// from memory without touching disk. An unchanged file set
-// short-circuits entirely: the resident Package — including its built
-// skeletons — is reused as-is, so identical re-checks never rebuild
-// anything.
+// from memory without touching disk. A file set the program holds — the
+// current one or one of the few it was at just before — short-circuits
+// entirely: its resident Package, including its built skeletons, is
+// reused as-is, so identical re-checks never rebuild anything.
 //
-// Concurrency model: a resident program's mutable state (file set,
-// translation memo, current Package) is guarded by a per-program mutex
+// Concurrency model: a resident program's mutable state (its lowered
+// file sets and translation memo) is guarded by a per-program mutex
 // that serializes delta application and re-lowering; the Package a
 // request analyzes is an immutable snapshot, so any number of requests
 // analyze concurrently — against the same program or different ones —
@@ -22,8 +22,8 @@
 // order, and stats are sums.
 //
 // Analyze, the one-shot entry point, runs the same driver core
-// (analyze) over a loaded Package with a fresh memory tier and no
-// resident state.
+// (analyze) over a Package from the same loader (load), with a fresh
+// memory tier and no resident state.
 package analysis
 
 import (
@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rasc/internal/gosrc"
@@ -41,20 +40,20 @@ import (
 )
 
 // EngineConfig configures a resident Engine. The zero value is a valid
-// minimal engine: no disk cache, no metrics, unbounded memory.
+// minimal engine: no disk cache, a private metrics registry, unbounded
+// memory.
 type EngineConfig struct {
 	// Cache, when non-nil, backs the engine with the on-disk incremental
 	// cache (shared with one-shot runs; keys are identical).
 	Cache *Cache
-	// Parallel bounds each request's worker pool; <= 0 means GOMAXPROCS.
-	Parallel int
 	// MemoryBudget caps the estimated resident-program footprint in
 	// bytes; past it, least-recently-used programs are evicted wholesale
 	// (their next request must push the full file set again; an evicted
 	// program's Manifest is empty). 0 means no eviction.
 	MemoryBudget int64
-	// Metrics, when non-nil, receives the per-run bundles (solver, pdm,
-	// cache, driver) plus the engine's server.* bundle.
+	// Metrics receives the per-run bundles (solver, pdm, cache, driver)
+	// plus the engine's server.* bundle, and is where Stats reads the
+	// engine's counts. Nil gives the engine a registry of its own.
 	Metrics *obs.Registry
 	// Flight, when non-nil, records every request — trace ID, outcome,
 	// duration, memo accounting and full span tree — into the flight
@@ -66,56 +65,48 @@ type EngineConfig struct {
 // number of named programs. Create with NewEngine; all methods are safe
 // for concurrent use.
 type Engine struct {
-	cfg     EngineConfig
-	serverM *obs.ServerMetrics // nil when Metrics is nil
-	mem     *memTier
+	cfg EngineConfig
+	// m and cacheM are the engine's instruments in cfg.Metrics, the one
+	// store of its cross-request counts.
+	m      *obs.ServerMetrics
+	cacheM *obs.CacheMetrics
+	mem    *memTier
 
 	mu    sync.Mutex
 	progs map[string]*residentProgram
 	clock int64 // LRU tick, bumped per request under mu
-
-	// Engine-wide accounting, accumulated atomically so concurrent
-	// requests never race (CacheStats itself is per-request; these are
-	// the cross-request totals).
-	requests, errors, evictions         atomic.Int64
-	memoHits, memoMisses                atomic.Int64
-	cacheHits, cacheMisses, resolvedFns atomic.Int64
 }
 
 // NewEngine creates a resident engine.
 func NewEngine(cfg EngineConfig) *Engine {
-	var sm *obs.ServerMetrics
-	if cfg.Metrics != nil {
-		sm = obs.NewServerMetrics(cfg.Metrics)
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
 	}
 	return &Engine{
-		cfg:     cfg,
-		serverM: sm,
-		mem:     newMemTier(sm),
-		progs:   map[string]*residentProgram{},
+		cfg:    cfg,
+		m:      obs.NewServerMetrics(cfg.Metrics),
+		cacheM: obs.NewCacheMetrics(cfg.Metrics),
+		mem:    newMemTier(),
+		progs:  map[string]*residentProgram{},
 	}
 }
 
 // residentProgram is one named program's resident state. mu serializes
-// file-delta application and re-lowering; pkg is replaced wholesale (an
-// immutable snapshot), never mutated, so readers that grabbed it under
-// mu may analyze it after releasing mu.
+// file-delta application and re-lowering; each Package is an immutable
+// snapshot, never mutated, so readers that grabbed one under mu may
+// analyze it after releasing mu.
 type residentProgram struct {
 	name string
 
 	mu    sync.Mutex
-	files map[string]gosrc.File
 	tmemo *gosrc.Memo
-	pkg   *Package
-	// recent keeps the last few displaced lowered snapshots so that a
-	// file set the program has been at before — an undone edit, a
-	// branch toggle, an editor flapping between two buffer states —
-	// re-resolves without re-lowering anything. Entries share FuncDef
-	// storage with the translation memo, so the marginal footprint is
-	// the IR/CFG structures only; ringCost feeds it to the memory
-	// budget regardless.
-	recent   []loweredSet
-	ringCost atomic.Int64
+	// sets holds the program's lowered file sets, most recent first: the
+	// current set, then up to maxRecentLowered displaced ones, so that a
+	// file set the program has been at before — an undone edit, a branch
+	// toggle, an editor flapping between two buffer states — re-resolves
+	// without re-lowering anything. Every refresh stores a freshly built
+	// slice, so a dropped set is unreachable at once.
+	sets []loweredSet
 
 	// Engine-bookkeeping, guarded by the Engine's mu.
 	lastUsed int64
@@ -123,31 +114,25 @@ type residentProgram struct {
 	served   int64
 }
 
-// loweredSet is one previously lowered file set: the exact files and
-// the immutable Package they lowered to.
+// loweredSet is one lowered file set: the exact files and the immutable
+// Package they lowered to.
 type loweredSet struct {
 	files map[string]gosrc.File
 	pkg   *Package
 }
 
-// maxRecentLowered bounds the per-program ring of displaced lowered
-// snapshots: two covers the common flap between a state and its edit.
+// maxRecentLowered bounds the displaced lowered file sets a program
+// keeps beside its current one: two covers the common flap between a
+// state and its edit.
 const maxRecentLowered = 2
 
-// retire pushes the current lowered snapshot into the recent ring and
-// refreshes the ring's cost estimate. Callers hold rp.mu.
-func (rp *residentProgram) retire() {
-	if rp.pkg != nil {
-		rp.recent = append(rp.recent, loweredSet{files: rp.files, pkg: rp.pkg})
-		if len(rp.recent) > maxRecentLowered {
-			rp.recent = rp.recent[len(rp.recent)-maxRecentLowered:]
-		}
+// current returns the program's current lowered file set, the zero set
+// before its first successful request. Callers hold rp.mu.
+func (rp *residentProgram) current() loweredSet {
+	if len(rp.sets) == 0 {
+		return loweredSet{}
 	}
-	var cost int64
-	for _, ls := range rp.recent {
-		cost += estimateCost(ls.pkg)
-	}
-	rp.ringCost.Store(cost)
+	return rp.sets[0]
 }
 
 // CheckRequest is one engine request: a file delta against a named
@@ -184,10 +169,7 @@ type CheckRequest struct {
 // only adds the json:"-" telemetry fields.
 func (e *Engine) Check(req CheckRequest) (*Report, error) {
 	t0 := time.Now()
-	e.requests.Add(1)
-	if e.serverM != nil {
-		e.serverM.Requests.Inc()
-	}
+	e.m.Requests.Inc()
 	// With a flight recorder the request runs under its own tracer and
 	// trace ID, so its span tree can be recorded and persisted
 	// independently of other requests.
@@ -199,58 +181,52 @@ func (e *Engine) Check(req CheckRequest) (*Report, error) {
 			traceID = obs.NewTraceID()
 		}
 	}
-	sp := tr.Start("request:" + programName(req.Program))
+	program := ProgramName(req.Program)
+	sp := tr.Start("request:" + program)
 	if traceID != "" {
 		sp.SetAttr("trace_id", traceID)
 	}
-	rep, err := e.check(req, tr)
+	rep, err := e.check(program, req, tr)
 	if err != nil {
-		e.errors.Add(1)
-		if e.serverM != nil {
-			e.serverM.Errors.Inc()
-		}
+		e.m.Errors.Inc()
 		sp.SetAttr("error", err.Error())
 	}
 	sp.Finish()
-	if e.serverM != nil {
-		e.serverM.RequestMs.Observe(time.Since(t0).Milliseconds())
+	e.m.RequestMs.Observe(time.Since(t0).Milliseconds())
+	meta := obs.FlightMeta{TraceID: traceID, Program: program, DurUS: time.Since(t0).Microseconds()}
+	if err != nil {
+		meta.Err = err.Error()
 	}
 	if rep != nil {
 		rep.TraceID = traceID
+		// The run counted its own memo lookups; the engine totals are
+		// their sums.
+		e.m.MemoHits.Add(rep.MemoHits)
+		e.m.MemoMisses.Add(rep.MemoMisses)
+		meta.MemoHits, meta.MemoMisses = rep.MemoHits, rep.MemoMisses
 	}
-	if e.cfg.Flight != nil {
-		meta := obs.FlightMeta{
-			TraceID: traceID,
-			Program: programName(req.Program),
-			DurUS:   time.Since(t0).Microseconds(),
-		}
-		if err != nil {
-			meta.Err = err.Error()
-		}
-		if rep != nil {
-			meta.MemoHits, meta.MemoMisses = rep.MemoHits, rep.MemoMisses
-		}
-		e.cfg.Flight.Record(meta, tr)
-	}
+	e.cfg.Flight.Record(meta, tr)
 	return rep, err
 }
 
-func programName(name string) string {
+// ProgramName is the resident program a request or manifest query
+// names: "default" for the empty name.
+func ProgramName(name string) string {
 	if name == "" {
 		return "default"
 	}
 	return name
 }
 
-func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
+func (e *Engine) check(program string, req CheckRequest, tr *obs.Tracer) (*Report, error) {
 	checkers, err := Resolve(req.Checkers)
 	if err != nil {
 		return nil, err
 	}
-	rp := e.program(programName(req.Program))
+	rp := e.program(program)
 
 	rp.mu.Lock()
-	pkg, err := e.refresh(rp, req)
+	pkg, cost, err := e.refresh(rp, req, tr)
 	rp.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -259,7 +235,6 @@ func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
 	cfg := Config{
 		Checkers: checkers,
 		Entries:  req.Entries,
-		Parallel: e.cfg.Parallel,
 		Cache:    e.cfg.Cache,
 		Trace:    tr,
 		Metrics:  e.cfg.Metrics,
@@ -269,18 +244,18 @@ func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.account(rep)
-	e.finishRequest(rp, pkg)
+	e.finishRequest(rp, cost)
 	return rep, nil
 }
 
 // refresh applies the request's file delta under rp.mu and returns the
-// Package snapshot to analyze. State commits only on success: a failed
-// delta (parse error, CFG error) leaves the previous file set and
-// Package in place, so a bad push never poisons the resident program.
-func (e *Engine) refresh(rp *residentProgram, req CheckRequest) (*Package, error) {
+// Package snapshot to analyze, with the estimated cost of every file
+// set the program now holds. State commits only on success: a failed
+// delta (parse error, CFG error) leaves the program's file sets in
+// place, so a bad push never poisons the resident program.
+func (e *Engine) refresh(rp *residentProgram, req CheckRequest, tr *obs.Tracer) (*Package, int64, error) {
 	next := map[string]gosrc.File{}
-	for name, f := range rp.files {
+	for name, f := range rp.current().files {
 		next[name] = f
 	}
 	for _, name := range req.Removes {
@@ -290,51 +265,49 @@ func (e *Engine) refresh(rp *residentProgram, req CheckRequest) (*Package, error
 		next[f.Name] = f
 	}
 	if len(next) == 0 {
-		return nil, fmt.Errorf("analysis: program %q has no files (push the full set first)", rp.name)
+		return nil, 0, fmt.Errorf("analysis: program %q has no files (push the full set first)", rp.name)
 	}
-	if rp.pkg != nil && sameFiles(next, rp.files) {
-		return rp.pkg, nil
-	}
-	// A file set we've been at before swaps back in without re-lowering;
-	// the displaced snapshot takes its slot in the ring.
-	for i, ls := range rp.recent {
+	// A file set the program holds moves to the front as it is; any other
+	// is lowered over the current one.
+	hit := -1
+	for i, ls := range rp.sets {
 		if sameFiles(next, ls.files) {
-			rp.recent = append(rp.recent[:i], rp.recent[i+1:]...)
-			rp.retire()
-			rp.files = ls.files
-			rp.pkg = ls.pkg
-			return ls.pkg, nil
+			hit = i
+			break
 		}
 	}
-
-	t0 := time.Now()
-	files := make([]gosrc.File, 0, len(next))
-	for _, f := range next {
-		files = append(files, f)
+	var front loweredSet
+	if hit >= 0 {
+		front = rp.sets[hit]
+	} else {
+		t0 := time.Now()
+		files := make([]gosrc.File, 0, len(next))
+		for _, f := range next {
+			files = append(files, f)
+		}
+		// Sorted name order, matching LoadPaths' deterministic load order.
+		sort.Slice(files, func(i, j int) bool { return files[i].Name < files[j].Name })
+		var prev *ir.Program
+		if cur := rp.current(); cur.pkg != nil {
+			prev = cur.pkg.Prog
+		}
+		pkg, err := load(files, rp.tmemo, prev, tr)
+		if err != nil {
+			return nil, 0, err
+		}
+		e.m.RelowerMs.Observe(time.Since(t0).Milliseconds())
+		front = loweredSet{files: next, pkg: pkg}
 	}
-	// Sorted name order, matching LoadPaths' deterministic load order.
-	sort.Slice(files, func(i, j int) bool { return files[i].Name < files[j].Name })
-
-	trn, err := gosrc.TranslateFilesMemo(files, rp.tmemo)
-	if err != nil {
-		return nil, err
+	sets := append(make([]loweredSet, 0, 1+maxRecentLowered), front)
+	cost := estimateCost(front.pkg)
+	for i, ls := range rp.sets {
+		if i != hit && len(sets) <= maxRecentLowered {
+			sets = append(sets, ls)
+			cost += estimateCost(ls.pkg)
+		}
 	}
-	var prev *ir.Program
-	if rp.pkg != nil {
-		prev = rp.pkg.Prog
-	}
-	prog, err := ir.NewIncremental(trn.Prog, trn.Meta, prev)
-	if err != nil {
-		return nil, err
-	}
-	pkg := &Package{Files: files, Prog: prog}
-	rp.retire()
-	rp.files = next
-	rp.pkg = pkg
-	if e.serverM != nil {
-		e.serverM.RelowerMs.Observe(time.Since(t0).Milliseconds())
-	}
-	return pkg, nil
+	rp.sets = sets
+	return front.pkg, cost, nil
 }
 
 func sameFiles(a, b map[string]gosrc.File) bool {
@@ -365,15 +338,15 @@ func (e *Engine) program(name string) *residentProgram {
 	return rp
 }
 
-// finishRequest updates the program's cost estimate and recency, then
+// finishRequest records the program's cost estimate and recency, then
 // enforces the memory budget.
-func (e *Engine) finishRequest(rp *residentProgram, pkg *Package) {
+func (e *Engine) finishRequest(rp *residentProgram, cost int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.clock++
 	rp.lastUsed = e.clock
 	rp.served++
-	rp.cost = estimateCost(pkg) + rp.ringCost.Load()
+	rp.cost = cost
 	e.evictLocked(rp)
 }
 
@@ -414,34 +387,13 @@ func (e *Engine) evictLocked(keep *residentProgram) {
 			return
 		}
 		delete(e.progs, oldest.name)
-		e.evictions.Add(1)
-		if e.serverM != nil {
-			e.serverM.Evictions.Inc()
-		}
+		e.m.Evictions.Inc()
 		e.residentGauge()
 	}
 }
 
 func (e *Engine) residentGauge() {
-	if e.serverM != nil {
-		e.serverM.ResidentPrograms.Set(int64(len(e.progs)))
-	}
-}
-
-// account merges one request's memory and cache accounting into the
-// engine totals. Per-request stats stay per-request (each run owns its
-// counters); the engine-wide view accumulates atomically so concurrent
-// request completions never race.
-func (e *Engine) account(rep *Report) {
-	e.memoHits.Add(rep.MemoHits)
-	e.memoMisses.Add(rep.MemoMisses)
-	st := rep.Cache
-	if st == nil {
-		return
-	}
-	e.cacheHits.Add(int64(st.Hits))
-	e.cacheMisses.Add(int64(st.Misses))
-	e.resolvedFns.Add(int64(st.ResolvedFunctions))
+	e.m.ResidentPrograms.Set(int64(len(e.progs)))
 }
 
 // Manifest returns the named resident program's file set as file name
@@ -451,7 +403,7 @@ func (e *Engine) account(rep *Report) {
 // must describe exactly the files the next request starts from.
 func (e *Engine) Manifest(program string) map[string]string {
 	e.mu.Lock()
-	rp := e.progs[programName(program)]
+	rp := e.progs[ProgramName(program)]
 	e.mu.Unlock()
 	out := map[string]string{}
 	if rp == nil {
@@ -459,7 +411,7 @@ func (e *Engine) Manifest(program string) map[string]string {
 	}
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	for name, f := range rp.files {
+	for name, f := range rp.current().files {
 		sum := sha256.Sum256([]byte(f.Src))
 		out[name] = hex.EncodeToString(sum[:])
 	}
@@ -483,12 +435,12 @@ func (e *Engine) Programs() []ProgramInfo {
 	out := make([]ProgramInfo, 0, len(e.progs))
 	for _, rp := range e.progs {
 		info := ProgramInfo{Name: rp.name, CostBytes: rp.cost, Requests: rp.served}
-		// rp.pkg is replaced atomically under rp.mu; a racing re-lower at
+		// The current set is replaced under rp.mu; a racing re-lower at
 		// worst reports the prior snapshot's sizes.
 		rp.mu.Lock()
-		if rp.pkg != nil {
-			info.Files = len(rp.pkg.Files)
-			info.Functions = len(rp.pkg.Prog.Funcs)
+		if pkg := rp.current().pkg; pkg != nil {
+			info.Files = len(pkg.Files)
+			info.Functions = len(pkg.Prog.Funcs)
 		}
 		rp.mu.Unlock()
 		out = append(out, info)
@@ -512,21 +464,23 @@ type EngineStats struct {
 	ResolvedFuncs    int64 `json:"resolved_functions"`
 }
 
-// Stats snapshots the engine accounting.
+// Stats reads the engine's server.* and cache.* instruments.
 func (e *Engine) Stats() EngineStats {
-	e.mu.Lock()
-	resident := len(e.progs)
-	e.mu.Unlock()
 	return EngineStats{
-		Requests:         e.requests.Load(),
-		Errors:           e.errors.Load(),
-		Evictions:        e.evictions.Load(),
-		ResidentPrograms: resident,
-		MemoHits:         e.memoHits.Load(),
-		MemoMisses:       e.memoMisses.Load(),
+		Requests:         e.m.Requests.Value(),
+		Errors:           e.m.Errors.Value(),
+		Evictions:        e.m.Evictions.Value(),
+		ResidentPrograms: int(e.m.ResidentPrograms.Value()),
+		MemoHits:         e.m.MemoHits.Value(),
+		MemoMisses:       e.m.MemoMisses.Value(),
 		MemoEntries:      e.mem.len(),
-		CacheHits:        e.cacheHits.Load(),
-		CacheMisses:      e.cacheMisses.Load(),
-		ResolvedFuncs:    e.resolvedFns.Load(),
+		CacheHits:        e.cacheM.Hits.Value(),
+		CacheMisses:      e.cacheM.Misses.Value(),
+		ResolvedFuncs:    e.cacheM.ResolvedFunctions.Value(),
 	}
 }
+
+// LatencyMS returns the nearest-rank q-quantile of the engine's request
+// latency in milliseconds since it started, to bucket granularity (see
+// obs.Histogram.Quantile); 0 before the first request.
+func (e *Engine) LatencyMS(q float64) int64 { return e.m.RequestMs.Quantile(q) }

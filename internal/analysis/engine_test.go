@@ -1,11 +1,15 @@
 package analysis
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rasc/internal/gosrc"
 	"rasc/internal/obs"
@@ -70,8 +74,8 @@ func sortedFiles(m map[string]string) []gosrc.File {
 
 // TestEngineDifferentialEditSequence drives a sequence of file deltas
 // through one warm Engine and checks every step's report — rendered as
-// text, JSON and SARIF, with and without -explain, at -parallel 1 and 8
-// — byte-identical against a one-shot Analyze over the same sources.
+// text, JSON and SARIF, with and without -explain, at GOMAXPROCS 1 and
+// 8 — byte-identical against a one-shot Analyze over the same sources.
 //
 // Run twice. Memory-only: the reference is a completely fresh one-shot,
 // so the engine's memo and incremental re-lowering must be invisible.
@@ -108,6 +112,7 @@ func TestEngineDifferentialEditSequence(t *testing.T) {
 			}
 			eng := NewEngine(EngineConfig{Cache: cache})
 			current := map[string]string{}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 			for _, st := range steps {
 				// Apply the delta locally to know the full set for the
@@ -122,7 +127,7 @@ func TestEngineDifferentialEditSequence(t *testing.T) {
 				first := true
 				for _, parallel := range []int{1, 8} {
 					for _, explain := range []bool{false, true} {
-						eng.cfg.Parallel = parallel
+						runtime.GOMAXPROCS(parallel)
 						req := CheckRequest{Explain: explain}
 						if first {
 							// Only the first request of the step carries the
@@ -179,9 +184,9 @@ func TestEngineDifferentialEditSequence(t *testing.T) {
 // TestEngineConcurrentRequests hammers one Engine (shared disk cache,
 // shared metrics registry) from many goroutines mixing check, explain,
 // multi-program and stats traffic. Primarily a -race exercise for the
-// engine's atomic accounting (CacheStats merging) and the per-program
-// locking; it also asserts every concurrent report matches the
-// single-threaded reference byte for byte.
+// engine's counts in its registry and the per-program locking; it also
+// asserts every concurrent report matches the single-threaded
+// reference byte for byte.
 func TestEngineConcurrentRequests(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -316,34 +321,98 @@ func TestEngineMemoryHoldsRepeatedRequestUpToBound(t *testing.T) {
 	}
 }
 
-// The engine's memo counters are the sums of its requests' counters.
+// The engine's counts live in its registry: Stats reads the instruments
+// the registry exports, and they are the sums of the requests' own
+// counts. The edit sequence runs over two programs, a disk cache filled
+// by a one-shot run, a bad delta, an eviction and a request against the
+// evicted program. An engine without a registry of its own reports the
+// same Stats.
 func TestEngineMemoCountersMatchRequests(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	full := []gosrc.File{{Name: "a.go", Src: engASrc}, {Name: "b.go", Src: engBSrc}}
+	fix := []gosrc.File{{Name: "a.go", Src: strings.Replace(engASrc, "mu.Lock() // BUG", "mu.Unlock()", 1)}}
+	bad := []gosrc.File{{Name: "a.go", Src: "package p\nfunc broken( {"}}
+	pkg, err := LoadFiles(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(EngineConfig{Cache: cache})
-	full := []gosrc.File{{Name: "a.go", Src: engASrc}, {Name: "b.go", Src: engBSrc}}
-	fix := []gosrc.File{{Name: "a.go", Src: strings.Replace(engASrc, "mu.Lock() // BUG", "mu.Unlock()", 1)}}
-	var hits, misses int64
-	for _, req := range []CheckRequest{{Upserts: full}, {Upserts: fix}, {}} {
-		rep, err := eng.Check(req)
+	// p1 holding two file sets and p2 one do not fit; p1 and p2 holding
+	// one each do.
+	budget := estimateCost(pkg) * 5 / 2
+	steps := []CheckRequest{
+		{Program: "p1", Upserts: full},
+		{Program: "p1", Upserts: fix},
+		{Program: "p1", Upserts: bad},
+		{Program: "p1"},
+		{Program: "p2", Upserts: full},
+		{Program: "p1"},
+		{Program: "p1", Upserts: full},
+	}
+	run := func(reg *obs.Registry) (st, sums EngineStats) {
+		cache, err := OpenCache(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits += rep.MemoHits
-		misses += rep.MemoMisses
+		if _, err := Analyze(pkg, Config{Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		eng := NewEngine(EngineConfig{Cache: cache, MemoryBudget: budget, Metrics: reg})
+		for _, req := range steps {
+			sums.Requests++
+			rep, err := eng.Check(req)
+			if err != nil {
+				sums.Errors++
+				continue
+			}
+			sums.MemoHits += rep.MemoHits
+			sums.MemoMisses += rep.MemoMisses
+			sums.CacheHits += int64(rep.Cache.Hits)
+			sums.CacheMisses += int64(rep.Cache.Misses)
+			sums.ResolvedFuncs += int64(rep.Cache.ResolvedFunctions)
+		}
+		return eng.Stats(), sums
 	}
-	if st := eng.Stats(); st.MemoHits != hits || st.MemoMisses != misses || hits == 0 || misses == 0 {
-		t.Fatalf("engine memo hits/misses %d/%d, requests sum to %d/%d", st.MemoHits, st.MemoMisses, hits, misses)
+
+	reg := obs.NewRegistry()
+	st, sums := run(reg)
+	if sums.Errors != 2 || sums.MemoHits == 0 || sums.MemoMisses == 0 || sums.CacheHits == 0 ||
+		sums.CacheMisses == 0 || sums.ResolvedFuncs == 0 || st.Evictions == 0 {
+		t.Fatalf("the sequence leaves a count at zero: stats %+v, request sums %+v", st, sums)
+	}
+	sums.Evictions, sums.ResidentPrograms, sums.MemoEntries = st.Evictions, 2, st.MemoEntries
+	if st != sums {
+		t.Errorf("engine stats %+v, requests sum to %+v", st, sums)
+	}
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		name string
+		got  int64
+		want int64
+	}{
+		{"server.requests", snap.Counters["server.requests"], st.Requests},
+		{"server.errors", snap.Counters["server.errors"], st.Errors},
+		{"server.evictions", snap.Counters["server.evictions"], st.Evictions},
+		{"server.resident_programs", snap.Gauges["server.resident_programs"], int64(st.ResidentPrograms)},
+		{"server.memo_hits", snap.Counters["server.memo_hits"], st.MemoHits},
+		{"server.memo_misses", snap.Counters["server.memo_misses"], st.MemoMisses},
+		{"cache.hits", snap.Counters["cache.hits"], st.CacheHits},
+		{"cache.misses", snap.Counters["cache.misses"], st.CacheMisses},
+		{"cache.resolved_functions", snap.Counters["cache.resolved_functions"], st.ResolvedFuncs},
+	} {
+		if c.got != c.want {
+			t.Errorf("registry %s = %d, engine stats say %d", c.name, c.got, c.want)
+		}
+	}
+	if own, _ := run(nil); own != st {
+		t.Errorf("engine without a registry: stats %+v, want %+v", own, st)
 	}
 }
 
-// A file set the program has been at before swaps its lowered snapshot
-// back in from the ring instead of re-lowering. The tick stream adds a
-// file outside every entry's closure and flips its body; once both
-// bodies have been seen, every flip re-lowers nothing, misses no job and
-// returns the seed push's findings byte for byte.
+// A file set the program has been at before moves back to the front of
+// its lowered sets instead of re-lowering. States A, B and C add a file
+// outside every entry's closure with three bodies, over the seed set S.
+// C's arrival drops S, the oldest of four sets; the returns to A and B
+// re-lower nothing, and a return to S re-lowers it. Every request
+// misses no job and returns the seed push's findings byte for byte.
 func TestEngineRingSwapsSeenFileSetsBackIn(t *testing.T) {
 	in := driverCorpus()
 	pkg, err := LoadFiles(in)
@@ -354,21 +423,118 @@ func TestEngineRingSwapsSeenFileSetsBackIn(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := NewEngine(EngineConfig{Metrics: reg})
 	seed := seedPush(t, eng, in, entries)
-	tick(t, eng, entries, 1, seed)
-	tick(t, eng, entries, 2, seed)
 	relowers := obs.NewServerMetrics(reg).RelowerMs
-	if n := relowers.Count(); n != 3 {
-		t.Fatalf("%d re-lowerings after the seed push and both tick bodies, want 3", n)
+	to := func(body int) CheckRequest {
+		return CheckRequest{Upserts: []gosrc.File{tickFile(body)}, Entries: entries}
 	}
-	for i := 3; i <= 6; i++ {
-		rep, _ := tick(t, eng, entries, i, seed)
+	for _, st := range []struct {
+		name     string
+		req      CheckRequest
+		relowers int64
+	}{
+		{"A", to(1), 2},
+		{"B", to(2), 3},
+		{"C", to(3), 4},
+		{"back to A", to(1), 4},
+		{"back to B", to(2), 4},
+		{"back to S", CheckRequest{Removes: []string{tickFile(0).Name}, Entries: entries}, 5},
+	} {
+		rep, err := eng.Check(st.req)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if got, err := json.Marshal(rep.Diagnostics); err != nil || !bytes.Equal(got, seed) {
+			t.Fatalf("%s changed the findings (%v)", st.name, err)
+		}
 		if rep.MemoMisses != 0 {
-			t.Errorf("tick %d missed %d job(s)", i, rep.MemoMisses)
+			t.Errorf("%s missed %d job(s)", st.name, rep.MemoMisses)
 		}
-		if n := relowers.Count(); n != 3 {
-			t.Errorf("tick %d re-lowered a file set the program has been at (%d re-lowerings)", i, n)
+		if n := relowers.Count(); n != st.relowers {
+			t.Errorf("%s: %d re-lowerings in all, want %d", st.name, n, st.relowers)
 		}
 	}
+}
+
+// A request that re-lowers records the translate and ir.lower spans a
+// one-shot -trace-out run records, in its flight trace; one that finds
+// its file set resident records neither.
+func TestEngineFlightTraceShowsRelowering(t *testing.T) {
+	flight := obs.NewFlight(obs.FlightConfig{})
+	eng := NewEngine(EngineConfig{Flight: flight})
+	full := []gosrc.File{{Name: "a.go", Src: engASrc}, {Name: "b.go", Src: engBSrc}}
+	fix := []gosrc.File{{Name: "a.go", Src: strings.Replace(engASrc, "mu.Lock() // BUG", "mu.Unlock()", 1)}}
+	for _, st := range []struct {
+		name    string
+		req     CheckRequest
+		relower bool
+	}{
+		{"seed push", CheckRequest{Upserts: full}, true},
+		{"edit", CheckRequest{Upserts: fix}, true},
+		{"re-check", CheckRequest{}, false},
+		{"undo", CheckRequest{Upserts: full[:1]}, false},
+	} {
+		rep, err := eng.Check(st.req)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		var buf bytes.Buffer
+		if err := flight.WriteChrome(&buf, rep.TraceID); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		var trace struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]int{}
+		for _, ev := range trace.TraceEvents {
+			spans[ev.Name]++
+		}
+		want := 0
+		if st.relower {
+			want = 1
+		}
+		for _, name := range []string{"translate", "ir.lower"} {
+			if spans[name] != want {
+				t.Errorf("%s: %d %s span(s), want %d (spans %v)", st.name, spans[name], name, want, spans)
+			}
+		}
+	}
+}
+
+// However many never-seen edits a resident program takes, it keeps only
+// its current file set and maxRecentLowered displaced ones reachable:
+// every other Package it lowered is garbage.
+func TestEngineKeepsBoundedLoweredSets(t *testing.T) {
+	eng := NewEngine(EngineConfig{})
+	var live atomic.Int64
+	for i := 0; i < 12; i++ {
+		src := engASrc + fmt.Sprintf("\nfunc edit() int { return %d }\n", i)
+		req := CheckRequest{Upserts: []gosrc.File{{Name: "a.go", Src: src}}, Checkers: []string{"doublelock"}}
+		if _, err := eng.Check(req); err != nil {
+			t.Fatal(err)
+		}
+		eng.mu.Lock()
+		rp := eng.progs["default"]
+		eng.mu.Unlock()
+		rp.mu.Lock()
+		pkg := rp.current().pkg
+		rp.mu.Unlock()
+		live.Add(1)
+		runtime.SetFinalizer(pkg, func(*Package) { live.Add(-1) })
+	}
+	want := int64(1 + maxRecentLowered)
+	for i := 0; i < 50 && live.Load() > want; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := live.Load(); n < 1 || n > want {
+		t.Fatalf("%d Packages reachable after 12 never-seen edits, want 1 to %d", n, want)
+	}
+	runtime.KeepAlive(eng) // the engine holds the program's sets until here
 }
 
 // TestEngineEviction caps the memory budget below two resident

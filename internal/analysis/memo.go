@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sync"
-
-	"rasc/internal/obs"
-)
+import "sync"
 
 // memTier is the memory tier of the result store: job records by
 // recordKey, owned by an Engine and shared by every resident program and
@@ -18,12 +14,12 @@ import (
 // record back. Any set of up to memoEntries records that keeps hitting
 // (the jobs every request of a resident program touches) therefore stays
 // in memory once one request has touched it, while records of stale
-// summaries age out. The tier holds at most twice memoEntries.
+// summaries age out. The tier holds at most twice memoEntries. It is
+// pure storage: each run counts its own hits and misses.
 type memTier struct {
 	mu       sync.Mutex
 	gen      int // generation size: memoEntries
 	cur, old map[recordKey]jobRecord
-	m        *obs.ServerMetrics // hit/miss instruments; nil OK
 }
 
 // memoEntries bounds each generation of the memory tier in job records,
@@ -31,8 +27,8 @@ type memTier struct {
 // program state itself (a record is one job's diagnostics).
 const memoEntries = 8192
 
-func newMemTier(m *obs.ServerMetrics) *memTier {
-	return &memTier{gen: memoEntries, cur: map[recordKey]jobRecord{}, m: m}
+func newMemTier() *memTier {
+	return &memTier{gen: memoEntries, cur: map[recordKey]jobRecord{}}
 }
 
 func (m *memTier) get(k recordKey) (jobRecord, bool) {
@@ -44,13 +40,6 @@ func (m *memTier) get(k recordKey) (jobRecord, bool) {
 		}
 	}
 	m.mu.Unlock()
-	if m.m != nil {
-		if ok {
-			m.m.MemoHits.Inc()
-		} else {
-			m.m.MemoMisses.Inc()
-		}
-	}
 	return rec, ok
 }
 

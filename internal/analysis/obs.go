@@ -150,17 +150,25 @@ func LoadPathsTraced(paths []string, tr *obs.Tracer) (*Package, error) {
 
 // LoadFilesTraced is LoadFiles with the translate and IR-lowering
 // phases recorded as separate trace spans; a nil tracer makes it
-// equivalent to LoadFiles. It mirrors gosrc.Lower, split so each phase
-// gets its own span.
+// equivalent to LoadFiles.
 func LoadFilesTraced(files []gosrc.File, tr *obs.Tracer) (*Package, error) {
+	return load(files, nil, nil, tr)
+}
+
+// load is the one path from sources to a Package, shared by one-shot
+// runs and the resident engine. It translates files through the memo m
+// and lowers them incrementally over prev, recording the translate and
+// ir.lower phases as trace spans on tr. A nil m translates from scratch
+// and a nil prev lowers from scratch, as gosrc.Lower does.
+func load(files []gosrc.File, m *gosrc.Memo, prev *ir.Program, tr *obs.Tracer) (*Package, error) {
 	tsp := tr.Start("translate")
-	trn, err := gosrc.TranslateFiles(files)
+	trn, err := gosrc.TranslateFilesMemo(files, m)
 	tsp.Finish()
 	if err != nil {
 		return nil, err
 	}
 	lsp := tr.Start("ir.lower")
-	prog, err := ir.New(trn.Prog, trn.Meta)
+	prog, err := ir.NewIncremental(trn.Prog, trn.Meta, prev)
 	if err == nil {
 		lsp.SetAttr("functions", len(prog.Funcs))
 	}

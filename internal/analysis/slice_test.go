@@ -312,8 +312,10 @@ func TestEngineMemoMissesOnlyDirtiedEntries(t *testing.T) {
 		{name: "undo-gen_0", upserts: map[string]string{"gen_0.go": base["gen_0.go"]}},
 	}
 	checkers := len(All())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, parallel := range []int{1, 8} {
-		eng := NewEngine(EngineConfig{Parallel: parallel})
+		runtime.GOMAXPROCS(parallel)
+		eng := NewEngine(EngineConfig{})
 		current := map[string]string{}
 		seen := map[string]bool{} // entry summaries the engine has solved
 		for _, st := range steps {

@@ -59,7 +59,7 @@ func snapshotSeeded(t *testing.T) (*Package, map[string]*pdm.Skeleton) {
 // The full-corpus differential: every checker over every root entry,
 // with explain (provenance) on, must render byte-identically — text,
 // JSON and SARIF — whether the constraint skeletons were built and
-// solved live or reconstructed from their snapshots, at -parallel 1
+// solved live or reconstructed from their snapshots, at pool sizes 1
 // and 8 alike.
 func TestSnapshotDifferentialFullCorpus(t *testing.T) {
 	var want string

@@ -97,24 +97,22 @@ func WritePrometheus(w io.Writer, snap MetricsSnapshot) error {
 }
 
 // ValidatePrometheus checks that data is a well-formed text exposition
-// as WritePrometheus emits it (and as Prometheus itself would accept):
-// every sample belongs to a family declared by a preceding # TYPE line,
-// sample values parse, and each histogram family has ascending le
-// bounds with non-decreasing cumulative bucket counts, a final +Inf
-// bucket, and a _count equal to the +Inf cumulative count.
+// as WritePrometheus emits it (and as Prometheus itself would accept).
+// The exposition's own rules come first: every sample belongs to a
+// family declared by one preceding # TYPE line, names and values parse,
+// every bucket carries an integer le label (or +Inf), and every
+// histogram has _sum and _count. The samples are then read back into a
+// MetricsSnapshot, with the cumulative buckets taken apart, and checked
+// against the schema ValidateMetricsJSON applies.
 func ValidatePrometheus(data []byte) error {
 	type histState struct {
-		lastLE   float64
-		lastCum  int64
-		buckets  int
-		infCum   int64
-		sawInf   bool
-		sawSum   bool
-		count    int64
-		sawCount bool
+		snap             HistSnapshot
+		cum              int64 // the previous bucket's cumulative count
+		sawSum, sawCount bool
 	}
 	types := map[string]string{}
 	hists := map[string]*histState{}
+	snap := MetricsSnapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}, Histograms: map[string]HistSnapshot{}}
 
 	lineNo := 0
 	sc := bufio.NewScanner(bytes.NewReader(data))
@@ -164,60 +162,49 @@ func ValidatePrometheus(data []byte) error {
 		if !declared {
 			return fmt.Errorf("obs: prometheus: line %d: sample %s has no TYPE declaration", lineNo, name)
 		}
-		if kind != "histogram" {
-			continue
-		}
-		h := hists[base]
-		switch suffix {
-		case "_bucket":
-			le, ok := labels["le"]
-			if !ok {
-				return fmt.Errorf("obs: prometheus: line %d: %s lacks an le label", lineNo, name)
+		switch kind {
+		case "counter":
+			snap.Counters[name] = int64(value)
+		case "gauge":
+			snap.Gauges[name] = int64(value)
+		case "histogram":
+			h := hists[base]
+			switch suffix {
+			case "_bucket":
+				le, ok := labels["le"]
+				if !ok {
+					return fmt.Errorf("obs: prometheus: line %d: %s lacks an le label", lineNo, name)
+				}
+				b := HistBucket{Count: int64(value) - h.cum}
+				h.cum = int64(value)
+				if le != "+Inf" {
+					bound, err := strconv.ParseInt(le, 10, 64)
+					if err != nil {
+						return fmt.Errorf("obs: prometheus: line %d: bad le %q", lineNo, le)
+					}
+					b.LE = &bound
+				}
+				h.snap.Buckets = append(h.snap.Buckets, b)
+			case "_sum":
+				h.sawSum, h.snap.Sum = true, int64(value)
+			case "_count":
+				h.sawCount, h.snap.Count = true, int64(value)
+			default:
+				return fmt.Errorf("obs: prometheus: line %d: unexpected histogram sample %s", lineNo, name)
 			}
-			cum := int64(value)
-			if cum < h.lastCum {
-				return fmt.Errorf("obs: prometheus: line %d: %s cumulative counts decrease", lineNo, base)
-			}
-			if le == "+Inf" {
-				if h.sawInf {
-					return fmt.Errorf("obs: prometheus: line %d: %s has two +Inf buckets", lineNo, base)
-				}
-				h.sawInf, h.infCum = true, cum
-			} else {
-				bound, err := strconv.ParseFloat(le, 64)
-				if err != nil {
-					return fmt.Errorf("obs: prometheus: line %d: bad le %q", lineNo, le)
-				}
-				if h.sawInf {
-					return fmt.Errorf("obs: prometheus: line %d: %s bucket after +Inf", lineNo, base)
-				}
-				if h.buckets > 0 && bound <= h.lastLE {
-					return fmt.Errorf("obs: prometheus: line %d: %s le bounds not ascending", lineNo, base)
-				}
-				h.lastLE = bound
-			}
-			h.lastCum = cum
-			h.buckets++
-		case "_sum":
-			h.sawSum = true
-		case "_count":
-			h.sawCount, h.count = true, int64(value)
-		default:
-			return fmt.Errorf("obs: prometheus: line %d: unexpected histogram sample %s", lineNo, name)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("obs: prometheus: %v", err)
 	}
 	for name, h := range hists {
-		switch {
-		case !h.sawInf:
-			return fmt.Errorf("obs: prometheus: histogram %s lacks a +Inf bucket", name)
-		case !h.sawSum || !h.sawCount:
+		if !h.sawSum || !h.sawCount {
 			return fmt.Errorf("obs: prometheus: histogram %s lacks _sum or _count", name)
-		case h.infCum != h.count:
-			return fmt.Errorf("obs: prometheus: histogram %s +Inf bucket %d != count %d", name, h.infCum, h.count)
 		}
+		snap.Histograms[name] = h.snap
+	}
+	if err := snap.validate(); err != nil {
+		return fmt.Errorf("obs: prometheus: %w", err)
 	}
 	return nil
 }

@@ -46,10 +46,8 @@ func ValidateTraceJSON(data []byte) error {
 }
 
 // ValidateMetricsJSON checks that data is a well-formed metrics
-// snapshot: the three instrument maps present, counters and histogram
-// counts non-negative, bucket bounds strictly ascending with exactly
-// one +inf (null-bound) final bucket, and each histogram's total count
-// equal to the sum of its bucket counts.
+// snapshot: strictly decoded, with the three instrument maps present,
+// and valid under the snapshot schema (validate).
 func ValidateMetricsJSON(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -60,41 +58,46 @@ func ValidateMetricsJSON(data []byte) error {
 	if snap.Counters == nil || snap.Gauges == nil || snap.Histograms == nil {
 		return fmt.Errorf("obs: metrics: missing counters/gauges/histograms map")
 	}
-	for name, v := range snap.Counters {
+	if err := snap.validate(); err != nil {
+		return fmt.Errorf("obs: metrics: %w", err)
+	}
+	return nil
+}
+
+// validate is the one schema both metrics exports are checked against:
+// counters and histogram counts non-negative, bucket bounds strictly
+// ascending, exactly one +Inf (null-bound) bucket and that one last, and
+// each histogram's count equal to the sum of its bucket counts.
+func (s MetricsSnapshot) validate() error {
+	for name, v := range s.Counters {
 		if v < 0 {
-			return fmt.Errorf("obs: metrics: counter %s is negative (%d)", name, v)
+			return fmt.Errorf("counter %s is negative (%d)", name, v)
 		}
 	}
-	for name, h := range snap.Histograms {
+	for name, h := range s.Histograms {
 		if h.Count < 0 {
-			return fmt.Errorf("obs: metrics: histogram %s has negative count", name)
+			return fmt.Errorf("histogram %s has negative count", name)
 		}
 		if len(h.Buckets) == 0 {
-			return fmt.Errorf("obs: metrics: histogram %s has no buckets", name)
+			return fmt.Errorf("histogram %s has no buckets", name)
 		}
 		var total int64
-		var prev *int64
+		last := len(h.Buckets) - 1
 		for i, b := range h.Buckets {
-			if b.Count < 0 {
-				return fmt.Errorf("obs: metrics: histogram %s bucket %d has negative count", name, i)
+			switch {
+			case b.Count < 0:
+				return fmt.Errorf("histogram %s bucket %d has negative count", name, i)
+			case b.LE == nil && i != last:
+				return fmt.Errorf("histogram %s has a non-final +Inf bucket", name)
+			case b.LE != nil && i == last:
+				return fmt.Errorf("histogram %s lacks the final +Inf bucket", name)
+			case b.LE != nil && i > 0 && *b.LE <= *h.Buckets[i-1].LE:
+				return fmt.Errorf("histogram %s bucket bounds not ascending", name)
 			}
 			total += b.Count
-			if b.LE == nil {
-				if i != len(h.Buckets)-1 {
-					return fmt.Errorf("obs: metrics: histogram %s has a non-final +inf bucket", name)
-				}
-				continue
-			}
-			if prev != nil && *b.LE <= *prev {
-				return fmt.Errorf("obs: metrics: histogram %s bucket bounds not ascending", name)
-			}
-			prev = b.LE
-		}
-		if last := h.Buckets[len(h.Buckets)-1]; last.LE != nil {
-			return fmt.Errorf("obs: metrics: histogram %s lacks the final +inf bucket", name)
 		}
 		if total != h.Count {
-			return fmt.Errorf("obs: metrics: histogram %s bucket counts sum to %d, want %d", name, total, h.Count)
+			return fmt.Errorf("histogram %s bucket counts sum to %d, want %d", name, total, h.Count)
 		}
 	}
 	return nil

@@ -1,9 +1,10 @@
 package obs
 
-// ServerMetrics is fed by the resident analysis engine and the gocheckd
-// daemon serving it: request throughput, failures, resident-state
-// accounting and the request-latency distribution that p50/p99 headline
-// numbers are read from.
+// ServerMetrics is the resident analysis engine's bundle, and with the
+// cache.* bundle the one store of its cross-request counts: request
+// throughput, failures, resident-state accounting and the
+// request-latency distribution that p50/p99 headline numbers are read
+// from.
 type ServerMetrics struct {
 	// Requests counts engine check requests started (one per client
 	// check/explain call); Errors counts the subset that failed.
@@ -13,8 +14,9 @@ type ServerMetrics struct {
 	// budget; ResidentPrograms is the current resident-program count.
 	Evictions        *Counter
 	ResidentPrograms *Gauge
-	// MemoHits and MemoMisses count in-memory job-result memo lookups
-	// (the engine-level layer above the on-disk cache.* counters).
+	// MemoHits and MemoMisses sum the requests' memory-tier lookups
+	// (the layer above the on-disk cache.* counters), added once per
+	// successful request.
 	MemoHits   *Counter
 	MemoMisses *Counter
 	// RequestMs is the end-to-end engine request latency distribution in

@@ -130,16 +130,20 @@ type CacheMetrics struct {
 	VersionSkew *Counter
 	// Stores counts records written.
 	Stores *Counter
+	// ResolvedFunctions sums the runs' re-solved functions: the
+	// call-graph closures of the entries that had a job computed.
+	ResolvedFunctions *Counter
 }
 
 // NewCacheMetrics interns the cache bundle in r.
 func NewCacheMetrics(r *Registry) *CacheMetrics {
 	return &CacheMetrics{
-		Hits:        r.Counter("cache.hits"),
-		Misses:      r.Counter("cache.misses"),
-		Corrupt:     r.Counter("cache.corrupt"),
-		VersionSkew: r.Counter("cache.version_skew"),
-		Stores:      r.Counter("cache.stores"),
+		Hits:              r.Counter("cache.hits"),
+		Misses:            r.Counter("cache.misses"),
+		Corrupt:           r.Counter("cache.corrupt"),
+		VersionSkew:       r.Counter("cache.version_skew"),
+		Stores:            r.Counter("cache.stores"),
+		ResolvedFunctions: r.Counter("cache.resolved_functions"),
 	}
 }
 

@@ -195,10 +195,13 @@ func TestValidatePrometheusRejectsMalformed(t *testing.T) {
 		{"bad value", "# TYPE foo counter\nfoo many\n", "bad value"},
 		{"bad name", "# TYPE 9foo counter\n9foo 1\n", "bad metric name"},
 		{"descending le", "# TYPE h histogram\nh_bucket{le=\"8\"} 1\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n", "not ascending"},
-		{"decreasing cumulative", "# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"8\"} 1\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n", "decrease"},
+		{"decreasing cumulative", "# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"8\"} 1\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n", "negative count"},
 		{"missing inf", "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n", "+Inf"},
-		{"count mismatch", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n", "!= count"},
+		{"count mismatch", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n", "sum to 2, want 3"},
 		{"missing le", "# TYPE h histogram\nh_bucket 1\nh_sum 0\nh_count 1\n", "le label"},
+		{"fractional le", "# TYPE h histogram\nh_bucket{le=\"0.5\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 0\nh_count 1\n", "bad le"},
+		{"missing count", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 0\n", "_count"},
+		{"negative counter", "# TYPE foo counter\nfoo -1\n", "negative"},
 	}
 	for _, tc := range cases {
 		err := ValidatePrometheus([]byte(tc.data))

@@ -116,7 +116,6 @@ type Handler struct {
 	registry *obs.Registry
 	flight   *obs.Flight
 	log      *obs.Logger
-	serverM  *obs.ServerMetrics
 	windows  *obs.Window
 	start    time.Time
 	// onShutdown, when non-nil, enables POST /v1/shutdown and is called
@@ -155,7 +154,6 @@ func NewHandler(cfg HandlerConfig) *Handler {
 		registry:   cfg.Registry,
 		flight:     cfg.Flight,
 		log:        cfg.Log,
-		serverM:    obs.NewServerMetrics(cfg.Registry),
 		windows:    obs.NewWindow(nil),
 		start:      time.Now(),
 		onShutdown: cfg.OnShutdown,
@@ -234,7 +232,7 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if info != nil {
-		info.program = programLabel(req.Program)
+		info.program = analysis.ProgramName(req.Program)
 		info.memoHits, info.memoMisses = rep.MemoHits, rep.MemoMisses
 	}
 	// Strip cache telemetry exactly like the one-shot CLI does before
@@ -244,22 +242,12 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, CheckResponse{Report: rep, TraceID: rep.TraceID})
 }
 
-func programLabel(name string) string {
-	if name == "" {
-		return "default"
-	}
-	return name
-}
-
 func (h *Handler) handleManifest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	name := r.URL.Query().Get("program")
-	if name == "" {
-		name = "default"
-	}
+	name := analysis.ProgramName(r.URL.Query().Get("program"))
 	writeJSON(w, http.StatusOK, ManifestResponse{Program: name, Files: h.engine.Manifest(name)})
 }
 
@@ -285,11 +273,9 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp := MetricsResponse{
 		Engine:   h.engine.Stats(),
 		Programs: h.engine.Programs(),
+		P50MS:    h.engine.LatencyMS(0.50),
+		P99MS:    h.engine.LatencyMS(0.99),
 		Metrics:  h.registry.Snapshot(),
-	}
-	if h.serverM != nil {
-		resp.P50MS = h.serverM.RequestMs.Quantile(0.50)
-		resp.P99MS = h.serverM.RequestMs.Quantile(0.99)
 	}
 	if resp.Programs == nil {
 		resp.Programs = []analysis.ProgramInfo{}
