@@ -17,7 +17,7 @@ var builtins = []*Checker{
 		Doc:      "shared variable accessed by concurrent goroutines without a common lock",
 		Severity: SeverityError,
 		Run:      raceDiagnostics,
-		Version:  "2",
+		Version:  "3",
 		Message:  "possible data race on %s: conflicting accesses from concurrent goroutines with no common lock held",
 	},
 	{
@@ -25,7 +25,7 @@ var builtins = []*Checker{
 		Doc:      "two locks acquired in opposite orders on different paths (deadlock risk)",
 		Severity: SeverityWarning,
 		Run:      lockOrderDiagnostics,
-		Version:  "2",
+		Version:  "3",
 		Message:  "locks %s are acquired in opposite orders on different paths (deadlock risk)",
 	},
 	{

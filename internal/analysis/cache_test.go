@@ -134,7 +134,7 @@ func TestPanickedSharedStateFailsLaterJobs(t *testing.T) {
 // is named turns every record a filled cache holds into a miss, so it
 // must fail here before it ships.
 func TestCacheKeysGolden(t *testing.T) {
-	if got, want := registryFingerprint(), "65e48563d22ec97b296bf3bfcbb4a21f64535856527a9d8687c800600019689a"; got != want {
+	if got, want := registryFingerprint(), "0ce69ce7b1b0bc39044de2291e4d8981f4289aeb5a67328dfe11d90986c84bcb"; got != want {
 		t.Errorf("registry fingerprint %s, want %s", got, want)
 	}
 	dl, _ := Get("doublelock")
