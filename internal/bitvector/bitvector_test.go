@@ -1,7 +1,11 @@
 package bitvector
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"rasc/internal/core"
@@ -260,4 +264,86 @@ func TestMachineBounds(t *testing.T) {
 		}
 	}()
 	Machine(0)
+}
+
+// A call to a function that cannot return has no flow past it: the
+// source and sink after spin(v) are unreachable, as in the constraint
+// generation.
+func TestTaintNoFlowPastNonReturningCall(t *testing.T) {
+	iter, cons := bothCheck(t, `
+void spin(int x) {
+    spin(x);
+}
+void main() {
+    int v = 0;
+    spin(v);
+    v = source();
+    sink(v);
+}
+`)
+	if len(iter.Violations) != 0 {
+		t.Errorf("iterative = %+v, want none", iter.Violations)
+	}
+	if len(cons) != 0 {
+		t.Errorf("constraints = %v, want none", cons)
+	}
+}
+
+// randomTaintProgram writes a program of up to five functions and main
+// that call each other at random (recursion and calls that cannot
+// return included), with taint, sanitize and use events on three
+// variables under branches and loops.
+func randomTaintProgram(r *rand.Rand) string {
+	nf := 2 + r.Intn(4)
+	var b strings.Builder
+	var stmts func(depth int)
+	stmts = func(depth int) {
+		for i := r.Intn(5); i >= 0; i-- {
+			v := string("abc"[r.Intn(3)])
+			switch k := r.Intn(10); {
+			case k < 2:
+				fmt.Fprintf(&b, "%s = source();\n", v)
+			case k < 3:
+				fmt.Fprintf(&b, "sanitize(%s);\n", v)
+			case k < 4:
+				fmt.Fprintf(&b, "sink(%s);\n", v)
+			case k < 7:
+				fmt.Fprintf(&b, "f%d(%s);\n", r.Intn(nf), v)
+			case k < 9 && depth < 2:
+				fmt.Fprintf(&b, "%s (c) {\n", []string{"if", "while"}[k-7])
+				stmts(depth + 1)
+				b.WriteString("}\n")
+			default:
+				fmt.Fprintf(&b, "puts(%s);\n", v)
+			}
+		}
+	}
+	for f := 0; f < nf; f++ {
+		fmt.Fprintf(&b, "void f%d(int a) {\nint b = 0;\nint c = 0;\n", f)
+		stmts(0)
+		b.WriteString("}\n")
+	}
+	b.WriteString("void main() {\nint a = 0;\nint b = 0;\nint c = 0;\n")
+	stmts(0)
+	b.WriteString("}\n")
+	return b.String()
+}
+
+// The iterative engine and the constraint engine flag the same labels on
+// random programs.
+func TestIterativeMatchesConstraintsOnRandomPrograms(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 400; i++ {
+		src := randomTaintProgram(r)
+		iter, cons := bothCheck(t, src)
+		var labels []string
+		for _, v := range iter.Violations {
+			labels = append(labels, v.Label)
+		}
+		slices.Sort(labels)
+		slices.Sort(cons)
+		if labels, cons := slices.Compact(labels), slices.Compact(cons); !slices.Equal(labels, cons) {
+			t.Fatalf("iterative flags %v, constraints %v:\n%s", labels, cons, src)
+		}
+	}
 }
