@@ -361,12 +361,20 @@ func TestEngineMemoMissesOnlyDirtiedEntries(t *testing.T) {
 }
 
 // A method named by its bare alias is the same entry as its canonical
-// name: leak-mode checkers must query the method's own exit, which lies
-// in the slice, not a node of whatever function comes first.
+// name: leak-mode checkers must query the method's own exit, and race
+// and lockorder must start the entry goroutine at the method's own
+// entry, not at a node of whatever function comes first.
 func TestAliasEntryQueriesCanonicalExit(t *testing.T) {
 	pkg := loadMap(t, map[string]string{"a.go": `package p
 
-import "os"
+import (
+	"os"
+	"sync"
+)
+
+var a sync.Mutex
+var b sync.Mutex
+var x int
 
 func Other() {}
 
@@ -375,30 +383,47 @@ type T struct{}
 func (t *T) Run() {
 	f, _ := os.Open("x")
 	use(f)
+	go backwards()
+	x = 1
+	a.Lock()
+	b.Lock()
+	b.Unlock()
+	a.Unlock()
+}
+
+func backwards() {
+	x = 2
+	b.Lock()
+	a.Lock()
+	a.Unlock()
+	b.Unlock()
 }
 `})
-	fileleak, _ := Get("fileleak")
-	var canonical string
-	for _, f := range pkg.Prog.Funcs {
-		if f.Name != "Other" {
-			canonical = f.Name
-		}
+	run := pkg.Prog.ByName["Run"]
+	if run == nil || run.Name == "Run" || pkg.Prog.Funcs[0] == run {
+		t.Fatalf("front end registers no bare alias for the method Run, or puts it first")
 	}
-	if canonical == "Run" || pkg.Prog.ByName["Run"] == nil {
-		t.Fatalf("front end registers no bare alias for the method %q", canonical)
+	var checkers []*Checker
+	for _, name := range []string{"fileleak", "race", "lockorder"} {
+		c, _ := Get(name)
+		checkers = append(checkers, c)
 	}
 	var got []string
-	for _, entry := range []string{canonical, "Run"} {
-		rep, err := Analyze(pkg, Config{Checkers: []*Checker{fileleak}, Entries: []string{entry}})
+	for _, entry := range []string{run.Name, "Run"} {
+		rep, err := Analyze(pkg, Config{Checkers: checkers, Entries: []string{entry}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep.Diagnostics) != 1 {
-			t.Fatalf("entry %s: diagnostics %+v, want the leak of f", entry, rep.Diagnostics)
+		if len(rep.Diagnostics) != 3 {
+			t.Fatalf("entry %s: diagnostics %+v, want the leak of f, the race on x and the a/b inversion", entry, rep.Diagnostics)
 		}
-		got = append(got, rep.Diagnostics[0].Message)
+		var findings []string
+		for _, d := range rep.Diagnostics {
+			findings = append(findings, fmt.Sprintf("%s:%d %s %v %v", d.Checker, d.Line, d.Message, d.Trace, d.SecondTrace))
+		}
+		got = append(got, strings.Join(findings, "\n"))
 	}
 	if got[0] != got[1] {
-		t.Fatalf("alias entry reports %q, canonical %q", got[1], got[0])
+		t.Fatalf("alias entry reports\n%s\ncanonical\n%s", got[1], got[0])
 	}
 }
