@@ -124,7 +124,7 @@ type Meta struct {
 // metadata.
 type Function struct {
 	// ID is the function's stable identifier: its index in Program.Funcs
-	// (definition order).
+	// (definition order), and in Graph.Funcs, which holds its node range.
 	ID int
 	// Name is the canonical name, File/Line the definition site.
 	Name string
@@ -132,10 +132,6 @@ type Function struct {
 	Line int
 	// Def is the kernel definition.
 	Def *FuncDef
-	// NodeLo and NodeHi delimit the function's CFG nodes,
-	// Graph.Nodes[NodeLo:NodeHi]: minic.Build lays each function out
-	// contiguously, entry node first, in definition order.
-	NodeLo, NodeHi int
 	// Callees lists the IDs of defined functions this one calls or
 	// spawns, sorted and deduplicated.
 	Callees []int
@@ -200,12 +196,6 @@ func build(mc *minic.Program, meta Meta) (*Program, error) {
 		f := &Function{ID: i, Name: fd.Name, File: fd.File, Line: fd.Line, Def: fd}
 		p.Funcs = append(p.Funcs, f)
 		index[fd.Name] = i
-	}
-	for i, f := range p.Funcs {
-		f.NodeLo, f.NodeHi = cfg.Entry[f.Name], len(cfg.Nodes)
-		if i+1 < len(p.Funcs) {
-			f.NodeHi = cfg.Entry[p.Funcs[i+1].Name]
-		}
 	}
 	// ByName resolves canonical names and kernel aliases alike.
 	for name, fd := range mc.ByName {
@@ -346,11 +336,11 @@ func (p *Program) ClosureNodes(entry string) []int {
 	}
 	n := 0
 	for _, id := range fns {
-		n += p.Funcs[id].NodeHi - p.Funcs[id].NodeLo
+		n += p.Graph.Funcs[id].Hi - p.Graph.Funcs[id].Lo
 	}
 	out := make([]int, 0, n)
 	for _, id := range fns {
-		for node := p.Funcs[id].NodeLo; node < p.Funcs[id].NodeHi; node++ {
+		for node := p.Graph.Funcs[id].Lo; node < p.Graph.Funcs[id].Hi; node++ {
 			out = append(out, node)
 		}
 	}

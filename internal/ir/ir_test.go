@@ -92,15 +92,16 @@ func TestNodeRangesAndClosure(t *testing.T) {
 	p := mustLower(t, diamondSrc)
 	next := 0
 	for _, f := range p.Funcs {
-		if f.NodeLo != next || f.NodeLo != p.Graph.Entry[f.Name] || f.NodeHi <= f.NodeLo {
-			t.Fatalf("%s: node range [%d,%d), want it to start at %d, its entry node", f.Name, f.NodeLo, f.NodeHi, next)
+		r := p.Graph.Funcs[f.ID]
+		if r.Name != f.Name || r.Lo != next || r.Lo != p.Graph.Entry[f.Name] || r.Hi <= r.Lo {
+			t.Fatalf("%s: node range %+v, want it to start at %d, its entry node", f.Name, r, next)
 		}
-		for _, n := range p.Graph.Nodes[f.NodeLo:f.NodeHi] {
+		for _, n := range p.Graph.Nodes[r.Lo:r.Hi] {
 			if n.Fn != f.Name {
 				t.Fatalf("%s: node %d in its range belongs to %s", f.Name, n.ID, n.Fn)
 			}
 		}
-		next = f.NodeHi
+		next = r.Hi
 	}
 	if next != len(p.Graph.Nodes) {
 		t.Fatalf("node ranges end at %d, CFG has %d nodes", next, len(p.Graph.Nodes))

@@ -112,6 +112,15 @@ type CFG struct {
 	Nodes []*Node
 	Entry map[string]int
 	Exit  map[string]int
+	// Funcs holds one node range per function, in definition order:
+	// Build lays each function out contiguously, entry node first.
+	Funcs []FuncRange
+}
+
+// FuncRange is one function's canonical name and its nodes, Nodes[Lo:Hi].
+type FuncRange struct {
+	Name   string
+	Lo, Hi int
 }
 
 // Build constructs the CFG of a parsed program.
@@ -130,6 +139,7 @@ func Build(prog *Program) (*CFG, error) {
 		if b.err != nil {
 			return nil, b.err
 		}
+		g.Funcs = append(g.Funcs, FuncRange{fd.Name, entry.ID, len(g.Nodes)})
 	}
 	return g, nil
 }
