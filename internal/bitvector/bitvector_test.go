@@ -347,3 +347,50 @@ func TestIterativeMatchesConstraintsOnRandomPrograms(t *testing.T) {
 		}
 	}
 }
+
+// A Problem whose roots or callees leave its function set is a caller
+// bug; Solve panics with a message that names the root, or the callee
+// and its call node, instead of failing on a -1 index or seeding the
+// wrong function.
+func TestSolveRejectsNamesOutsideTheSet(t *testing.T) {
+	cfg := minic.MustBuild(minic.MustParse(`
+void main() { helper(); }
+void helper() { work(); }
+void other() { }
+`))
+	call := -1
+	for _, n := range cfg.Nodes {
+		if n.Kind == minic.NAction && n.Call.Name == "helper" {
+			call = n.ID
+		}
+	}
+	callee := func(n *minic.Node) string {
+		if n.ID == call {
+			return "helper"
+		}
+		return ""
+	}
+	noEffect := func(*minic.Node) ([]int, []int) { return nil, nil }
+	for _, c := range []struct {
+		name  string
+		funcs []minic.FuncRange
+		roots []string
+		want  string
+	}{
+		{"root outside the set", cfg.Funcs[:2], []string{"other"},
+			"bitvector: root other is not a function of the problem"},
+		{"root with no entry node", cfg.Funcs, []string{"nosuch"},
+			"bitvector: root nosuch is not a function of the problem"},
+		{"callee outside the set", cfg.Funcs[:1], []string{"main"},
+			fmt.Sprintf("bitvector: node %d of main calls helper, which is not a function of the problem", call)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != c.want {
+					t.Fatalf("panic %q, want %q", got, c.want)
+				}
+			}()
+			Solve(Problem{CFG: cfg, Funcs: c.funcs, Facts: 1, Callee: callee, Effect: noEffect, Roots: c.roots})
+		})
+	}
+}

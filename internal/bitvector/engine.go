@@ -1,6 +1,7 @@
 package bitvector
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -82,10 +83,18 @@ func (s *Solution) Has(node, fact int) bool {
 	return (s.entry[2*s.w*f+i]&^t[s.w+i]|t[i])&(1<<uint(fact%64)) != 0
 }
 
+// index returns the position in p.Funcs of the function named name.
+func (p *Problem) index(name string) (int32, bool) {
+	entry, ok := p.CFG.Entry[name]
+	f := Index(p.Funcs, entry)
+	return int32(f), ok && f >= 0
+}
+
 // solver is one solve's state.
 type solver struct {
 	Problem
 	Solution
+	roots   []int32   // the roots' positions in Funcs
 	effect  []int32   // per slot: the offset of its effect in effects, or -1
 	callee  []int32   // per slot: the function it calls, or -1
 	effects []uint64  // the transfers of the nodes with an effect
@@ -95,11 +104,21 @@ type solver struct {
 	out     []uint64
 }
 
-// Solve solves p.
+// Solve solves p. It panics, naming the root or the call, when a root
+// or a call's callee lies outside p.Funcs: only a caller bug gets there,
+// and the solve would otherwise fail far from it or silently seed the
+// wrong function.
 func Solve(p Problem) *Solution {
 	w, nf := (p.Facts+63)/64, len(p.Funcs)
 	s := &solver{Problem: p, callers: make([][]int32, nf), sums: make([]uint64, 2*w*nf),
 		returns: make([]bool, nf), out: make([]uint64, 2*w)}
+	for _, r := range p.Roots {
+		f, ok := p.index(r)
+		if !ok {
+			panic(fmt.Sprintf("bitvector: root %s is not a function of the problem", r))
+		}
+		s.roots = append(s.roots, f)
+	}
 	s.Solution = Solution{funcs: p.Funcs, base: make([]int, nf+1), w: w}
 	for f, fn := range p.Funcs {
 		s.base[f+1] = s.base[f] + fn.Hi - fn.Lo
@@ -112,7 +131,10 @@ func Solve(p Problem) *Solution {
 			n, at := p.CFG.Nodes[id], s.base[f]+id-fn.Lo
 			s.effect[at], s.callee[at] = -1, -1
 			if name := p.Callee(n); name != "" {
-				c := int32(Index(p.Funcs, p.CFG.Entry[name]))
+				c, ok := p.index(name)
+				if !ok {
+					panic(fmt.Sprintf("bitvector: node %d of %s calls %s, which is not a function of the problem", id, n.Fn, name))
+				}
 				s.callee[at] = c
 				if k := len(s.callers[c]); k == 0 || s.callers[c][k-1] != int32(f) {
 					s.callers[c] = append(s.callers[c], int32(f))
@@ -228,8 +250,8 @@ func (s *solver) propagate() {
 	for _, fact := range s.Seed {
 		x[fact/64] |= 1 << uint(fact%64)
 	}
-	for _, r := range s.Roots {
-		enter(Index(s.Funcs, s.CFG.Entry[r]), x)
+	for _, r := range s.roots {
+		enter(int(r), x)
 	}
 	for len(work) > 0 {
 		f := work[len(work)-1]

@@ -20,9 +20,9 @@ func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 // IsZero reports whether the digest is unset.
 func (d Digest) IsZero() bool { return d == Digest{} }
 
-// fingerprint computes every function's content Fingerprint, on
-// GOMAXPROCS workers, and then the Summary keys bottom-up over the SCC
-// DAG.
+// fingerprint computes the content Fingerprint of every function that
+// has none yet (build carries reused ones over), on GOMAXPROCS workers,
+// and then the Summary keys bottom-up over the SCC DAG.
 //
 // The fingerprint must change whenever the function's contribution to
 // any analysis result could change. It therefore covers:
@@ -46,8 +46,10 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 // re-solve.
 func (p *Program) fingerprint() {
 	ForEach(len(p.Funcs), func(fw *fpWriter, i int) {
-		fw.mc = p.MC
-		p.Funcs[i].Fingerprint = fw.function(p.Funcs[i].Def)
+		if f := p.Funcs[i]; f.Fingerprint.IsZero() {
+			fw.mc = p.MC
+			f.Fingerprint = fw.function(f.Def)
+		}
 	})
 	p.summarize()
 }
