@@ -263,6 +263,45 @@ func TestEngineConcurrentRequests(t *testing.T) {
 	}
 }
 
+// Never-seen edits to one program from several goroutines at once: each
+// re-lowering shares CFG nodes with the lowering before it while that
+// lowering's jobs may still read them. A -race exercise for that
+// sharing; an edit changes only the literal in a function at the end of
+// a.go, so every report must equal the first one's.
+func TestEngineConcurrentNovelEdits(t *testing.T) {
+	eng := NewEngine(EngineConfig{})
+	b := gosrc.File{Name: "b.go", Src: engBSrc}
+	edit := func(n int) gosrc.File {
+		return gosrc.File{Name: "a.go", Src: engASrc + fmt.Sprintf("\nfunc edit() int { return %d }\n", n)}
+	}
+	seed, err := eng.Check(CheckRequest{Upserts: []gosrc.File{edit(-1), b}, Checkers: []string{"doublelock"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := findingsJSON(t, seed)
+	const workers = 4
+	const iters = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				a := edit(w*iters + i)
+				rep, err := eng.Check(CheckRequest{Upserts: []gosrc.File{a, b}, Checkers: []string{"doublelock"}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := findingsJSON(t, rep); got != want {
+					t.Errorf("worker %d edit %d: report diverged:\ngot:  %s\nwant: %s", w, i, got, want)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // A job whose key keeps hitting stays in memory however many novel
 // records pass through a small memory tier: Other's summary never
 // changes while every request edits leaf, so Other's job must hit on
