@@ -254,6 +254,41 @@ func TestSpacedCheckerList(t *testing.T) {
 	}
 }
 
+// A //line directive does not move a finding: the report names the
+// physical file, so the line is that file's own. The leak below is at
+// a.go:11, where a line-adjusted position would say 501, a line a.go
+// does not have.
+func TestLineDirectiveKeepsPhysicalLine(t *testing.T) {
+	dir := t.TempDir()
+	src := `package demo
+
+import "os"
+
+func main() {
+	Load()
+}
+
+//line generated.y:500
+func Load() {
+	f, _ := os.Open("config")
+	parse(f)
+}
+
+func parse(f File) {}
+`
+	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := gocheck(t, "-checkers", "fileleak", dir)
+	if code != 3 {
+		t.Fatalf("exit %d, want 3 (stderr: %s)", code, stderr)
+	}
+	want := filepath.Join(dir, "a.go") + ":11: warning: fileleak: "
+	if !strings.HasPrefix(stdout, want) {
+		t.Errorf("report:\n%s\nwant a finding starting %q", stdout, want)
+	}
+}
+
 // badValues are flag values gocheck must reject as usage errors.
 var badValues = [][]string{
 	{"-fail-on", "bogus"},

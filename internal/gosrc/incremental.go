@@ -304,10 +304,12 @@ func firstError(errs []error) error {
 
 // translateUnit translates one parsed file against the package-wide
 // shared-variable set, skipping the names an earlier file defines. Its
-// closures are numbered from 1.
+// closures are numbered from 1. The file's line table is read once, and
+// every line the unit records is a physical line of the file.
 func translateUnit(name string, s *source, globals, skip map[string]bool) *fileUnit {
-	u := &fileUnit{ignores: scanIgnores(s.fset, s.file)}
-	t := &translator{fset: s.fset, file: name, unit: u, globals: globals, skip: skip, defined: map[string]bool{}}
+	lines := newLineTable(s.fset.File(s.file.FileStart))
+	u := &fileUnit{ignores: scanIgnores(lines, s.file)}
+	t := &translator{fset: s.fset, lines: lines, file: name, unit: u, globals: globals, skip: skip, defined: map[string]bool{}}
 	for _, decl := range s.file.Decls {
 		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 			t.funcDecl(fd)

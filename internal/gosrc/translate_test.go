@@ -1,6 +1,9 @@
 package gosrc
 
 import (
+	"go/parser"
+	"go/token"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -476,6 +479,66 @@ done:
 	}
 	if !found {
 		t.Errorf("expected goto note at g.go:6, got %v", tr.Notes)
+	}
+}
+
+// A //line directive moves no line the translation records: reports
+// keep the physical file name, so every definition, statement, call,
+// note and ignore line is the file's own line, not the directive's.
+func TestLineDirectivesKeepPhysicalLines(t *testing.T) {
+	src := `package p
+
+//line generated.y:500
+func f() {
+	g() //rasc:ignore
+	goto done
+	/*line other.y:70:1*/ h()
+done:
+}
+`
+	tr, err := TranslateFiles([]File{{Name: "a.go", Src: src}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := tr.Prog.ByName["f"]
+	if def.Line != 4 {
+		t.Errorf("f defined at line %d, want 4", def.Line)
+	}
+	var lines []int
+	for _, st := range def.Body {
+		es := st.(*minic.ExprStmt)
+		lines = append(lines, es.Line, es.X.(*minic.CallExpr).Line)
+	}
+	if want := []int{5, 5, 7, 7}; !reflect.DeepEqual(lines, want) {
+		t.Errorf("statement and call lines %v, want %v", lines, want)
+	}
+	if len(tr.Notes) != 1 || tr.Notes[0].File != "a.go" || tr.Notes[0].Line != 6 {
+		t.Errorf("notes %+v, want the goto note at a.go:6", tr.Notes)
+	}
+	if _, ok := tr.Ignores["a.go"][5]; !ok || len(tr.Ignores["a.go"]) != 1 {
+		t.Errorf("ignores %v, want line 5 of a.go", tr.Ignores)
+	}
+}
+
+// A unit's line table agrees with the FileSet's unadjusted positions at
+// every offset of a file, //line directives or not.
+func TestLineTableMatchesFileSet(t *testing.T) {
+	src := "package p\n\n//line x.go:90\nfunc f() {\n\tg()\n}\n/*line y.go:3:4*/var v = 1\n\n"
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "a.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf := fset.File(file.FileStart)
+	lines := newLineTable(tf)
+	for off := 0; off <= tf.Size(); off++ {
+		p := tf.Pos(off)
+		if got, want := lines.line(p), fset.PositionFor(p, false).Line; got != want {
+			t.Fatalf("offset %d: line %d, want %d", off, got, want)
+		}
+	}
+	if got := lines.line(token.NoPos); got != 0 {
+		t.Errorf("NoPos: line %d, want 0", got)
 	}
 }
 
