@@ -11,6 +11,7 @@ import (
 
 	"rasc/internal/gosrc"
 	"rasc/internal/obs"
+	"rasc/internal/pdm"
 	"rasc/internal/synth"
 )
 
@@ -82,6 +83,64 @@ func BenchmarkLoad(b *testing.B) {
 		if _, err := LoadFiles(files); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchShapeCorpus is the benchmark's synthetic package for seed: 16
+// files of 8 functions of 30 statements, one injected bug per file and
+// racy goroutine writes, sorted by name as gocheck loads a directory.
+func benchShapeCorpus(seed int64) []gosrc.File {
+	files := synthFiles(synth.GoConfig{Seed: seed, Files: 16, FuncsPerFile: 8,
+		StmtsPerFn: 30, UnsafePerFile: 1, Racy: true})
+	sort.Slice(files, func(i, j int) bool { return files[i].Name < files[j].Name })
+	return files
+}
+
+// BenchmarkLayers layers every forked property job of the seed-1
+// benchmark corpus — every job that is not served by its entry's null
+// layer — on a loaded Package whose skeletons are built: "fresh"
+// allocates each layer's storage, "workspace" fills one pdm.Workspace
+// with every layer, as a job-pool worker does.
+func BenchmarkLayers(b *testing.B) {
+	pkg, err := LoadFiles(benchShapeCorpus(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	type job struct {
+		c     *Checker
+		entry string
+		sk    *pdm.Skeleton
+	}
+	var jobs []job
+	for _, c := range All() {
+		if c.Run != nil {
+			continue
+		}
+		prop, events := c.compiled()
+		for _, e := range pkg.Roots() {
+			se := pkg.skeleton(e, nil)
+			if se.err != nil {
+				b.Fatal(se.err)
+			}
+			if !nullable(prop) || se.sk.Matches(events) {
+				jobs = append(jobs, job{c, e, se.sk})
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		ws   *pdm.Workspace
+	}{{"fresh", nil}, {"workspace", new(pdm.Workspace)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, j := range jobs {
+					if _, err := layerJob(pkg, j.c, j.entry, j.sk, nil, bc.ws); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -123,7 +123,7 @@ func TestPanickedSharedStateFailsLaterJobs(t *testing.T) {
 	pkg.concModel().gsCache[entry] = unfinished
 	for _, name := range []string{"fileleak", "doublelock", "lockorder", "race"} {
 		c, _ := Get(name)
-		if rec, err := runJob(pkg, c, entry, nil); err == nil {
+		if rec, err := runJob(pkg, c, entry, nil, nil); err == nil {
 			t.Errorf("%s/%s: record %+v, want an error", name, entry, rec)
 		}
 	}

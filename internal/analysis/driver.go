@@ -92,13 +92,13 @@ func (p *Package) skeleton(entry string, ob *obsState) *skelEntry {
 
 // nullStats returns the full solver stats of the entry's null layer,
 // layering prop, whose events must match none of the skeleton's
-// deferred statements, through ob's hooks on first use. Such a layer
-// adds only identity annotations, so its solve is the same for every
-// property that matches nothing here.
-func (e *skelEntry) nullStats(prop *spec.Property, events *minic.EventMap, ob *obsState) (core.Stats, error) {
+// deferred statements, in ws through ob's hooks on first use. Such a
+// layer adds only identity annotations, so its solve is the same for
+// every property that matches nothing here.
+func (e *skelEntry) nullStats(prop *spec.Property, events *minic.EventMap, ob *obsState, ws *pdm.Workspace) (core.Stats, error) {
 	e.nullOnce.Do(func() {
 		e.nullErr = errEarlierPanic // replaced below unless the layer panics
-		res, err := e.sk.CheckObs(prop, events, ob.pdmObs())
+		res, err := e.sk.CheckObs(prop, events, ob.pdmObs(), ws)
 		if err != nil {
 			e.nullErr = err
 			return
@@ -310,6 +310,8 @@ func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's property layers, one at a time, all fill ws.
+			ws := new(pdm.Workspace)
 			for i := range idx {
 				c, e := jobs[i].checker, jobs[i].entry
 				k := st.key(c, e)
@@ -331,7 +333,7 @@ func analyze(pkg *Package, cfg Config, mem *memTier) (*Report, error) {
 				rec, ok := st.load(k, sp)
 				if !ok {
 					ssp := sp.Child("solve")
-					rec, errs[i] = runJob(pkg, c, e, ob)
+					rec, errs[i] = runJob(pkg, c, e, ob, ws)
 					ssp.Finish()
 					if errs[i] == nil {
 						st.store(k, rec)
@@ -451,9 +453,11 @@ func coversChecker(names []string, checker string) bool {
 // solver statistics and the shared skeleton's base statistics. ob (nil
 // OK) supplies metric hooks and the explain flag; with explain on, every
 // diagnostic leaves with a non-empty provenance chain, so stored records
-// round-trip explain output unchanged. A panic anywhere in the job
-// becomes its error, so one bad checker fails its run, not the process.
-func runJob(pkg *Package, c *Checker, entry string, ob *obsState) (rec jobRecord, err error) {
+// round-trip explain output unchanged. A property layer fills ws (nil
+// allocates its storage), and the record holds nothing of it. A panic
+// anywhere in the job becomes its error, so one bad checker fails its
+// run, not the process.
+func runJob(pkg *Package, c *Checker, entry string, ob *obsState, ws *pdm.Workspace) (rec jobRecord, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rec, err = jobRecord{}, fmt.Errorf("analysis: %s/%s: panic: %v", c.Name, entry, r)
@@ -472,12 +476,12 @@ func runJob(pkg *Package, c *Checker, entry string, ob *obsState) (rec jobRecord
 		return jobRecord{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, se.err)
 	}
 	if !nullable(prop) || se.sk.Matches(events) {
-		return layerJob(pkg, c, entry, se.sk, ob)
+		return layerJob(pkg, c, entry, se.sk, ob, ws)
 	}
 	// A null job: the property matches no event here and its start state
 	// does not accept, so the layer can report nothing and its stats are
 	// the entry's null layer's.
-	null, err := se.nullStats(prop, events, ob)
+	null, err := se.nullStats(prop, events, ob, ws)
 	if err != nil {
 		return jobRecord{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
 	}
@@ -491,11 +495,13 @@ func runJob(pkg *Package, c *Checker, entry string, ob *obsState) (rec jobRecord
 // nothing to report.
 func nullable(prop *spec.Property) bool { return !prop.Mon.Accepting(prop.Mon.Identity()) }
 
-// layerJob layers c's property on sk in full: fork, solve, PN query and
-// the checker's result query.
-func layerJob(pkg *Package, c *Checker, entry string, sk *pdm.Skeleton, ob *obsState) (jobRecord, error) {
+// layerJob layers c's property on sk in full, in ws: fork, solve, PN
+// query and the checker's result query. The record it returns copies
+// out every diagnostic, trace and provenance chain, so the next layer
+// in ws may overwrite the result.
+func layerJob(pkg *Package, c *Checker, entry string, sk *pdm.Skeleton, ob *obsState, ws *pdm.Workspace) (jobRecord, error) {
 	prop, events := c.compiled()
-	res, err := sk.CheckObs(prop, events, ob.pdmObs())
+	res, err := sk.CheckObs(prop, events, ob.pdmObs(), ws)
 	if err != nil {
 		return jobRecord{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
 	}

@@ -68,11 +68,11 @@ func TestNullJobsMatchFullLayer(t *testing.T) {
 					}
 					for _, c := range checkers {
 						prop, events := c.compiled()
-						short, err := runJob(pkg, c, e, ob)
+						short, err := runJob(pkg, c, e, ob, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						full, err := layerJob(pkg, c, e, se.sk, ob)
+						full, err := layerJob(pkg, c, e, se.sk, ob, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -124,11 +124,11 @@ func TestUnrelatedRootLeavesEntriesUnchanged(t *testing.T) {
 			t.Errorf("%s: base stats %+v, were %+v", e, skA.sk.BaseStats(), skB.sk.BaseStats())
 		}
 		for _, c := range All() {
-			recB, err := runJob(before, c, e, nil)
+			recB, err := runJob(before, c, e, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			recA, err := runJob(after, c, e, nil)
+			recA, err := runJob(after, c, e, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +189,7 @@ func jobAlloc(t *testing.T, pkg *Package, c *Checker, entry string, ob *obsState
 	for i := 0; i < 9; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r, err := runJob(pkg, c, entry, ob)
+		r, err := runJob(pkg, c, entry, ob, nil)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -278,7 +278,7 @@ func TestJobCostScalesWithSlice(t *testing.T) {
 						t.Errorf("%s/%s reads a CFG node outside its entry's slice: %v", c.Name, e, r)
 					}
 				}()
-				if _, err := runJob(pkg, c, e, ob); err != nil {
+				if _, err := runJob(pkg, c, e, ob, nil); err != nil {
 					t.Fatal(err)
 				}
 			}()

@@ -24,32 +24,64 @@ func clip[T any](s []T) []T { return s[:len(s):len(s)] }
 // in s; the intended use builds the base with identity annotations only,
 // which every Algebra represents as 0, then layers property-specific
 // annotated constraints on each fork.
-func (s *System) Fork(alg Algebra) *System {
+//
+// Fork is ForkInto with no destination.
+func (s *System) Fork(alg Algebra) *System { return s.ForkInto(nil, alg) }
+
+// ForkInto is Fork into dst's storage: the variable headers, the
+// constructor table, the raw-constraint log, the worklist, the intern
+// overlays and the cycle check's DFS arrays are copied or reset into the
+// arrays dst already holds where they are large enough, and allocated
+// where not, so a caller that layers one fork after another on one
+// destination stops paying for them. A nil dst allocates a new System.
+// The cycle check's epoch keeps counting across forks, so marks an
+// earlier fork left never match a new search.
+//
+// Everything dst held before is gone: it must not be s, no System may
+// have been forked from it, and no earlier result that reads it (a
+// PNResult of it, say) may be used again. Headers dst held beyond the
+// new ones are cleared, so an earlier layer's per-variable data does not
+// stay reachable through it. The receiver's contract is Fork's.
+func (s *System) ForkInto(dst *System, alg Algebra) *System {
 	if len(s.work) > 0 {
 		panic("core: Fork of an unsolved System (call Solve first)")
 	}
-	f := &System{
+	if dst == s {
+		panic("core: ForkInto a System's own storage")
+	}
+	if dst == nil {
+		dst = new(System)
+	}
+	old := *dst
+	*dst = System{
 		Alg:           alg,
 		Sig:           s.Sig,
 		opts:          s.opts,
 		nameFn:        s.nameFn,
+		vars:          copyInto(old.vars, s.vars),
+		cons:          copyInto(old.cons, s.cons),
 		freshPrefixes: clip(s.freshPrefixes),
 		prefixIndex:   maps.Clone(s.prefixIndex),
-		varIndex:      s.varIndex.fork(),
-		consIndex:     s.consIndex.fork(),
-		clashSeen:     s.clashSeen.fork(),
+		varIndex:      s.varIndex.fork(old.varIndex.own),
+		consIndex:     s.consIndex.fork(old.consIndex.own),
+		clashSeen:     s.clashSeen.fork(old.clashSeen.own),
 		clashes:       clip(s.clashes),
-		raw:           clip(s.raw),
-		work:          make([]workItem, 0, 64),
+		raw:           copyInto(old.raw, s.raw),
+		work:          old.work[:0],
+		dfsMark:       old.dfsMark,
+		dfsPrev:       old.dfsPrev,
+		dfsStack:      old.dfsStack[:0],
+		dfsEpoch:      old.dfsEpoch,
 		nEdges:        s.nEdges,
 		nReach:        s.nReach,
 		nCollapsed:    s.nCollapsed,
 		metrics:       s.metrics,
 	}
-	f.vars = make([]varData, len(s.vars))
-	copy(f.vars, s.vars)
-	for i := range f.vars {
-		vd := &f.vars[i]
+	if dst.work == nil {
+		dst.work = make([]workItem, 0, 64)
+	}
+	for i := range dst.vars {
+		vd := &dst.vars[i]
 		vd.out = clip(vd.out)
 		vd.sinks = clip(vd.sinks)
 		vd.projs = clip(vd.projs)
@@ -60,13 +92,28 @@ func (s *System) Fork(alg Algebra) *System {
 			vd.projMerge = maps.Clone(vd.projMerge)
 		}
 	}
-	f.cons = make([]consData, len(s.cons))
-	copy(f.cons, s.cons)
-	for i := range f.cons {
+	for i := range dst.cons {
 		// args are immutable after interning and stay shared.
-		f.cons[i].occur = clip(f.cons[i].occur)
+		dst.cons[i].occur = clip(dst.cons[i].occur)
 	}
-	return f
+	return dst
+}
+
+// copyInto returns a copy of src in dst's array when its capacity
+// suffices, in a new array of src's length otherwise. The elements dst
+// held beyond src's length are cleared; those past dst's length are zero
+// already, since nothing shrinks the arrays ForkInto passes.
+func copyInto[T any](dst, src []T) []T {
+	if cap(dst) < len(src) {
+		dst = make([]T, len(src))
+	} else {
+		if len(dst) > len(src) {
+			clear(dst[len(src):])
+		}
+		dst = dst[:len(src)]
+	}
+	copy(dst, src)
+	return dst
 }
 
 // Freeze normalizes the union-find so that later read-only operations

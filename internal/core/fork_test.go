@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -685,5 +686,245 @@ func TestForkAfterDoubleFreeze(t *testing.T) {
 				t.Fatalf("ConstAnnots diverge at const %d var %d", ci, vi)
 			}
 		}
+	}
+}
+
+// panicAlgebra is an Algebra whose Then panics once its budget of
+// compositions is spent: a layer solved under it stops midway, with
+// facts half propagated and work pending.
+type panicAlgebra struct {
+	Algebra
+	budget *int
+}
+
+func (p panicAlgebra) Then(a, b Annot) Annot {
+	if *p.budget--; *p.budget < 0 {
+		panic("composition budget spent")
+	}
+	return p.Algebra.Then(a, b)
+}
+
+// layerEnd is how an earlier layer left a reused destination.
+type layerEnd int
+
+const (
+	endSolved    layerEnd = iota // solved to a fixed point
+	endAbandoned                 // constraints added, never solved
+	endPanicked                  // a composition panicked midway through
+)
+
+// layerIn forks base into dst and layers ops on it, ending as end says.
+// A panicking layer may compose budget times; one that gets through its
+// solve then gets pnBudget compositions for a PN query into pn. It
+// reports whether that query panicked.
+func layerIn(dst *System, pn *PNResult, base *sysEnv, alg Algebra, ops []sysOp, end layerEnd, budget, pnBudget int) (pnPanicked bool) {
+	if end == endPanicked {
+		alg = panicAlgebra{alg, &budget}
+		defer func() { recover() }()
+	}
+	f := *base
+	f.s = base.s.ForkInto(dst, alg)
+	f.apply(ops)
+	if end == endAbandoned {
+		return false
+	}
+	f.s.Solve()
+	if end == endPanicked {
+		budget, pnPanicked = pnBudget, true
+		f.s.PNReachInto(pn, f.consts[0])
+	}
+	return false
+}
+
+// sameLayer describes the first difference between two layered systems
+// over the same variables and constants, "" when there is none: solver
+// counts, names, representatives, derived facts, clashes, the raw log,
+// and each constant's PN reachability (facts in discovery order, the
+// annotations at every variable and every fact's witness), the latter
+// queried through pn on b.
+func sameLayer(a, b *sysEnv, pn *PNResult) string {
+	if a.s.Stats() != b.s.Stats() {
+		return fmt.Sprintf("stats %+v, want %+v", b.s.Stats(), a.s.Stats())
+	}
+	if !slices.Equal(a.s.raw, b.s.raw) {
+		return "raw constraints"
+	}
+	if !reflect.DeepEqual(a.s.Clashes(), b.s.Clashes()) {
+		return "clashes"
+	}
+	for v := range a.s.vars {
+		id := VarID(v)
+		if a.s.VarName(id) != b.s.VarName(id) || a.s.Rep(id) != b.s.Rep(id) {
+			return fmt.Sprintf("name or representative of v%d", v)
+		}
+		if !slices.Equal(a.s.SourcesAt(id), b.s.SourcesAt(id)) {
+			return fmt.Sprintf("sources at v%d", v)
+		}
+	}
+	for _, cn := range a.consts {
+		want := a.s.PNReach(cn)
+		got := b.s.PNReachInto(pn, cn)
+		if !slices.Equal(got.Facts(), want.Facts()) {
+			return fmt.Sprintf("PN facts of c%d", cn)
+		}
+		for v := range a.s.vars {
+			if !slices.Equal(got.At(VarID(v)), want.At(VarID(v))) {
+				return fmt.Sprintf("PN annotations of c%d at v%d", cn, v)
+			}
+		}
+		for _, f := range want.Facts() {
+			if !slices.Equal(got.Trace(f.V, f.A), want.Trace(f.V, f.A)) {
+				return fmt.Sprintf("PN trace of c%d at v%d", cn, f.V)
+			}
+		}
+	}
+	return ""
+}
+
+// firstElem returns the address of s's array, nil when it has none.
+func firstElem[T any](s []T) *T {
+	if cap(s) == 0 {
+		return nil
+	}
+	return &s[:1][0]
+}
+
+// ForkInto into a destination that earlier layers used — over bases of
+// other sizes, the random and the hub-heavy streams alternating, each
+// layer solved, abandoned with work pending or cut short by a panic —
+// layers exactly as a fresh Fork does, and PNReachInto over one reused
+// result answers as PNReach. Where the destination's arrays are large
+// enough they are reused, and no header beyond the new base's survives.
+func TestForkIntoMatchesFork(t *testing.T) {
+	mon := oneBitMonoid(t)
+	alg := FuncAlgebra{mon}
+	ident := func() Annot { return Annot(mon.Identity()) }
+	const nConsts = 3
+	dst, pn := new(System), new(PNResult)
+	grown, shrunk, reused, pnPanics := 0, 0, 0, 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		anyAnnot := func() Annot { return Annot(r.Intn(mon.Size())) }
+		if uint64(seed)%5 == 1 { // mostly ε edges, so that layers collapse cycles
+			anyAnnot = func() Annot {
+				if r.Intn(3) > 0 {
+					return ident()
+				}
+				return Annot(r.Intn(mon.Size()))
+			}
+		}
+		nVars := 4 + r.Intn(hubVars-4)
+		baseOps := randomOps(r, 4*nVars, nVars, nConsts, ident)
+		layerOps := randomOps(r, 3*nVars, nVars, nConsts, anyAnnot)
+		if uint64(seed)%4 == 0 {
+			nVars = hubVars
+			baseOps, layerOps = hubStreams(r, nConsts, ident, anyAnnot)
+		}
+		base := newSysEnv(alg, Options{}, nVars, nConsts)
+		base.apply(baseOps)
+		base.s.Solve()
+		base.s.Freeze()
+
+		want := base.fork(alg)
+		want.apply(layerOps)
+		want.s.Solve()
+
+		before := *dst
+		got := *base
+		got.s = base.s.ForkInto(dst, alg)
+		if got.s != dst {
+			t.Logf("seed %d: ForkInto returned another System", seed)
+			return false
+		}
+		switch n := len(base.s.vars); {
+		case len(before.vars) > n:
+			shrunk++
+		case len(before.vars) < n:
+			grown++
+		}
+		for _, vd := range dst.vars[len(dst.vars):cap(dst.vars)] {
+			if !reflect.ValueOf(vd).IsZero() {
+				t.Logf("seed %d: a header beyond the base's survived the fork", seed)
+				return false
+			}
+		}
+		for _, cd := range dst.cons[len(dst.cons):cap(dst.cons)] {
+			if !reflect.ValueOf(cd).IsZero() {
+				t.Logf("seed %d: a constructor beyond the base's survived the fork", seed)
+				return false
+			}
+		}
+		if cap(before.vars) >= len(base.s.vars) && cap(before.cons) >= len(base.s.cons) &&
+			cap(before.raw) >= len(base.s.raw) && cap(before.work) > 0 && before.dfsMark != nil {
+			reused++
+			if firstElem(dst.vars) != firstElem(before.vars) || firstElem(dst.cons) != firstElem(before.cons) ||
+				firstElem(dst.raw) != firstElem(before.raw) || firstElem(dst.work) != firstElem(before.work) ||
+				firstElem(dst.dfsMark) != firstElem(before.dfsMark) {
+				t.Logf("seed %d: ForkInto reallocated an array large enough to reuse", seed)
+				return false
+			}
+		}
+		got.apply(layerOps)
+		got.s.Solve()
+		if msg := sameLayer(want, &got, pn); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
+			return false
+		}
+		// Leave dst and pn as the next layer will find them.
+		budget := r.Intn(20 * len(layerOps))
+		if r.Intn(2) == 0 {
+			budget = math.MaxInt
+		}
+		if layerIn(dst, pn, base, alg, layerOps, layerEnd(uint64(seed)%3), budget, r.Intn(8)) {
+			pnPanics++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	if grown == 0 || shrunk == 0 || reused == 0 || pnPanics == 0 {
+		t.Errorf("test premise: %d forks into a smaller destination, %d into a larger one, %d reusing every array, %d PN queries cut short; want each > 0",
+			grown, shrunk, reused, pnPanics)
+	}
+}
+
+// A layer forked into a destination keeps counting the cycle check's
+// epochs. Here an earlier layer's search marked w at its second epoch;
+// the new layer's second search, closing the base's ε-path y → w → x
+// into a cycle, must not read that mark as its own and stop at w.
+func TestForkIntoKeepsCycleEpochs(t *testing.T) {
+	mon := oneBitMonoid(t)
+	alg := FuncAlgebra{mon}
+	eps := Annot(mon.Identity())
+	base := newSysEnv(alg, Options{}, 6, 1)
+	y, w, x, z, a, b := base.vars[0], base.vars[1], base.vars[2], base.vars[3], base.vars[4], base.vars[5]
+	base.s.AddVar(y, w, eps)
+	base.s.AddVar(w, x, eps)
+	base.s.AddLower(base.consts[0], y, eps)
+	base.s.Solve()
+	base.s.Freeze()
+
+	dst := new(System)
+	earlier := base.s.ForkInto(dst, alg)
+	earlier.AddVar(a, b, eps) // first search: marks b
+	earlier.AddVar(z, w, eps) // second search: marks w and x
+	earlier.Solve()
+
+	layer := func(s *System) {
+		s.AddVar(a, b, eps)
+		s.AddVar(x, y, eps) // closes y → w → x → y
+		s.Solve()
+	}
+	want := base.fork(alg)
+	layer(want.s)
+	got := *base
+	got.s = base.s.ForkInto(dst, alg)
+	layer(got.s)
+	if want.s.Stats().Collapsed != 2 {
+		t.Fatalf("test premise: the fresh fork collapsed %d variables, want 2", want.s.Stats().Collapsed)
+	}
+	if msg := sameLayer(want, &got, nil); msg != "" {
+		t.Error(msg)
 	}
 }

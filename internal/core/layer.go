@@ -42,9 +42,10 @@ func (s *seenSet[K]) add(k K) bool {
 }
 
 // fork returns a set that sees every current element through a shared
-// frozen base and writes only to a fresh overlay. The receiver must not
-// be written afterwards (Fork's quiescence contract).
-func (s *seenSet[K]) fork() seenSet[K] {
+// frozen base and writes only to an empty overlay: own, cleared, or a
+// new map when own is nil. The receiver must not be written afterwards
+// (Fork's quiescence contract).
+func (s *seenSet[K]) fork(own map[K]struct{}) seenSet[K] {
 	base := s.base
 	if len(s.own) > 0 {
 		if base == nil {
@@ -60,7 +61,16 @@ func (s *seenSet[K]) fork() seenSet[K] {
 			base = merged
 		}
 	}
-	return seenSet[K]{base: base, own: make(map[K]struct{})}
+	return seenSet[K]{base: base, own: emptied(own)}
+}
+
+// emptied returns m cleared, or a new map when m is nil.
+func emptied[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
+	}
+	clear(m)
+	return m
 }
 
 // internMap is a key-to-value intern table with an optional frozen base.
@@ -89,7 +99,7 @@ func (m *internMap[K, V]) get(k K) (V, bool) {
 func (m *internMap[K, V]) put(k K, v V) { m.own[k] = v }
 
 // fork mirrors seenSet.fork.
-func (m *internMap[K, V]) fork() internMap[K, V] {
+func (m *internMap[K, V]) fork(own map[K]V) internMap[K, V] {
 	base := m.base
 	if len(m.own) > 0 {
 		if base == nil {
@@ -105,5 +115,5 @@ func (m *internMap[K, V]) fork() internMap[K, V] {
 			base = merged
 		}
 	}
-	return internMap[K, V]{base: base, own: make(map[K]V)}
+	return internMap[K, V]{base: base, own: emptied(own)}
 }

@@ -165,10 +165,11 @@ func (r *refPNResult) Provenance(v VarID, a Annot) []ProvStep {
 
 // --- Differential test ----------------------------------------------------
 
-// pnMismatch compares PNResult against the reference on every query a
-// client can ask, returning a description of the first difference.
-func pnMismatch(s *System, cn CNode) string {
-	got, want := s.PNReach(cn), refPNReach(s, cn)
+// pnMismatch compares PNResult, queried into reuse (nil for a new
+// result), against the reference on every query a client can ask,
+// returning a description of the first difference.
+func pnMismatch(s *System, cn CNode, reuse *PNResult) string {
+	got, want := s.PNReachInto(reuse, cn), refPNReach(s, cn)
 	if !slices.Equal(got.Facts(), want.order) {
 		return "Facts order"
 	}
@@ -224,7 +225,9 @@ func envPool(mon *monoid.Monoid) (*subst.Table, []Annot) {
 // per-variable annotations (for every variable, with or without facts),
 // the same accepting facts, and the same witness trace and provenance
 // chain for every fact — under the monoid and the environment algebra,
-// on monolithic systems and on forks layered over a frozen base.
+// on monolithic systems and on forks layered over a frozen base, both
+// for a new result per query and for one result that every other query
+// of the run fills again.
 func TestPNReachMatchesReference(t *testing.T) {
 	priv := privMonoid(t)
 	tab, pool := envPool(oneBitMonoid(t))
@@ -241,6 +244,7 @@ func TestPNReachMatchesReference(t *testing.T) {
 	for _, ac := range algebras {
 		alg, annot, count := ac.alg, ac.annot, ac.count
 		t.Run(ac.name, func(t *testing.T) {
+			reused := new(PNResult)
 			f := func(seed int64) bool {
 				r := rand.New(rand.NewSource(seed))
 				anyAnnot := func() Annot { return annot(r) }
@@ -261,10 +265,15 @@ func TestPNReachMatchesReference(t *testing.T) {
 				layered.apply(layerOps)
 				layered.s.Solve()
 
-				for _, e := range []*sysEnv{mono, layered} {
-					for _, cn := range e.consts {
-						if msg := pnMismatch(e.s, cn); msg != "" {
-							t.Logf("seed %d: %s differs", seed, msg)
+				for i, e := range []*sysEnv{mono, layered} {
+					for j, cn := range e.consts {
+						// Every other query refills the run's one result.
+						var reuse *PNResult
+						if (i+j)%2 == 1 {
+							reuse = reused
+						}
+						if msg := pnMismatch(e.s, cn, reuse); msg != "" {
+							t.Logf("seed %d (reused %v): %s differs", seed, reuse != nil, msg)
 							return false
 						}
 					}

@@ -107,16 +107,25 @@ type pnRec struct {
 // slice plus an open-addressed index over (variable, annotation, phase),
 // so the query never hashes into a Go map. Each record names the record it
 // was derived from, which makes a witness a walk over indices.
+//
+// A PNResult that PNReachInto fills again is a new result: what it held
+// before is gone.
 type PNResult struct {
 	sys   *System
 	cn    CNode
 	recs  []pnRec
 	table []int32 // power-of-two open addressing; record index + 1, 0 = empty
 	order []PNFact
-	// At's index, built on first use: the sorted annotations of
-	// representative v are annots[start[v]:start[v+1]].
+	// At's index, built on first use (empty until then): the sorted
+	// annotations of representative v are annots[start[v]:start[v+1]].
 	start  []int32
 	annots []Annot
+
+	// The query's scratch, kept for the next PNReachInto: projections
+	// grouped by source, a fill cursor per group, the worklist.
+	projAt, fill []int32
+	projs        []edge
+	work         []int32
 }
 
 // PNReach computes positive-negative reachability (§6.2, and [15]) for
@@ -135,12 +144,26 @@ type PNResult struct {
 //     the expression's solved occurrences.
 //
 // The system must be solved first.
-func (s *System) PNReach(cn CNode) *PNResult {
-	r := &PNResult{sys: s, cn: cn}
+//
+// PNReach is PNReachInto with no result to reuse.
+func (s *System) PNReach(cn CNode) *PNResult { return s.PNReachInto(nil, cn) }
+
+// PNReachInto is PNReach into r's storage: the records, their index, the
+// discovery order, At's index and the query's scratch reuse the arrays r
+// already holds where they are large enough. A nil r allocates a new
+// result. Whatever r answered before is gone.
+func (s *System) PNReachInto(r *PNResult, cn CNode) *PNResult {
+	if r == nil {
+		r = new(PNResult)
+	}
+	r.sys, r.cn = s, cn
+	r.recs, r.order = r.recs[:0], r.order[:0]
+	clear(r.table)
+	r.start, r.annots = r.start[:0], r.annots[:0]
 	// Projections over the raw constraints, grouped by the representative
 	// of their source (the solver may have rerouted its own copies through
 	// projection merging): those of x are projs[projAt[x]:projAt[x+1]].
-	projAt := make([]int32, len(s.vars)+1)
+	projAt := zeroed(r.projAt, len(s.vars)+1)
 	for _, rc := range s.raw {
 		if rc.kind == rawProj {
 			projAt[s.find(rc.x)+1]++
@@ -149,8 +172,8 @@ func (s *System) PNReach(cn CNode) *PNResult {
 	for i := 1; i < len(projAt); i++ {
 		projAt[i] += projAt[i-1]
 	}
-	projs := make([]edge, projAt[len(s.vars)])
-	fill := append([]int32(nil), projAt[:len(s.vars)]...)
+	projs := sized(r.projs, int(projAt[len(s.vars)]))
+	fill := append(r.fill[:0], projAt[:len(s.vars)]...)
 	for _, rc := range s.raw {
 		if rc.kind == rawProj {
 			x := s.find(rc.x)
@@ -158,7 +181,8 @@ func (s *System) PNReach(cn CNode) *PNResult {
 			fill[x]++
 		}
 	}
-	var work []int32 // record indices, popped last in first out
+	r.projAt, r.projs, r.fill = projAt, projs, fill
+	work := r.work[:0] // record indices, popped last in first out
 	add := func(v VarID, a Annot, wrapped bool, from int32, via CNode, pop bool) {
 		if r.add(pnRec{s.find(v), a, from, via, wrapped, pop}) {
 			work = append(work, int32(len(r.recs)-1))
@@ -188,7 +212,24 @@ func (s *System) PNReach(cn CNode) *PNResult {
 			}
 		}
 	}
+	r.work = work
 	return r
+}
+
+// sized returns buf with length n, in buf's array when its capacity
+// suffices; the contents are unspecified.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed is sized with every element zero.
+func zeroed[T any](buf []T, n int) []T {
+	buf = sized(buf, n)
+	clear(buf)
+	return buf
 }
 
 // add records rec unless its (variable, annotation, phase) is already
@@ -244,7 +285,7 @@ func (r *PNResult) grow() {
 // At returns the annotations with which the constant occurs at v, in
 // ascending order.
 func (r *PNResult) At(v VarID) []Annot {
-	if r.start == nil {
+	if len(r.start) == 0 {
 		r.indexVars()
 	}
 	v = r.sys.find(v)
@@ -262,15 +303,15 @@ func (r *PNResult) At(v VarID) []Annot {
 // (counting sort over the discovery order), each group sorted.
 func (r *PNResult) indexVars() {
 	n := len(r.sys.vars)
-	start := make([]int32, n+1)
+	start := zeroed(r.start, n+1)
 	for _, f := range r.order {
 		start[f.V+1]++
 	}
 	for v := 1; v <= n; v++ {
 		start[v] += start[v-1]
 	}
-	annots := make([]Annot, len(r.order))
-	fill := append([]int32(nil), start[:n]...)
+	annots := sized(r.annots, len(r.order))
+	fill := append(r.fill[:0], start[:n]...)
 	for _, f := range r.order {
 		annots[fill[f.V]] = f.A
 		fill[f.V]++
@@ -280,7 +321,7 @@ func (r *PNResult) indexVars() {
 			slices.Sort(annots[start[v]:start[v+1]])
 		}
 	}
-	r.start, r.annots = start, annots
+	r.start, r.annots, r.fill = start, annots, fill
 }
 
 // AcceptingAt reports whether the constant occurs at v with an accepting

@@ -107,7 +107,7 @@ void main() {
 		t.Fatal(err)
 	}
 	pm := obs.NewPDMMetrics(obs.NewRegistry())
-	res, err := sk.CheckObs(prop, wgMiniEvents(), &Obs{PDM: pm})
+	res, err := sk.CheckObs(prop, wgMiniEvents(), &Obs{PDM: pm}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

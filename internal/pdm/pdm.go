@@ -23,7 +23,9 @@ import (
 	"rasc/internal/subst"
 )
 
-// Result is the outcome of a model-checking run.
+// Result is the outcome of a model-checking run. One layered in a
+// Workspace (Skeleton.CheckObs) is valid only until that Workspace's
+// next layer: Sys, PN and every query on the Result read its storage.
 type Result struct {
 	// Sys is the underlying constraint system, for advanced queries.
 	Sys *core.System
@@ -138,7 +140,7 @@ func Check(prog *minic.Program, prop *spec.Property, events *minic.EventMap, ent
 	if err != nil {
 		return nil, err
 	}
-	return sk.layer(prop, events, nil, true)
+	return sk.layer(prop, events, nil, nil, true)
 }
 
 // collectViolations implements §6.2 literally: record each statement that

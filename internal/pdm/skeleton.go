@@ -248,19 +248,36 @@ type Obs struct {
 // map, solves the residue online, and collects violations exactly as
 // pdm.Check does. Safe for concurrent use.
 func (sk *Skeleton) Check(prop *spec.Property, events *minic.EventMap) (*Result, error) {
-	return sk.CheckObs(prop, events, nil)
+	return sk.CheckObs(prop, events, nil, nil)
 }
 
-// CheckObs is Check with observability hooks attached; see Obs.
-func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs) (*Result, error) {
-	return sk.layer(prop, events, o, false)
+// Workspace is the storage a property layer fills: the forked constraint
+// system and the program counter's PN query. A caller that layers one
+// property after another on one Workspace reuses their arrays instead of
+// allocating them per layer.
+//
+// A Result layered in a Workspace is valid until that Workspace's next
+// layer, which overwrites it; read everything needed from it before
+// then. A Workspace serves one layer at a time, on any skeleton, and its
+// zero value is ready to use. A layer that fails or panics leaves it
+// ready for the next.
+type Workspace struct {
+	sys core.System
+	pn  core.PNResult
 }
 
-// layer layers prop on a fork of the skeleton's solved system or, with
-// inPlace set, on that system itself, which is then no longer a
-// skeleton: only a caller that owns sk and drops it afterwards may ask
-// for that (the one-shot Check).
-func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, inPlace bool) (*Result, error) {
+// CheckObs is Check with observability hooks attached (see Obs), layered
+// in ws's storage; a nil ws allocates the layer's storage afresh, and a
+// nil o attaches no hooks.
+func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs, ws *Workspace) (*Result, error) {
+	return sk.layer(prop, events, o, ws, false)
+}
+
+// layer layers prop on a fork of the skeleton's solved system, in ws's
+// storage when ws is not nil, or, with inPlace set, on that system
+// itself, which is then no longer a skeleton: only a caller that owns
+// sk and drops it afterwards may ask for that (the one-shot Check).
+func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, ws *Workspace, inPlace bool) (*Result, error) {
 	var alg core.Algebra
 	var envTab *subst.Table
 	if prop.IsParametric() {
@@ -272,13 +289,18 @@ func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, i
 	if alg.Identity() != 0 {
 		return nil, fmt.Errorf("pdm: algebra must represent identity as annotation 0 to layer on a shared skeleton")
 	}
+	var dst *core.System
+	var pn *core.PNResult
+	if ws != nil {
+		dst, pn = &ws.sys, &ws.pn
+	}
 	sys := sk.sys
 	if inPlace {
 		// The skeleton holds identity annotations only, which alg
 		// represents as 0 too (checked above).
 		sys.Alg = alg
 	} else {
-		sys = sys.Fork(alg)
+		sys = sys.ForkInto(dst, alg)
 		if o != nil && o.PDM != nil {
 			o.PDM.SkeletonForks.Inc()
 		}
@@ -372,7 +394,7 @@ func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, i
 		alg:     alg,
 		explain: o != nil && o.Explain,
 	}
-	res.PN = sys.PNReach(sk.pc)
+	res.PN = sys.PNReachInto(pn, sk.pc)
 	res.collectViolations(alg)
 	return res, nil
 }

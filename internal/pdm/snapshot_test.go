@@ -86,11 +86,11 @@ func TestSkeletonSnapshotRoundTrip(t *testing.T) {
 	prop, events := snapTestProp(t)
 	for _, explain := range []bool{false, true} {
 		o := &Obs{Explain: explain}
-		want, err := live.CheckObs(prop, events, o)
+		want, err := live.CheckObs(prop, events, o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.CheckObs(prop, events, o)
+		got, err := loaded.CheckObs(prop, events, o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
