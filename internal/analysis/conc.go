@@ -46,10 +46,31 @@ type concModel struct {
 	flowSuccs [][]int
 
 	mu       sync.Mutex
-	closures map[string][]minic.FuncRange // root fn -> closure's functions, ascending
-	locks    map[string]*rootLocks        // root fn -> its lock facts
-	gsCache  map[string]*entryGoroutines  // entry fn -> its goroutines
+	closures map[string]*closure         // root fn -> its call-graph closure
+	locks    map[string]*rootLocks       // root fn -> its lock facts
+	gsCache  map[string]*entryGoroutines // entry fn -> its goroutines
 }
+
+// closure is a root's call-graph closure, its functions ascending, with
+// their nodes numbered in that order: function f's nodes take the slots
+// from base[f], which is the layout bitvector's engine keeps per-node
+// data in. Walks from the root index their per-node state by slot.
+type closure struct {
+	funcs []minic.FuncRange
+	base  []int // len(funcs)+1 entries; base[len(funcs)] is the slot count
+}
+
+// slot returns node's slot, or -1 for a node outside the closure.
+func (c *closure) slot(node int) int {
+	f := bitvector.Index(c.funcs, node)
+	if f < 0 {
+		return -1
+	}
+	return c.base[f] + node - c.funcs[f].Lo
+}
+
+// size returns the number of slots.
+func (c *closure) size() int { return c.base[len(c.funcs)] }
 
 // entryGoroutines is one entry's goroutine abstraction, built once and
 // shared read-only by that entry's race and lockorder jobs.
@@ -66,7 +87,7 @@ func (p *Package) concModel() *concModel {
 			prog:      p.Prog,
 			cfg:       cfg,
 			flowSuccs: make([][]int, len(cfg.Nodes)),
-			closures:  map[string][]minic.FuncRange{},
+			closures:  map[string]*closure{},
 			locks:     map[string]*rootLocks{},
 			gsCache:   map[string]*entryGoroutines{},
 		}
@@ -112,23 +133,42 @@ type goroutine struct {
 	// Prefix is the witness trace from the program entry to this
 	// goroutine's spawn statement (empty for the entry goroutine).
 	Prefix []TraceStep
-	// reach is the set of nodes this goroutine may execute; parent is a
-	// BFS tree over the flow relation for witness paths.
-	reach  map[int]bool
-	parent map[int]int
+	// in is the root's closure. By its slots, reach marks the nodes this
+	// goroutine may execute, and parent is a BFS tree over the flow
+	// relation for witness paths: the node each was first reached from,
+	// -1 at the root's entry.
+	in     *closure
+	reach  []bool
+	parent []int32
 }
 
-// closure returns (and memoizes) the functions of root's call-graph
-// closure, ascending. Flow from a callee's exit to a return site outside
-// it would "return" into a caller that is never on the goroutine's
-// stack, so every walk from root stays inside it.
-func (m *concModel) closure(root string) []minic.FuncRange {
+// nodes returns the nodes g may execute that keep accepts, ascending.
+func (g *goroutine) nodes(keep func(id int) bool) []int {
+	var out []int
+	for f, fn := range g.in.funcs {
+		for id := fn.Lo; id < fn.Hi; id++ {
+			if g.reach[g.in.base[f]+id-fn.Lo] && keep(id) {
+				out = append(out, id)
+			}
+		}
+	}
+	return out
+}
+
+// closure returns (and memoizes) root's call-graph closure. Flow from a
+// callee's exit to a return site outside it would "return" into a caller
+// that is never on the goroutine's stack, so every walk from root stays
+// inside it.
+func (m *concModel) closure(root string) *closure {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	in, ok := m.closures[root]
 	if !ok {
+		in = &closure{base: []int{0}}
 		for _, id := range m.prog.Reachable(root) {
-			in = append(in, m.cfg.Funcs[id])
+			fn := m.cfg.Funcs[id]
+			in.base = append(in.base, in.size()+fn.Hi-fn.Lo)
+			in.funcs = append(in.funcs, fn)
 		}
 		m.closures[root] = in
 	}
@@ -138,19 +178,18 @@ func (m *concModel) closure(root string) []minic.FuncRange {
 // explore fills g.reach and g.parent by BFS from the root's entry.
 func (m *concModel) explore(g *goroutine) {
 	in := m.closure(g.Root)
-	g.reach = map[int]bool{}
-	g.parent = map[int]int{}
+	g.in, g.reach, g.parent = in, make([]bool, in.size()), make([]int32, in.size())
 	start := m.cfg.Entry[g.Root]
-	g.reach[start] = true
-	g.parent[start] = -1
+	g.reach[in.slot(start)] = true
+	g.parent[in.slot(start)] = -1
 	queue := []int{start}
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
 		for _, s := range m.flowSuccs[id] {
-			if bitvector.Index(in, s) >= 0 && !g.reach[s] {
-				g.reach[s] = true
-				g.parent[s] = id
+			if k := in.slot(s); k >= 0 && !g.reach[k] {
+				g.reach[k] = true
+				g.parent[k] = int32(id)
 				queue = append(queue, s)
 			}
 		}
@@ -161,7 +200,7 @@ func (m *concModel) explore(g *goroutine) {
 // id, keeping entry hops and event nodes.
 func (m *concModel) path(p *Package, g *goroutine, id int) []TraceStep {
 	var ids []int
-	for at := id; at >= 0; at = g.parent[at] {
+	for at := id; at >= 0; at = int(g.parent[g.in.slot(at)]) {
 		ids = append(ids, at)
 	}
 	out := append([]TraceStep(nil), g.Prefix...)
@@ -182,21 +221,22 @@ func (m *concModel) path(p *Package, g *goroutine, id int) []TraceStep {
 // function spawns many instances).
 func (m *concModel) inCycle(root string, id int) bool {
 	in := m.closure(root)
-	seen := map[int]bool{}
+	seen := make([]bool, in.size())
 	queue := append([]int(nil), m.flowSuccs[id]...)
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		if bitvector.Index(in, at) < 0 {
+		k := in.slot(at)
+		if k < 0 {
 			continue
 		}
 		if at == id {
 			return true
 		}
-		if seen[at] {
+		if seen[k] {
 			continue
 		}
-		seen[at] = true
+		seen[k] = true
 		queue = append(queue, m.flowSuccs[at]...)
 	}
 	return false
@@ -236,13 +276,7 @@ func (m *concModel) enumerate(p *Package, entry string) []*goroutine {
 	for qi := 0; qi < len(out); qi++ {
 		g := out[qi]
 		// Spawn sites in ascending node order, for determinism.
-		var spawns []int
-		for id := range g.reach {
-			if m.cfg.Nodes[id].Kind == minic.NSpawn {
-				spawns = append(spawns, id)
-			}
-		}
-		sort.Ints(spawns)
+		spawns := g.nodes(func(id int) bool { return m.cfg.Nodes[id].Kind == minic.NSpawn })
 		for _, id := range spawns {
 			if claimed[id] {
 				continue
@@ -288,7 +322,7 @@ func (m *concModel) lockFacts(root string) *rootLocks {
 	if ok {
 		return l
 	}
-	funcs, l := m.closure(root), &rootLocks{}
+	funcs, l := m.closure(root).funcs, &rootLocks{}
 	for _, f := range funcs {
 		for _, n := range m.cfg.Nodes[f.Lo:f.Hi] {
 			if lockEvent(n.Conc) {
@@ -375,13 +409,7 @@ func raceDiagnostics(pkg *Package, c *Checker, entry string) []Diagnostic {
 	var vars []string
 	for _, g := range gs {
 		l := m.lockFacts(g.Root)
-		var ids []int
-		for id := range g.reach {
-			if m.cfg.Nodes[id].Kind == minic.NAccess && l.sol.Reached(id) {
-				ids = append(ids, id)
-			}
-		}
-		sort.Ints(ids)
+		ids := g.nodes(func(id int) bool { return m.cfg.Nodes[id].Kind == minic.NAccess && l.sol.Reached(id) })
 		for _, id := range ids {
 			n := m.cfg.Nodes[id]
 			if _, seen := byVar[n.ConcArg]; !seen {
@@ -456,14 +484,10 @@ func lockOrderDiagnostics(pkg *Package, c *Checker, entry string) []Diagnostic {
 	var heldNames []string
 	for _, g := range gs {
 		l := m.lockFacts(g.Root)
-		var ids []int
-		for id := range g.reach {
+		ids := g.nodes(func(id int) bool {
 			op := m.cfg.Nodes[id].Conc
-			if (op == minic.ConcLock || op == minic.ConcRLock) && l.sol.Reached(id) {
-				ids = append(ids, id)
-			}
-		}
-		sort.Ints(ids)
+			return (op == minic.ConcLock || op == minic.ConcRLock) && l.sol.Reached(id)
+		})
 		for _, id := range ids {
 			n := m.cfg.Nodes[id]
 			for k, held := range l.names {

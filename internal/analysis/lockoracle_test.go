@@ -43,7 +43,7 @@ func oracleLockSets(m *concModel, g *goroutine) (lockSets, bool) {
 		node        int
 		stack, held string // comma-separated call nodes, sorted holds
 	}
-	in := m.closure(g.Root)
+	in := m.closure(g.Root).funcs
 	out := lockSets{may: map[int][]string{}, must: map[int][]string{}}
 	start := state{node: m.cfg.Entry[g.Root]}
 	seen := map[state]bool{start: true}
@@ -104,7 +104,7 @@ func engineLockSets(m *concModel, g *goroutine) lockSets {
 	l := m.lockFacts(g.Root)
 	out := lockSets{may: map[int][]string{}, must: map[int][]string{}}
 	holds := 2 * len(l.names)
-	for id := range g.reach {
+	for _, id := range g.nodes(func(int) bool { return true }) {
 		n := m.cfg.Nodes[id]
 		if !(lockEvent(n.Conc) || n.Kind == minic.NAccess) || !l.sol.Reached(id) {
 			continue
@@ -207,7 +207,7 @@ func TestLockFactsMatchPathOracle(t *testing.T) {
 					t.Fatalf("%s: %s/%s: the oracle's walk does not end", name, entry, g.Root)
 				}
 				got := engineLockSets(m, g)
-				for id := range g.reach {
+				for _, id := range g.nodes(func(int) bool { return true }) {
 					_, gotSite := got.may[id]
 					_, wantSite := want.may[id]
 					if gotSite != wantSite || !slices.Equal(got.may[id], want.may[id]) || !slices.Equal(got.must[id], want.must[id]) {
