@@ -289,6 +289,27 @@ func parse(f File) {}
 	}
 }
 
+// A syntax error below a //line directive is reported at the file and
+// line it sits on, not at the position the directive names: a six-line
+// a.go with "//line generated.y:500" above an unfinished assignment
+// fails at a.go:6:1, not at generated.y:502, a file that does not
+// exist.
+func TestLineDirectiveKeepsSyntaxErrorPosition(t *testing.T) {
+	dir := t.TempDir()
+	src := "package demo\n\n//line generated.y:500\nfunc f() {\n\tx := \n}\n"
+	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := gocheck(t, dir)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr)
+	}
+	want := filepath.Join(dir, "a.go") + ":6:1: expected operand"
+	if !strings.Contains(stderr, want) || strings.Contains(stderr, "generated.y") {
+		t.Errorf("stderr:\n%s\nwant the error at %q and no mention of generated.y", stderr, want)
+	}
+}
+
 // badValues are flag values gocheck must reject as usage errors.
 var badValues = [][]string{
 	{"-fail-on", "bogus"},

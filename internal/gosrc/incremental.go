@@ -28,9 +28,11 @@ package gosrc
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"sort"
 	"strconv"
@@ -127,14 +129,34 @@ type source struct {
 }
 
 // parse parses one file with its own FileSet. Positions are file-local,
-// so the lines are those a package-wide FileSet would give.
+// so the lines are those a package-wide FileSet would give. A syntax
+// error names the file and the line and column it sits at, as every line
+// a translation records does: a //line directive moves neither.
 func parse(f File) (*source, error) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, f.Name, f.Src, parser.SkipObjectResolution|parser.ParseComments)
 	if err != nil {
+		var list scanner.ErrorList
+		if errors.As(err, &list) {
+			physicalPositions(fset, list)
+		}
 		return nil, fmt.Errorf("gosrc: %w", err)
 	}
 	return &source{fset: fset, file: file}, nil
+}
+
+// physicalPositions re-positions every error of list from its byte
+// offset in the one file fset holds, ignoring line directives, and
+// sorts the list again in that order.
+func physicalPositions(fset *token.FileSet, list scanner.ErrorList) {
+	var tf *token.File
+	fset.Iterate(func(f *token.File) bool { tf = f; return false })
+	for _, e := range list {
+		if e.Pos.IsValid() {
+			e.Pos = fset.PositionFor(tf.Pos(e.Pos.Offset), false)
+		}
+	}
+	list.Sort()
 }
 
 // TranslateFilesMemo is TranslateFiles with per-file caching: files
