@@ -44,12 +44,9 @@ type listIndex struct {
 }
 
 // listIndexes holds one variable's list indexes; only a variable with a
-// list longer than scanLimit has one. A fork shares its base's indexes
-// read-only: owner is the one System allowed to write them, and any
-// other copies them on its first write, as a forked reachSet copies its
-// table.
+// list longer than scanLimit has one. A fork drops them, and each is
+// rebuilt on its first probe.
 type listIndexes struct {
-	owner *System
 	lists [3]listIndex
 }
 
@@ -58,23 +55,12 @@ func contains[T listEntry](s *System, v VarID, kind int, list []T, x T) bool {
 	if len(list) <= scanLimit {
 		return slices.Contains(list, x)
 	}
-	return indexed(&s.indexes(v).lists[kind], list, x)
-}
-
-// indexes returns v's list indexes, writable by s.
-func (s *System) indexes(v VarID) *listIndexes {
 	ix := s.vars[v].index
-	if ix != nil && ix.owner == s {
-		return ix
+	if ix == nil {
+		ix = new(listIndexes)
+		s.vars[v].index = ix
 	}
-	own := &listIndexes{owner: s}
-	if ix != nil {
-		for k := range ix.lists {
-			own.lists[k] = listIndex{table: slices.Clone(ix.lists[k].table), n: ix.lists[k].n}
-		}
-	}
-	s.vars[v].index = own
-	return own
+	return indexed(&ix.lists[kind], list, x)
 }
 
 // indexed reports whether x occurs in list, first indexing the entries

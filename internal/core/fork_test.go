@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rasc/internal/monoid"
 	"rasc/internal/terms"
 )
 
@@ -781,12 +782,74 @@ func sameLayer(a, b *sysEnv, pn *PNResult) string {
 	return ""
 }
 
+// sharedStorage names an array or map of a that b shares, "" when there
+// is none. Constructor arguments, immutable once interned, may be shared.
+func sharedStorage(a, b *System) string {
+	for v := range min(len(a.vars), len(b.vars)) {
+		x, y := &a.vars[v], &b.vars[v]
+		if aliases(x.out, y.out) || aliases(x.sinks, y.sinks) || aliases(x.projs, y.projs) ||
+			aliases(x.argOf, y.argOf) || aliases(x.reach.facts, y.reach.facts) || aliases(x.reach.table, y.reach.table) ||
+			x.index != nil && x.index == y.index || x.projMerge != nil && sameMap(x.projMerge, y.projMerge) {
+			return fmt.Sprintf("the storage of v%d", v)
+		}
+	}
+	for cn := range min(len(a.cons), len(b.cons)) {
+		if aliases(a.cons[cn].occur, b.cons[cn].occur) {
+			return fmt.Sprintf("the occurrences of c%d", cn)
+		}
+	}
+	if aliases(a.vars, b.vars) || aliases(a.cons, b.cons) || aliases(a.raw, b.raw) || aliases(a.clashes, b.clashes) ||
+		aliases(a.freshPrefixes, b.freshPrefixes) || aliases(a.work, b.work) || aliases(a.dfsMark, b.dfsMark) ||
+		sameMap(a.varIndex, b.varIndex) || sameMap(a.consIndex, b.consIndex) ||
+		sameMap(a.prefixIndex, b.prefixIndex) || sameMap(a.clashSeen, b.clashSeen) {
+		return "a system-level array or table"
+	}
+	return ""
+}
+
+// aliases reports whether x and y start at one array.
+func aliases[T any](x, y []T) bool {
+	p := firstElem(x)
+	return p != nil && p == firstElem(y)
+}
+
+// sameMap reports whether x and y are one map.
+func sameMap[K comparable, V any](x, y map[K]V) bool {
+	return x != nil && reflect.ValueOf(x).Pointer() == reflect.ValueOf(y).Pointer()
+}
+
 // firstElem returns the address of s's array, nil when it has none.
 func firstElem[T any](s []T) *T {
 	if cap(s) == 0 {
 		return nil
 	}
 	return &s[:1][0]
+}
+
+// seededStreams draws from r a base stream over identity annotations
+// and a layer stream, both over nVars variables and nConsts constants:
+// random streams over 4 to hubVars variables, or the hub-heavy ones when
+// seed ≡ 0 (mod 4). When seed ≡ 1 (mod 5) the layer's annotations are
+// mostly ε, so that layers collapse cycles.
+func seededStreams(r *rand.Rand, seed int64, mon *monoid.Monoid, nConsts int) (nVars int, baseOps, layerOps []sysOp) {
+	ident := func() Annot { return Annot(mon.Identity()) }
+	anyAnnot := func() Annot { return Annot(r.Intn(mon.Size())) }
+	if uint64(seed)%5 == 1 {
+		anyAnnot = func() Annot {
+			if r.Intn(3) > 0 {
+				return ident()
+			}
+			return Annot(r.Intn(mon.Size()))
+		}
+	}
+	nVars = 4 + r.Intn(hubVars-4)
+	baseOps = randomOps(r, 4*nVars, nVars, nConsts, ident)
+	layerOps = randomOps(r, 3*nVars, nVars, nConsts, anyAnnot)
+	if uint64(seed)%4 == 0 {
+		nVars = hubVars
+		baseOps, layerOps = hubStreams(r, nConsts, ident, anyAnnot)
+	}
+	return nVars, baseOps, layerOps
 }
 
 // ForkInto into a destination that earlier layers used — over bases of
@@ -798,28 +861,12 @@ func firstElem[T any](s []T) *T {
 func TestForkIntoMatchesFork(t *testing.T) {
 	mon := oneBitMonoid(t)
 	alg := FuncAlgebra{mon}
-	ident := func() Annot { return Annot(mon.Identity()) }
 	const nConsts = 3
 	dst, pn := new(System), new(PNResult)
 	grown, shrunk, reused, pnPanics := 0, 0, 0, 0
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		anyAnnot := func() Annot { return Annot(r.Intn(mon.Size())) }
-		if uint64(seed)%5 == 1 { // mostly ε edges, so that layers collapse cycles
-			anyAnnot = func() Annot {
-				if r.Intn(3) > 0 {
-					return ident()
-				}
-				return Annot(r.Intn(mon.Size()))
-			}
-		}
-		nVars := 4 + r.Intn(hubVars-4)
-		baseOps := randomOps(r, 4*nVars, nVars, nConsts, ident)
-		layerOps := randomOps(r, 3*nVars, nVars, nConsts, anyAnnot)
-		if uint64(seed)%4 == 0 {
-			nVars = hubVars
-			baseOps, layerOps = hubStreams(r, nConsts, ident, anyAnnot)
-		}
+		nVars, baseOps, layerOps := seededStreams(r, seed, mon, nConsts)
 		base := newSysEnv(alg, Options{}, nVars, nConsts)
 		base.apply(baseOps)
 		base.s.Solve()
@@ -861,6 +908,12 @@ func TestForkIntoMatchesFork(t *testing.T) {
 				firstElem(dst.raw) != firstElem(before.raw) || firstElem(dst.work) != firstElem(before.work) ||
 				firstElem(dst.dfsMark) != firstElem(before.dfsMark) {
 				t.Logf("seed %d: ForkInto reallocated an array large enough to reuse", seed)
+				return false
+			}
+		}
+		for _, f := range []*System{want.s, got.s} {
+			if what := sharedStorage(base.s, f); what != "" {
+				t.Logf("seed %d: a fork shares %s with its base", seed, what)
 				return false
 			}
 		}
@@ -926,5 +979,74 @@ func TestForkIntoKeepsCycleEpochs(t *testing.T) {
 	}
 	if msg := sameLayer(want, &got, nil); msg != "" {
 		t.Error(msg)
+	}
+}
+
+// allocsAfter returns the allocations f makes when it runs right after
+// prepare, counted as testing.AllocsPerRun counts them: prepare is its
+// warm-up run and f its one measured run.
+func allocsAfter(prepare, f func()) float64 {
+	prepared := false
+	return testing.AllocsPerRun(1, func() {
+		if !prepared {
+			prepared = true
+			prepare()
+			return
+		}
+		f()
+	})
+}
+
+// After a layer in a destination, forking the same base into it again
+// refills the destination's arrays and maps and allocates nothing, also
+// where the layer collapsed the base's variables into cycles. The bases
+// hold projection-merge maps, clashes and indexed lists.
+func TestForkIntoReusesStorage(t *testing.T) {
+	mon := oneBitMonoid(t)
+	alg := FuncAlgebra{mon}
+	const nConsts = 3
+	var maps, indexed, clashes, mapsCollapsed int
+	for seed := int64(0); seed < 20; seed++ {
+		nVars, baseOps, layerOps := seededStreams(rand.New(rand.NewSource(seed)), seed, mon, nConsts)
+		base := newSysEnv(alg, Options{}, nVars, nConsts)
+		base.apply(baseOps)
+		base.s.Solve()
+		base.s.Freeze()
+		for _, vd := range base.s.vars {
+			if len(vd.projMerge) > 0 {
+				maps++
+			}
+			if vd.index != nil {
+				indexed++
+			}
+		}
+		clashes += len(base.s.clashes)
+
+		dst := new(System)
+		layer := func() {
+			f := *base
+			f.s = base.s.ForkInto(dst, alg)
+			f.apply(layerOps)
+			f.s.Solve()
+			for v, vd := range base.s.vars {
+				if len(vd.projMerge) > 0 && vd.uf == VarID(v) && dst.vars[v].uf != VarID(v) {
+					mapsCollapsed++
+				}
+			}
+		}
+		refork := func() { base.s.ForkInto(dst, alg) }
+		if n := allocsAfter(layer, refork); n != 0 {
+			t.Errorf("seed %d: a fork after a layer made %v allocations, want 0", seed, n)
+		}
+		if what := sharedStorage(base.s, dst); what != "" {
+			t.Errorf("seed %d: the fork shares %s with its base", seed, what)
+		}
+		if n := testing.AllocsPerRun(10, refork); n != 0 {
+			t.Errorf("seed %d: a fork after a fork made %v allocations, want 0", seed, n)
+		}
+	}
+	if maps == 0 || indexed == 0 || clashes == 0 || mapsCollapsed == 0 {
+		t.Errorf("test premise: the bases hold %d projection-merge maps, %d indexed variables and %d clashes, and the layers collapsed %d variables with a map; want each > 0",
+			maps, indexed, clashes, mapsCollapsed)
 	}
 }

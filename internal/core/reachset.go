@@ -13,15 +13,14 @@ type reachFact struct {
 // map[reachKey]parent. The layout buys three things on the solver's
 // hottest path: lookups that never allocate, iteration that is
 // deterministic (witness parents no longer depend on map order), and a
-// representation that a Fork can snapshot with two slice headers.
+// representation that a fork copies as two flat arrays.
 //
-// The zero value is an empty set. A forked System marks its sets shared;
-// the first insert after a fork copies the index (the facts slice is
-// capacity-clipped at fork time, so appending reallocates on its own).
+// The zero value is an empty set. Growing the index reuses its array's
+// spare capacity, which a fork's copy keeps from the destination's
+// earlier layers.
 type reachSet struct {
-	facts  []reachFact
-	table  []int32 // power-of-two open addressing; fact index + 1, 0 = empty
-	shared bool
+	facts []reachFact
+	table []int32 // power-of-two open addressing; fact index + 1, 0 = empty
 }
 
 func reachHash(cn CNode, a Annot) uint32 {
@@ -58,14 +57,6 @@ func (r *reachSet) insert(cn CNode, a Annot, par parent) bool {
 	if r.has(cn, a) {
 		return false
 	}
-	if r.shared {
-		// The index is updated in place, so a fork must stop sharing it
-		// with its frozen base before the first write.
-		table := make([]int32, len(r.table))
-		copy(table, r.table)
-		r.table = table
-		r.shared = false
-	}
 	if 4*(len(r.facts)+1) > 3*len(r.table) {
 		r.grow()
 	}
@@ -80,11 +71,13 @@ func (r *reachSet) insert(cn CNode, a Annot, par parent) bool {
 }
 
 func (r *reachSet) grow() {
-	n := 2 * len(r.table)
-	if n == 0 {
-		n = 8
+	n := max(2*len(r.table), 8)
+	if cap(r.table) >= n {
+		r.table = r.table[:n]
+		clear(r.table)
+	} else {
+		r.table = make([]int32, n)
 	}
-	r.table = make([]int32, n)
 	mask := uint32(n - 1)
 	for idx := range r.facts {
 		f := &r.facts[idx]

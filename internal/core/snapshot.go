@@ -70,10 +70,11 @@ func optFlags(o Options) uint32 {
 // offset-indexed flat uint32 sections in deterministic order, so equal
 // Systems encode to equal bytes.
 //
-// The dedup/seen tables, the reach hash indexes and the intern maps are
-// not serialized: DecodeSystem reconstructs them from the arrays, which
-// is both smaller on disk and provably equivalent for every operation a
-// fork of the frozen base can perform.
+// The intern and clash tables, the reach hash indexes and the list
+// indexes are not serialized: DecodeSystem rebuilds them from the arrays
+// (a list index on its first probe, as after a fork), which is both
+// smaller on disk and equivalent for every operation on the decoded
+// System or a fork of it.
 func (s *System) EncodeSnapshot(w *snapshot.Writer) {
 	if len(s.work) > 0 {
 		panic("core: EncodeSnapshot of an unsolved System (call Solve first)")
@@ -255,10 +256,9 @@ var (
 // are loaded in their serialized order (so queries, witnesses and fact
 // discovery order are byte-identical to the live build), the reach hash
 // indexes are rebuilt by replaying insertions into their final-size
-// tables (which reproduces the live probe layout exactly), and the dedup
-// tables are rebuilt as frozen base layers from the surviving lists —
-// the keys the live tables additionally held for collapsed variables are
-// unreachable after Freeze, so forks cannot distinguish the two.
+// tables (which reproduces the live probe layout exactly), and the
+// intern tables and the clash set are filled as plain maps from the
+// decoded names, constructor expressions and clashes.
 //
 // Pair-shaped arrays (edges, sinks, occurrences) are reinterpreted
 // in-place over the section buffer where the host layout allows, and
@@ -407,7 +407,7 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 	if len(names)%2 != 0 {
 		return nil, bad("var-name section has odd length")
 	}
-	varIndexBase := make(map[string]VarID, len(names)/2)
+	varIndex := make(map[string]VarID, len(names)/2)
 	for i := 0; i < len(names); i += 2 {
 		if err := checkVar(names[i]); err != nil {
 			return nil, err
@@ -419,11 +419,11 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 		if name == "" {
 			return nil, bad("v%d has an empty interned name", names[i])
 		}
-		if _, dup := varIndexBase[name]; dup {
+		if _, dup := varIndex[name]; dup {
 			return nil, bad("variable name %q interned twice", name)
 		}
 		vars[names[i]].name = name
-		varIndexBase[name] = VarID(names[i])
+		varIndex[name] = VarID(names[i])
 	}
 
 	prefixRefs, err := r.Uint32s(secPrefixes)
@@ -697,9 +697,9 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 		return varAnnot{VarID(v), Annot(a)}
 	})
 	cons := make([]consData, numCons)
-	consIndexBase := make(map[consKey]CNode)
+	consIndex := make(map[consKey]CNode)
 	if !opts.NoHashCons {
-		consIndexBase = make(map[consKey]CNode, numCons)
+		consIndex = make(map[consKey]CNode, numCons)
 	}
 	for cn := range cons {
 		c := heads[cn]
@@ -717,10 +717,10 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 		}
 		if !opts.NoHashCons {
 			key := makeConsKey(terms.ConsID(c), args)
-			if _, dup := consIndexBase[key]; dup {
+			if _, dup := consIndex[key]; dup {
 				return nil, bad("cons node %d duplicates an interned expression", cn)
 			}
-			consIndexBase[key] = CNode(cn)
+			consIndex[key] = CNode(cn)
 		}
 	}
 
@@ -787,7 +787,7 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 		return nil, bad("clash section has %d words, not triples", len(clashWords))
 	}
 	clashes := make([]Clash, len(clashWords)/3)
-	clashSeenBase := make(map[Clash]struct{}, len(clashes))
+	clashSeen := make(map[Clash]struct{}, len(clashes))
 	for i := range clashes {
 		src, dst, a := clashWords[3*i], clashWords[3*i+1], clashWords[3*i+2]
 		if err := checkCons(src); err != nil {
@@ -800,7 +800,7 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 			return nil, err
 		}
 		clashes[i] = Clash{CNode(src), CNode(dst), Annot(a)}
-		clashSeenBase[clashes[i]] = struct{}{}
+		clashSeen[clashes[i]] = struct{}{}
 	}
 
 	pm, err := r.Uint32s(secProjMerge)
@@ -836,12 +836,12 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 		Sig:           sig,
 		opts:          opts,
 		vars:          vars,
-		varIndex:      internBase(varIndexBase),
+		varIndex:      varIndex,
 		cons:          cons,
-		consIndex:     internBase(consIndexBase),
+		consIndex:     consIndex,
 		freshPrefixes: freshPrefixes,
 		prefixIndex:   prefixIndex,
-		clashSeen:     seenBase(clashSeenBase),
+		clashSeen:     clashSeen,
 		work:          make([]workItem, 0, 64),
 		clashes:       clashes,
 		raw:           raw,
@@ -850,6 +850,11 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 		nCollapsed:    int(meta[4]),
 	}, nil
 }
+
+// clip caps a slice at its length, so that appending through it
+// reallocates instead of writing into the next window: the decoder hands
+// each variable and constructor a window into one shared array.
+func clip[T any](s []T) []T { return s[:len(s):len(s)] }
 
 // reachTableSize returns the open-addressing table size reachSet.insert
 // ends at after n insertions: the smallest power of two ≥ 8 keeping the

@@ -228,14 +228,16 @@ func (s *System) union(winner, loser VarID) {
 	if m := s.metrics; m != nil {
 		m.CycleElims.Inc()
 	}
-	// Detach the loser's state first so replay sees the merged var.
+	// Detach the loser's state first so replay sees the merged var. The
+	// loser keeps its arrays and its projection-merge map, emptied, for a
+	// later fork into this System to refill; the replay reads them
+	// through ld undisturbed, since every write goes to a representative.
 	ld := s.vars[loser]
-	s.vars[loser].out = nil
-	s.vars[loser].sinks = nil
-	s.vars[loser].projs = nil
+	s.vars[loser].out = ld.out[:0]
+	s.vars[loser].sinks = ld.sinks[:0]
+	s.vars[loser].projs = ld.projs[:0]
 	s.vars[loser].index = nil
-	s.vars[loser].reach = reachSet{}
-	s.vars[loser].projMerge = nil
+	s.vars[loser].reach = reachSet{facts: ld.reach.facts[:0], table: ld.reach.table[:0]}
 	s.vars[loser].uf = winner
 
 	// Every replay below can re-enter union through cycle elimination
@@ -279,11 +281,12 @@ func (s *System) union(winner, loser VarID) {
 			s.vars[rw].projMerge[key] = w
 		}
 	}
+	clear(ld.projMerge) // the loser's map, replayed
 	// Constructor-argument occurrences must follow the representative so
 	// that PN-reachability wrap steps see them.
 	rw := s.find(winner)
 	s.vars[rw].argOf = append(s.vars[rw].argOf, ld.argOf...)
-	s.vars[loser].argOf = nil
+	s.vars[loser].argOf = ld.argOf[:0]
 }
 
 // addReach records that constructor expression cn reaches v with composed
@@ -335,11 +338,13 @@ func (s *System) meet(src CNode, h Annot, dst CNode) {
 }
 
 func (s *System) recordClash(c Clash) {
-	if s.clashSeen.add(c) {
-		s.clashes = append(s.clashes, c)
-		if m := s.metrics; m != nil {
-			m.Clashes.Inc()
-		}
+	if _, dup := s.clashSeen[c]; dup {
+		return
+	}
+	s.clashSeen[c] = struct{}{}
+	s.clashes = append(s.clashes, c)
+	if m := s.metrics; m != nil {
+		m.Clashes.Inc()
 	}
 }
 

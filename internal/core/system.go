@@ -182,9 +182,9 @@ type System struct {
 	opts Options
 
 	vars      []varData
-	varIndex  internMap[string, VarID]
+	varIndex  map[string]VarID
 	cons      []consData
-	consIndex internMap[consKey, CNode]
+	consIndex map[consKey]CNode
 
 	// Interned prefixes of Fresh variables and the fallback renderer for
 	// anonymous ones; names are materialized only when VarName is asked.
@@ -194,7 +194,7 @@ type System struct {
 
 	work      []workItem
 	clashes   []Clash
-	clashSeen seenSet[Clash]
+	clashSeen map[Clash]struct{}
 
 	raw []rawConstraint
 
@@ -255,10 +255,10 @@ func NewSystem(alg Algebra, sig *terms.Signature, opts Options) *System {
 		Alg:         alg,
 		Sig:         sig,
 		opts:        opts,
-		varIndex:    newInternMap[string, VarID](),
-		consIndex:   newInternMap[consKey, CNode](),
+		varIndex:    make(map[string]VarID),
+		consIndex:   make(map[consKey]CNode),
 		prefixIndex: make(map[string]int32),
-		clashSeen:   newSeenSet[Clash](),
+		clashSeen:   make(map[Clash]struct{}),
 		work:        make([]workItem, 0, 64),
 	}
 }
@@ -275,12 +275,12 @@ func (s *System) ReserveVars(n int) {
 
 // Var interns a set variable by name.
 func (s *System) Var(name string) VarID {
-	if v, ok := s.varIndex.get(name); ok {
+	if v, ok := s.varIndex[name]; ok {
 		return v
 	}
 	v := s.newVar()
 	s.vars[v].name = name
-	s.varIndex.put(name, v)
+	s.varIndex[name] = v
 	return v
 }
 
@@ -370,7 +370,7 @@ func (s *System) Cons(c terms.ConsID, args ...VarID) CNode {
 	var key consKey
 	if !s.opts.NoHashCons {
 		key = makeConsKey(c, args)
-		if cn, ok := s.consIndex.get(key); ok {
+		if cn, ok := s.consIndex[key]; ok {
 			return cn
 		}
 	}
@@ -383,7 +383,7 @@ func (s *System) Cons(c terms.ConsID, args ...VarID) CNode {
 		s.vars[s.find(a)].argOf = append(s.vars[s.find(a)].argOf, argUse{cn, i})
 	}
 	if !s.opts.NoHashCons {
-		s.consIndex.put(key, cn)
+		s.consIndex[key] = cn
 	}
 	return cn
 }
@@ -416,8 +416,14 @@ func (s *System) ConsString(cn CNode) string {
 	return b.String()
 }
 
-// Clashes returns the inconsistencies discovered so far.
-func (s *System) Clashes() []Clash { return s.clashes }
+// Clashes returns the inconsistencies discovered so far, or nil when
+// there are none, also in a fork whose destination held clashes before.
+func (s *System) Clashes() []Clash {
+	if len(s.clashes) == 0 {
+		return nil
+	}
+	return s.clashes
+}
 
 // Consistent reports whether no clash has been discovered.
 func (s *System) Consistent() bool { return len(s.clashes) == 0 }

@@ -51,8 +51,8 @@ func NewSolverMetrics(r *Registry) *SolverMetrics {
 type PDMMetrics struct {
 	// SkeletonBuilds counts property-independent skeleton builds.
 	SkeletonBuilds *Counter
-	// SkeletonForks counts copy-on-write forks layered on a skeleton
-	// (one per property × entry check).
+	// SkeletonForks counts forks of a skeleton's system (one per
+	// property × entry check).
 	SkeletonForks *Counter
 	// LayeredEvents counts property-event edges added by forks (the
 	// annotation layers of the per-property phase).

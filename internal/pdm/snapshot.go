@@ -56,7 +56,7 @@ func (sk *Skeleton) Snapshot() []byte {
 
 // LoadSkeleton reconstructs a Skeleton for entry over p from a Snapshot,
 // skipping BuildSkeleton's translation and solve entirely: the solved
-// base layer is decoded straight out of the byte buffer. The decoded
+// skeleton system is decoded straight out of the byte buffer. The decoded
 // system is checked against the skeleton contract (identity-only
 // annotations, matching Options) and every cross-reference into p's CFG
 // and function table is validated, so a snapshot taken from a different
