@@ -58,9 +58,11 @@ type Result struct {
 }
 
 // nodeEvent is an action node whose call the property's event map
-// matched, with the annotation its outgoing edges carry.
+// matched: the event while the layer classifies it, then the annotation
+// its outgoing edges carry.
 type nodeEvent struct {
 	node  *minic.Node
+	ev    minic.Event
 	annot core.Annot
 }
 

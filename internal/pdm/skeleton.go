@@ -326,22 +326,27 @@ func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, w
 	}
 
 	ident := alg.Identity()
+	// Match each deferred statement once. The matches, in node order as
+	// deferred is, give a parametric property its pruned labels; the
+	// ones layered with their annotations stay for the Result.
+	var layered []nodeEvent
+	for _, d := range sk.deferred {
+		n := sk.cfg.Nodes[d.id]
+		if ev, ok := events.Match(n.Call, n.AssignTo); ok {
+			layered = append(layered, nodeEvent{node: n, ev: ev})
+		}
+	}
 	var pruned map[string]bool
 	if envTab != nil {
-		var matched []minic.Event
-		for _, d := range sk.deferred {
-			n := sk.cfg.Nodes[d.id]
-			if ev, ok := events.Match(n.Call, n.AssignTo); ok {
-				matched = append(matched, ev)
-			}
-		}
-		pruned = prunedLabels(prop, matched)
+		pruned = prunedLabels(prop, layered)
 	}
-	var layered []nodeEvent // in node order, as deferred is
+	matched, kept := 0, 0
 	for _, d := range sk.deferred {
 		n := sk.cfg.Nodes[d.id]
 		sv := sk.nodeVar[n.ID]
-		if ev, ok := events.Match(n.Call, n.AssignTo); ok {
+		if matched < len(layered) && layered[matched].node == n {
+			ev := layered[matched].ev
+			matched++
 			if ev.Label != "" && prop.ParamOf[ev.Symbol] != "" && pruned[ev.Label] {
 				for _, m := range n.Succs {
 					sys.AddVar(sv, sk.nodeVar[m], ident)
@@ -355,7 +360,8 @@ func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, w
 			if err != nil {
 				return nil, err
 			}
-			layered = append(layered, nodeEvent{node: n, annot: a})
+			layered[kept] = nodeEvent{node: n, annot: a}
+			kept++
 			for _, m := range n.Succs {
 				sys.AddVar(sv, sk.nodeVar[m], a)
 				if o != nil && o.PDM != nil {
@@ -375,6 +381,7 @@ func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, w
 			sys.AddVar(sv, sk.nodeVar[m], ident)
 		}
 	}
+	layered = layered[:kept]
 	sys.Solve()
 	if o != nil && o.Solver != nil {
 		sys.FlushSizeMetrics()
@@ -423,7 +430,7 @@ func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, w
 // nil (prune nothing) when the property is multi-parameter or an event
 // symbol is not in the machine's alphabet (the layering loop surfaces
 // that error).
-func prunedLabels(prop *spec.Property, matched []minic.Event) map[string]bool {
+func prunedLabels(prop *spec.Property, matched []nodeEvent) map[string]bool {
 	params := map[string]bool{}
 	for _, p := range prop.ParamOf {
 		if p != "" {
@@ -436,7 +443,8 @@ func prunedLabels(prop *spec.Property, matched []minic.Event) map[string]bool {
 	mach := prop.Mon.M
 	global := map[dfa.Symbol]bool{}
 	labelSyms := map[string]map[dfa.Symbol]bool{}
-	for _, ev := range matched {
+	for _, m := range matched {
+		ev := m.ev
 		sym, ok := mach.Alpha.Lookup(ev.Symbol)
 		if !ok {
 			return nil
