@@ -319,7 +319,7 @@ func TestNewIncrementalDifferentialOverSynth(t *testing.T) {
 func nodeScanRoots(p *ir.Program) []string {
 	called := map[string]bool{}
 	for _, n := range p.Graph.Nodes {
-		if (n.Kind != ir.NAction && n.Kind != ir.NSpawn) || n.Call == nil {
+		if (n.Kind != minic.NAction && n.Kind != minic.NSpawn) || n.Call == nil {
 			continue
 		}
 		if def, ok := p.MC.Callee(n.Call); ok {

@@ -5,9 +5,9 @@
 // checker (pdm) and the package driver (analysis) consume.
 //
 // The operational core of the IR is the minic kernel — statements, the
-// whole-program CFG, event maps — re-exported here through type aliases
-// so that downstream layers depend on a single package. What ir adds on
-// top of the kernel is identity and change tracking:
+// whole-program CFG, event maps — whose types ir names directly, as its
+// consumers do. What ir adds on top of the kernel is identity and change
+// tracking:
 //
 //   - every function gets a stable ID (its index in definition order)
 //     and a content Fingerprint: a hash of its normalized body together
@@ -34,55 +34,6 @@ import (
 	"sync"
 
 	"rasc/internal/minic"
-)
-
-// Kernel re-exports: the operational IR types downstream layers consume
-// through this package. Aliases keep them assignment-compatible with the
-// minic kernel, so front ends lowering via minic need no conversion.
-type (
-	// CFG is the whole-program control-flow graph.
-	CFG = minic.CFG
-	// Node is one CFG node.
-	Node = minic.Node
-	// NodeKind classifies CFG nodes.
-	NodeKind = minic.NodeKind
-	// ConcOp classifies a node's concurrency event.
-	ConcOp = minic.ConcOp
-	// FuncDef is a function definition in the kernel form.
-	FuncDef = minic.FuncDef
-	// CallExpr is a function-call expression.
-	CallExpr = minic.CallExpr
-	// EventMap maps calls to property-alphabet events.
-	EventMap = minic.EventMap
-	// Rule is one event-map rule.
-	Rule = minic.Rule
-	// Event is a matched property event.
-	Event = minic.Event
-)
-
-// CFG node kinds.
-const (
-	NEntry  = minic.NEntry
-	NExit   = minic.NExit
-	NAction = minic.NAction
-	NJoin   = minic.NJoin
-	NSpawn  = minic.NSpawn
-	NAccess = minic.NAccess
-)
-
-// Concurrency events.
-const (
-	ConcNone    = minic.ConcNone
-	ConcSpawn   = minic.ConcSpawn
-	ConcSend    = minic.ConcSend
-	ConcRecv    = minic.ConcRecv
-	ConcClose   = minic.ConcClose
-	ConcLock    = minic.ConcLock
-	ConcUnlock  = minic.ConcUnlock
-	ConcRLock   = minic.ConcRLock
-	ConcRUnlock = minic.ConcRUnlock
-	ConcLoad    = minic.ConcLoad
-	ConcStore   = minic.ConcStore
 )
 
 // SourceFile is one source file handed to a front end.
@@ -132,7 +83,7 @@ type Function struct {
 	File string
 	Line int
 	// Def is the kernel definition.
-	Def *FuncDef
+	Def *minic.FuncDef
 	// Callees lists the IDs of defined functions this one calls or
 	// spawns, sorted and deduplicated.
 	Callees []int
@@ -154,7 +105,7 @@ type Program struct {
 	// MC is the kernel (minic) program the front end lowered to.
 	MC *minic.Program
 	// Graph is the whole-program CFG, built once at lowering time.
-	Graph *CFG
+	Graph *minic.CFG
 	// Funcs holds one Function per defined function, indexed by ID.
 	Funcs []*Function
 	// ByName maps canonical function names to Functions. Kernel aliases
@@ -187,7 +138,7 @@ func build(mc *minic.Program, meta Meta, prev *Program) (*Program, error) {
 	// from[i] is the previous ID of function i when prev lowered its
 	// FuncDef, else -1; nil lays out every function.
 	var from []int
-	var prevGraph *CFG
+	var prevGraph *minic.CFG
 	if prev != nil {
 		from, prevGraph = make([]int, len(mc.Funcs)), prev.Graph
 		for i, fd := range mc.Funcs {
@@ -225,7 +176,7 @@ func build(mc *minic.Program, meta Meta, prev *Program) (*Program, error) {
 		callees = callees[:0]
 		r := cfg.Funcs[i]
 		for _, n := range cfg.Nodes[r.Lo:r.Hi] {
-			if (n.Kind != NAction && n.Kind != NSpawn) || n.Call == nil {
+			if (n.Kind != minic.NAction && n.Kind != minic.NSpawn) || n.Call == nil {
 				continue
 			}
 			if def, ok := mc.Callee(n.Call); ok {
