@@ -370,11 +370,8 @@ func BenchmarkAblation_NoProjMerge(b *testing.B) {
 func BenchmarkAblation_NoHashCons(b *testing.B) {
 	benchAblation(b, core.Options{NoHashCons: true})
 }
-func BenchmarkAblation_NoWitness(b *testing.B) {
-	benchAblation(b, core.Options{NoWitness: true})
-}
 func BenchmarkAblation_AllOff(b *testing.B) {
-	benchAblation(b, core.Options{NoCycleElim: true, NoProjMerge: true, NoHashCons: true, NoWitness: true})
+	benchAblation(b, core.Options{NoCycleElim: true, NoProjMerge: true, NoHashCons: true})
 }
 
 // --- §8 micro-ablations -------------------------------------------------------

@@ -75,9 +75,10 @@ type recordKey struct {
 }
 
 // solverOpts is the solver-options field hashed into every record file
-// name: the zero core.Options, every skeleton's options, rendered with
-// %+v. Caches filled while the options were a run setting hashed this
-// same string, so changing it turns every existing record file into a
+// name. Every skeleton is solved under the zero core.Options, and this is
+// how %+v rendered that value while the options still had the fields
+// NoWitness and CycleBudget. The string is frozen so that existing cache
+// files keep hitting: changing it would turn every record file into a
 // miss.
 const solverOpts = "{NoCycleElim:false NoProjMerge:false NoHashCons:false NoWitness:false CycleBudget:0 PruneDead:false}"
 

@@ -278,6 +278,37 @@ func TestProjectionRule(t *testing.T) {
 	}
 }
 
+// A representative's out, sink and projection lists hold every entry
+// once: with and without projection merging, when each constraint is
+// issued twice, and when a cycle merges two variables that carry the
+// same constraints.
+func TestListsDuplicateFree(t *testing.T) {
+	for _, opts := range []Options{{}, {NoProjMerge: true}} {
+		sig := terms.NewSignature()
+		pair := sig.MustDeclare("pair", 2)
+		s := NewSystem(TrivialAlgebra{}, sig, opts)
+		x1, x2, y, z, w := s.Var("x1"), s.Var("x2"), s.Var("y"), s.Var("z"), s.Var("w")
+		cn := s.Cons(pair, y, z)
+		for range 2 {
+			for _, x := range []VarID{x1, x2} {
+				s.AddVarE(x, w)
+				s.AddUpperE(x, cn)
+				s.AddProjE(pair, 0, x, z)
+				s.AddLowerE(cn, x)
+			}
+		}
+		s.AddVarE(x1, x2)
+		s.AddVarE(x2, x1)
+		s.Solve()
+		if s.Rep(x1) != s.Rep(x2) {
+			t.Fatalf("%+v: test premise: the cycle x1 ⇄ x2 was not collapsed", opts)
+		}
+		if err := listsDuplicateFree(s); err != nil {
+			t.Errorf("%+v: %v", opts, err)
+		}
+	}
+}
+
 func TestCycleElimination(t *testing.T) {
 	alg := TrivialAlgebra{}
 	sig := terms.NewSignature()

@@ -27,9 +27,8 @@ func (s *System) Fork(alg Algebra) *System { return s.ForkInto(nil, alg) }
 // is large enough and is allocated where not, and the worklist and the
 // cycle check's DFS arrays are kept and emptied, so a caller that layers
 // one fork after another on one destination stops paying for them. A nil
-// dst allocates a new System. List indexes are dropped; each is rebuilt
-// on its first probe. The cycle check's epoch keeps counting across
-// forks, so marks an earlier fork left never match a new search.
+// dst allocates a new System. The cycle check's epoch keeps counting
+// across forks, so marks an earlier fork left never match a new search.
 //
 // Everything dst held before is gone: it must not be s, and no earlier
 // result that reads it (a PNResult of it, say) may be used again.

@@ -45,10 +45,10 @@ const numPairs = 12
 
 // hubOps returns a stream in which the first nHubs variables are hubs:
 // every op attaches an edge, a sink, a projection (over one of the first
-// nPairs constructors) or a lower bound at a hub, so enough ops push a
-// hub's lists past scanLimit and dedup through an index. No constraint
-// flows into a hub, so no cycle collapses one. Every op is issued twice,
-// the repeats in shuffled order.
+// nPairs constructors) or a lower bound at a hub, so enough ops grow a
+// hub's lists long, past 16 entries. No constraint flows into a hub, so
+// no cycle collapses one. Every op is issued twice, the repeats in
+// shuffled order, so dedup must find each repeat in a long list.
 func hubOps(r *rand.Rand, nOps, nHubs, nVars, nConsts, nPairs int, annot func() Annot) []sysOp {
 	other := func() int { return nHubs + r.Intn(nVars-nHubs) }
 	ops := make([]sysOp, nOps, 2*nOps)
@@ -75,7 +75,7 @@ const hubVars = 32
 
 // hubStreams returns a base and a layer stream over 3 hubs (see hubOps).
 // The base, over identity annotations and 11 constructors, grows each
-// hub's out, sink and projection lists past scanLimit; the layer, over
+// hub's out, sink and projection lists past 16 entries; the layer, over
 // any annotation and every constructor, grows them again.
 func hubStreams(r *rand.Rand, nConsts int, ident, anyAnnot func() Annot) (base, layer []sysOp) {
 	base = hubOps(r, 500, 3, hubVars, nConsts, 11, ident)
@@ -266,10 +266,10 @@ func TestQuickForkEquivalentToMonolithic(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The random streams rarely grow a list past scanLimit. In this one
-	// the hubs' lists outgrow it in the base and grow again in the fork
-	// (over more constructors and any annotation), so dedup runs through
-	// an index and through the fork's copy of it.
+	// The random streams rarely grow a list long. In this one the hubs'
+	// lists grow past 16 entries in the base and again in the fork (over
+	// more constructors and any annotation), every constraint issued
+	// twice.
 	r := rand.New(rand.NewSource(3))
 	baseOps, layerOps := hubStreams(r, nConsts, ident, func() Annot { return Annot(r.Intn(mon.Size())) })
 	if !forkMatchesMonolithic(alg, hubVars, nConsts, baseOps, layerOps) {
@@ -343,7 +343,7 @@ func TestQuickDifferentialOptions(t *testing.T) {
 		{NoCycleElim: true},
 		{NoProjMerge: true},
 		{NoHashCons: true},
-		{NoCycleElim: true, NoProjMerge: true, NoHashCons: true, NoWitness: true},
+		{NoCycleElim: true, NoProjMerge: true, NoHashCons: true},
 		{PruneDead: true},
 	}
 	f := func(seed int64) bool {
@@ -393,9 +393,10 @@ func TestQuickDifferentialOptions(t *testing.T) {
 }
 
 // A fork never writes back: after heavy mutation of the fork, the base's
-// statistics, derived facts, consistency and list indexes are untouched.
-// The hub-heavy input has indexed lists in the base that grow again in
-// the fork, so the fork must copy those indexes before writing them.
+// statistics, derived facts and consistency are untouched, and neither
+// system's lists hold an entry twice. The hub-heavy input has lists past
+// 16 entries in the base that grow again in the fork, every constraint
+// issued twice.
 func TestForkIsolation(t *testing.T) {
 	mon := oneBitMonoid(t)
 	alg := FuncAlgebra{mon}
@@ -422,7 +423,6 @@ func TestForkIsolation(t *testing.T) {
 			for vi, v := range base.vars {
 				snapshot[vi] = base.s.ConstAnnots(base.consts[0], v)
 			}
-			indexes := copyIndexes(base.s)
 
 			f := base.fork(alg)
 			f.apply(in.layer)
@@ -446,9 +446,6 @@ func TestForkIsolation(t *testing.T) {
 			if got := len(base.s.Clashes()); got != before.Clashes {
 				t.Errorf("fork clash leaked into base: %d -> %d", before.Clashes, got)
 			}
-			if !reflect.DeepEqual(copyIndexes(base.s), indexes) {
-				t.Error("fork wrote into the base's list indexes")
-			}
 			for _, s := range []*System{base.s, f.s} {
 				if err := listsDuplicateFree(s); err != nil {
 					t.Error(err)
@@ -457,14 +454,8 @@ func TestForkIsolation(t *testing.T) {
 			if in.name != "hubs" {
 				return
 			}
-			copied := 0
-			for v := range base.s.vars {
-				if ix := f.s.vars[v].index; ix != nil && base.s.vars[v].index != nil && ix != base.s.vars[v].index {
-					copied++
-				}
-			}
-			if len(indexes) == 0 || copied == 0 {
-				t.Errorf("test premise: %d indexed base vars, %d copied by the fork; want both > 0", len(indexes), copied)
+			if n, m := longestList(base.s), longestList(f.s); n <= 16 || m <= n {
+				t.Errorf("test premise: the longest list holds %d entries in the base and %d in the fork; want over 16, and more in the fork", n, m)
 			}
 		})
 	}
@@ -496,19 +487,14 @@ func setOf[T comparable](list []T) map[T]bool {
 	return set
 }
 
-// copyIndexes deep-copies the list indexes of s's variables.
-func copyIndexes(s *System) map[int][3]listIndex {
-	out := map[int][3]listIndex{}
-	for v := range s.vars {
-		if ix := s.vars[v].index; ix != nil {
-			var c [3]listIndex
-			for k, l := range ix.lists {
-				c[k] = listIndex{table: slices.Clone(l.table), n: l.n}
-			}
-			out[v] = c
-		}
+// longestList returns the length of s's longest out, sink or projection
+// list.
+func longestList(s *System) int {
+	n := 0
+	for _, d := range s.vars {
+		n = max(n, len(d.out), len(d.sinks), len(d.projs))
 	}
-	return out
+	return n
 }
 
 // Concurrent forks of one frozen base, each layering its own constraints,
@@ -789,7 +775,7 @@ func sharedStorage(a, b *System) string {
 		x, y := &a.vars[v], &b.vars[v]
 		if aliases(x.out, y.out) || aliases(x.sinks, y.sinks) || aliases(x.projs, y.projs) ||
 			aliases(x.argOf, y.argOf) || aliases(x.reach.facts, y.reach.facts) || aliases(x.reach.table, y.reach.table) ||
-			x.index != nil && x.index == y.index || x.projMerge != nil && sameMap(x.projMerge, y.projMerge) {
+			x.projMerge != nil && sameMap(x.projMerge, y.projMerge) {
 			return fmt.Sprintf("the storage of v%d", v)
 		}
 	}
@@ -1000,12 +986,12 @@ func allocsAfter(prepare, f func()) float64 {
 // After a layer in a destination, forking the same base into it again
 // refills the destination's arrays and maps and allocates nothing, also
 // where the layer collapsed the base's variables into cycles. The bases
-// hold projection-merge maps, clashes and indexed lists.
+// hold projection-merge maps and clashes.
 func TestForkIntoReusesStorage(t *testing.T) {
 	mon := oneBitMonoid(t)
 	alg := FuncAlgebra{mon}
 	const nConsts = 3
-	var maps, indexed, clashes, mapsCollapsed int
+	var maps, clashes, mapsCollapsed int
 	for seed := int64(0); seed < 20; seed++ {
 		nVars, baseOps, layerOps := seededStreams(rand.New(rand.NewSource(seed)), seed, mon, nConsts)
 		base := newSysEnv(alg, Options{}, nVars, nConsts)
@@ -1015,9 +1001,6 @@ func TestForkIntoReusesStorage(t *testing.T) {
 		for _, vd := range base.s.vars {
 			if len(vd.projMerge) > 0 {
 				maps++
-			}
-			if vd.index != nil {
-				indexed++
 			}
 		}
 		clashes += len(base.s.clashes)
@@ -1045,8 +1028,8 @@ func TestForkIntoReusesStorage(t *testing.T) {
 			t.Errorf("seed %d: a fork after a fork made %v allocations, want 0", seed, n)
 		}
 	}
-	if maps == 0 || indexed == 0 || clashes == 0 || mapsCollapsed == 0 {
-		t.Errorf("test premise: the bases hold %d projection-merge maps, %d indexed variables and %d clashes, and the layers collapsed %d variables with a map; want each > 0",
-			maps, indexed, clashes, mapsCollapsed)
+	if maps == 0 || clashes == 0 || mapsCollapsed == 0 {
+		t.Errorf("test premise: the bases hold %d projection-merge maps and %d clashes, and the layers collapsed %d variables with a map; want each > 0",
+			maps, clashes, mapsCollapsed)
 	}
 }

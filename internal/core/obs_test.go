@@ -182,16 +182,4 @@ func TestProvenanceChain(t *testing.T) {
 	if last := pnProv[len(pnProv)-1]; last.Var != Y {
 		t.Errorf("PN last hop = %+v, want Y", last)
 	}
-
-	// Witness tracking off → no provenance, not a panic.
-	off := NewSystem(alg, sig, Options{NoWitness: true})
-	w2 := off.Var("W")
-	c2 := off.Constant(cCons)
-	off.AddLower(c2, w2, fg)
-	x2 := off.Var("X")
-	off.AddVar(w2, x2, fg)
-	off.Solve()
-	if got := off.ProvenanceOf(x2, c2, fg); len(got) > 1 {
-		t.Errorf("NoWitness provenance = %v, want at most the fact itself", got)
-	}
 }

@@ -5,9 +5,9 @@ package core
 // first produced it (the parent records of addReach) and PN queries
 // keep the analogous pnParent per fact; Provenance re-reads those
 // structures into an explicit derivation chain from a seed constraint
-// to the queried fact. Nothing here adds solver state: with witness
-// tracking on (the default), provenance extraction is a pure read, so
-// enabling it cannot perturb what the solver derives.
+// to the queried fact. Nothing here adds solver state: the solver always
+// keeps the parent records, so provenance extraction is a pure read and
+// cannot perturb what the solver derives.
 //
 // Soundness caveat: parent records keep only the FIRST derivation of
 // each fact. The chain is therefore one valid derivation, not the only
@@ -60,15 +60,13 @@ func ProvFromTrace(steps []TraceStep) []ProvStep {
 
 // Provenance returns the derivation chain for the PN fact (v, a),
 // oldest first: how the queried constant came to occur at v with
-// annotation a. Returns nil for an unknown fact or when witness
-// tracking is disabled (Options.NoWitness).
+// annotation a. Returns nil for an unknown fact.
 func (r *PNResult) Provenance(v VarID, a Annot) []ProvStep {
 	return ProvFromTrace(r.Trace(v, a))
 }
 
 // ProvenanceOf returns the derivation chain for the top-level reach
-// fact (cn, a) at v, oldest first. Returns nil for an unknown fact or
-// when witness tracking is disabled.
+// fact (cn, a) at v, oldest first. Returns nil for an unknown fact.
 func (s *System) ProvenanceOf(v VarID, cn CNode, a Annot) []ProvStep {
 	return ProvFromTrace(s.Witness(v, cn, a))
 }

@@ -414,8 +414,8 @@ func reverse(s []TraceStep) {
 }
 
 // Witness reconstructs the variable chain along which cn first reached v
-// with annotation a (top-level flow). Returns nil if the fact is unknown
-// or witness tracking is disabled.
+// with annotation a (top-level flow). Returns nil if the fact is
+// unknown.
 func (s *System) Witness(v VarID, cn CNode, a Annot) []TraceStep {
 	steps := s.witness(s.find(v), cn, a)
 	reverse(steps)

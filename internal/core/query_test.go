@@ -140,13 +140,13 @@ func TestSourcesAtDeterministic(t *testing.T) {
 	}
 }
 
-// The cycle budget bounds detection: a long ε-ring is not collapsed with
-// a small budget but is with a large one.
+// The cycle budget bounds detection: the search pops at most cycleBudget
+// variables, so an ε-ring closes into one representative when its
+// closing edge's path back fits that, and is left as it is when not.
 func TestCycleBudget(t *testing.T) {
-	build := func(budget int) *System {
+	ring := func(n int) *System {
 		sig := terms.NewSignature()
-		s := NewSystem(TrivialAlgebra{}, sig, Options{CycleBudget: budget})
-		const n = 200
+		s := NewSystem(TrivialAlgebra{}, sig, Options{})
 		vars := make([]VarID, n)
 		for i := range vars {
 			vars[i] = s.Fresh("v")
@@ -157,33 +157,43 @@ func TestCycleBudget(t *testing.T) {
 		s.Solve()
 		return s
 	}
-	small := build(8)
-	if small.Stats().Collapsed != 0 {
-		t.Error("budget 8 should not find the 200-cycle")
-	}
-	large := build(1 << 12)
-	if large.Stats().Collapsed == 0 {
-		t.Error("budget 4096 should collapse the 200-cycle")
+	for _, c := range []struct{ n, collapsed int }{
+		{32, 31},
+		{cycleBudget + 1, cycleBudget}, // a path of exactly cycleBudget variables
+		{cycleBudget + 2, 0},
+		{200, 0},
+	} {
+		if got := ring(c.n).Stats().Collapsed; got != c.collapsed {
+			t.Errorf("%d-ring: %d variables collapsed, want %d", c.n, got, c.collapsed)
+		}
 	}
 }
 
-func TestWitnessDisabled(t *testing.T) {
-	mon := oneBitMonoid(t)
-	sig := terms.NewSignature()
-	cCons := sig.MustDeclare("c", 0)
-	s := NewSystem(FuncAlgebra{mon}, sig, Options{NoWitness: true})
-	x, y := s.Var("x"), s.Var("y")
-	cNode := s.Constant(cCons)
-	s.AddLowerE(cNode, x)
+// A collapse can nest: merging one variable of a cycle replays its
+// edges on the representative, and a replayed edge can close a second
+// cycle, collapsed before the first one's remaining variables. Here x → y
+// closes y → b → x, and replaying b → c closes c → d → x; the first
+// cycle's y must still be merged after the second collapse.
+func TestNestedCollapse(t *testing.T) {
+	s := NewSystem(TrivialAlgebra{}, terms.NewSignature(), Options{})
+	x, y, b, c, d := s.Var("x"), s.Var("y"), s.Var("b"), s.Var("c"), s.Var("d")
+	s.AddVarE(c, d)
+	s.AddVarE(d, x)
+	s.AddVarE(y, b)
+	s.AddVarE(b, x) // before b → c, so the search from y reaches x through it
+	s.AddVarE(b, c)
+	if s.Stats().Collapsed != 0 {
+		t.Fatalf("test premise: %d variables collapsed before the cycle closes", s.Stats().Collapsed)
+	}
 	s.AddVarE(x, y)
 	s.Solve()
-	// Queries still work; witnesses degrade to a single step.
-	if !s.Flows(cNode, y) {
-		t.Fatal("flow lost with NoWitness")
+	for _, v := range []VarID{y, b, c, d} {
+		if s.Rep(v) != s.Rep(x) {
+			t.Errorf("%s not merged with x", s.VarName(v))
+		}
 	}
-	steps := s.Witness(y, cNode, Annot(mon.Identity()))
-	if len(steps) > 1 {
-		t.Errorf("NoWitness should not retain parents, got %d steps", len(steps))
+	if got := s.Stats().Collapsed; got != 4 {
+		t.Errorf("%d variables collapsed, want 4", got)
 	}
 }
 

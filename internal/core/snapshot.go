@@ -42,7 +42,9 @@ const (
 	secSigVariance = 27 // one byte per constructor argument, in order
 )
 
-// optFlags packs the boolean Options into a bitmask for the meta section.
+// optFlags packs the Options into a bitmask for the meta section. The
+// value 8 marked a witness-tracking option, since removed; the other
+// options keep their values, so encoded bytes stay as they were.
 func optFlags(o Options) uint32 {
 	var f uint32
 	if o.NoCycleElim {
@@ -53,9 +55,6 @@ func optFlags(o Options) uint32 {
 	}
 	if o.NoHashCons {
 		f |= 4
-	}
-	if o.NoWitness {
-		f |= 8
 	}
 	if o.PruneDead {
 		f |= 16
@@ -70,9 +69,8 @@ func optFlags(o Options) uint32 {
 // offset-indexed flat uint32 sections in deterministic order, so equal
 // Systems encode to equal bytes.
 //
-// The intern and clash tables, the reach hash indexes and the list
-// indexes are not serialized: DecodeSystem rebuilds them from the arrays
-// (a list index on its first probe, as after a fork), which is both
+// The intern and clash tables and the reach hash indexes are not
+// serialized: DecodeSystem rebuilds them from the arrays, which is both
 // smaller on disk and equivalent for every operation on the decoded
 // System or a fork of it.
 func (s *System) EncodeSnapshot(w *snapshot.Writer) {
@@ -86,7 +84,7 @@ func (s *System) EncodeSnapshot(w *snapshot.Writer) {
 	w.Uint32s(secMeta, []uint32{
 		uint32(numVars), uint32(numCons),
 		uint32(s.nEdges), uint32(s.nReach), uint32(s.nCollapsed),
-		optFlags(s.opts), uint32(s.opts.CycleBudget),
+		optFlags(s.opts), cycleBudget,
 	})
 
 	uf := make([]uint32, numVars)
@@ -287,12 +285,9 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 		return nil, bad("meta section has %d words, want 7", len(meta))
 	}
 	numVars, numCons := int(meta[0]), int(meta[1])
-	if opts.CycleBudget == 0 {
-		opts.CycleBudget = 64
-	}
-	if meta[5] != optFlags(opts) || meta[6] != uint32(opts.CycleBudget) {
+	if meta[5] != optFlags(opts) || meta[6] != cycleBudget {
 		return nil, fmt.Errorf("core: snapshot was solved under different Options (flags %d budget %d, want %d %d)",
-			meta[5], meta[6], optFlags(opts), opts.CycleBudget)
+			meta[5], meta[6], optFlags(opts), cycleBudget)
 	}
 
 	strs, err := snapshot.ReadStrings(r, secStrBlob, secStrOffs)
@@ -855,6 +850,25 @@ func DecodeSystem(r *snapshot.Reader, alg Algebra, opts Options, identityOnly bo
 // reallocates instead of writing into the next window: the decoder hands
 // each variable and constructor a window into one shared array.
 func clip[T any](s []T) []T { return s[:len(s):len(s)] }
+
+// duplicated reports whether list holds some entry twice. The solver
+// keeps every out, sink and projection list duplicate-free; a snapshot
+// is outside input, so the decoder checks its lists, through a map since
+// a hostile file's list can be arbitrarily long. Most lists hold one
+// entry at most and need no map.
+func duplicated[T comparable](list []T) bool {
+	if len(list) < 2 {
+		return false
+	}
+	seen := make(map[T]bool, len(list))
+	for _, x := range list {
+		if seen[x] {
+			return true
+		}
+		seen[x] = true
+	}
+	return false
+}
 
 // reachTableSize returns the open-addressing table size reachSet.insert
 // ends at after n insertions: the smallest power of two ≥ 8 keeping the

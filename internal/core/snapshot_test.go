@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -198,19 +199,29 @@ func TestSnapshotOptionsMismatch(t *testing.T) {
 	if _, err := DecodeSystem(rd, alg, Options{NoCycleElim: true}, true); err == nil {
 		t.Fatal("decode under different Options succeeded")
 	}
-	rd, err = snapshot.NewReader(data)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// duplicated, the decoder's check that a list holds no entry twice,
+// finds a repeated entry anywhere in a list, a long one or one of two
+// entries.
+func TestDuplicated(t *testing.T) {
+	list := make([]edge, 48)
+	for i := range list {
+		list[i] = edge{VarID(i), Annot(i % 3)}
 	}
-	if _, err := DecodeSystem(rd, alg, Options{CycleBudget: 7}, true); err == nil {
-		t.Fatal("decode under different CycleBudget succeeded")
+	if duplicated(list) {
+		t.Fatal("a duplicate-free list reported duplicated")
 	}
-	// The defaulted budget (0 → 64) matches an Options{} encode.
-	rd, err = snapshot.NewReader(data)
-	if err != nil {
-		t.Fatal(err)
+	for _, l := range [][]edge{nil, list[:1], list[:2], {list[0], list[0]}} {
+		if got, want := duplicated(l), len(l) == 2 && l[0] == l[1]; got != want {
+			t.Errorf("%v: duplicated = %v, want %v", l, got, want)
+		}
 	}
-	if _, err := DecodeSystem(rd, alg, Options{CycleBudget: 64}, true); err != nil {
-		t.Fatalf("decode under explicit default budget: %v", err)
+	for _, p := range [][2]int{{0, 1}, {3, 16}, {0, 21}, {18, len(list) - 1}} {
+		l := slices.Clone(list)
+		l[p[1]] = l[p[0]]
+		if !duplicated(l) {
+			t.Errorf("entries %d and %d equal, not reported", p[0], p[1])
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "rasc/internal/terms"
+import (
+	"slices"
+
+	"rasc/internal/terms"
+)
 
 // AddVar adds the constraint x ⊆^a y.
 func (s *System) AddVar(x, y VarID, a Annot) {
@@ -25,7 +29,7 @@ func (s *System) AddUpper(x VarID, cn CNode, a Annot) {
 	s.raw = append(s.raw, rawConstraint{kind: rawUpper, x: x, cn: cn, a: a})
 	x = s.find(x)
 	sk := sinkRef{cn, a}
-	if contains(s, x, listSinks, s.vars[x].sinks, sk) {
+	if slices.Contains(s.vars[x].sinks, sk) {
 		return
 	}
 	s.vars[x].sinks = append(s.vars[x].sinks, sk)
@@ -96,7 +100,7 @@ func (s *System) AddProjE(c terms.ConsID, idx int, x, z VarID) {
 
 func (s *System) addProjDirect(x VarID, pr projRef) {
 	x = s.find(x)
-	if contains(s, x, listProjs, s.vars[x].projs, pr) {
+	if slices.Contains(s.vars[x].projs, pr) {
 		return
 	}
 	s.vars[x].projs = append(s.vars[x].projs, pr)
@@ -124,7 +128,7 @@ func (s *System) addEdge(x, y VarID, a Annot) {
 		return
 	}
 	e := edge{y, a}
-	if contains(s, x, listOut, s.vars[x].out, e) {
+	if slices.Contains(s.vars[x].out, e) {
 		return
 	}
 	s.vars[x].out = append(s.vars[x].out, e)
@@ -144,10 +148,16 @@ func (s *System) addEdge(x, y VarID, a Annot) {
 	}
 }
 
+// cycleBudget bounds the depth-first search that looks for an ε-cycle on
+// edge insertion: it pops at most this many variables.
+const cycleBudget = 64
+
 // tryCollapse looks for an ε-path from y back to x (bounded DFS); if one
 // exists, the whole cycle is collapsed into one representative. The DFS
-// runs over epoch-stamped scratch arrays kept on the System, so steady-
-// state cycle checks allocate nothing.
+// runs over epoch-stamped scratch arrays kept on the System, and the
+// path is collected in an array on this frame, so cycle checks and
+// collapses allocate nothing in steady state. A union below may re-enter
+// tryCollapse, which then collects its path in an array of its own.
 func (s *System) tryCollapse(x, y VarID) {
 	x, y = s.find(x), s.find(y)
 	if x == y {
@@ -174,7 +184,7 @@ func (s *System) tryCollapse(x, y VarID) {
 	seen := func(v VarID) bool { return s.dfsMark[v] == epoch }
 
 	ident := s.Alg.Identity()
-	budget := s.opts.CycleBudget
+	budget := cycleBudget
 	stack := s.dfsStack[:0]
 	visit(y, y)
 	stack = append(stack, y)
@@ -204,8 +214,10 @@ func (s *System) tryCollapse(x, y VarID) {
 	if !found {
 		return
 	}
-	// Collapse the path y → … → x (plus the new edge x → y) into x.
-	var cycle []VarID
+	// Collapse the path y → … → x (plus the new edge x → y) into x. Every
+	// variable on it was popped by the search, so it fits the budget.
+	var buf [cycleBudget]VarID
+	cycle := buf[:0]
 	for v := s.dfsPrev[x]; ; v = s.dfsPrev[v] {
 		cycle = append(cycle, v)
 		if v == y {
@@ -236,7 +248,6 @@ func (s *System) union(winner, loser VarID) {
 	s.vars[loser].out = ld.out[:0]
 	s.vars[loser].sinks = ld.sinks[:0]
 	s.vars[loser].projs = ld.projs[:0]
-	s.vars[loser].index = nil
 	s.vars[loser].reach = reachSet{facts: ld.reach.facts[:0], table: ld.reach.table[:0]}
 	s.vars[loser].uf = winner
 
@@ -250,7 +261,7 @@ func (s *System) union(winner, loser VarID) {
 	}
 	for _, sk := range ld.sinks {
 		w := s.find(winner)
-		if !contains(s, w, listSinks, s.vars[w].sinks, sk) {
+		if !slices.Contains(s.vars[w].sinks, sk) {
 			s.vars[w].sinks = append(s.vars[w].sinks, sk)
 			facts := s.vars[w].reach.facts
 			if m := s.metrics; m != nil {
@@ -296,9 +307,6 @@ func (s *System) addReach(v VarID, cn CNode, a Annot, par parent) {
 		return
 	}
 	v = s.find(v)
-	if s.opts.NoWitness {
-		par = parent{fromVar: -1, step: par.step}
-	}
 	if !s.vars[v].reach.insert(cn, a, par) {
 		return
 	}

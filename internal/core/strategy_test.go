@@ -135,7 +135,7 @@ func TestQuickOptimizationsPreserveSemantics(t *testing.T) {
 			{NoCycleElim: true},
 			{NoProjMerge: true},
 			{NoHashCons: true},
-			{NoCycleElim: true, NoProjMerge: true, NoHashCons: true, NoWitness: true},
+			{NoCycleElim: true, NoProjMerge: true, NoHashCons: true},
 		} {
 			alt, altConsts, altVars := build(opts)
 			for ci := range consts {

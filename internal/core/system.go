@@ -29,12 +29,6 @@ type Options struct {
 	NoProjMerge bool
 	// NoHashCons disables hash-consing of constructor expressions.
 	NoHashCons bool
-	// NoWitness disables parent tracking for witness extraction, saving
-	// memory in benchmarks.
-	NoWitness bool
-	// CycleBudget bounds the depth-first search used to detect ε-cycles
-	// on edge insertion; 0 means the default (64 nodes).
-	CycleBudget int
 	// PruneDead discards facts and edges whose annotation is dead (not a
 	// substring of L(M)): the §3.1 optimization, equivalent to solving
 	// over T^{M^sub}. Off by default so that raw reachability queries see
@@ -105,12 +99,13 @@ type varData struct {
 	// union-find parent; self when representative.
 	uf VarID
 
+	// A representative's out, sink and projection lists never hold an
+	// entry twice, so each constraint fires once: a new entry is checked
+	// by a scan of the list, and a collapsed variable's entries move to
+	// its representative through the same check (union).
 	out   []edge
 	sinks []sinkRef
 	projs []projRef
-	// index over out, sinks and projs once one of them outgrows a scan
-	// (see dedup.go); nil until then.
-	index *listIndexes
 	reach reachSet
 
 	// occurrences of this var as an argument of constructor expressions,
@@ -248,9 +243,6 @@ func makeConsKey(c terms.ConsID, args []VarID) consKey {
 // NewSystem returns an empty constraint system over the given annotation
 // algebra and constructor signature.
 func NewSystem(alg Algebra, sig *terms.Signature, opts Options) *System {
-	if opts.CycleBudget == 0 {
-		opts.CycleBudget = 64
-	}
 	return &System{
 		Alg:         alg,
 		Sig:         sig,

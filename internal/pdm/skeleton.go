@@ -252,9 +252,9 @@ func (sk *Skeleton) Check(prop *spec.Property, events *minic.EventMap) (*Result,
 }
 
 // Workspace is the storage a property layer fills: the forked constraint
-// system and the program counter's PN query. A caller that layers one
-// property after another on one Workspace reuses their arrays instead of
-// allocating them per layer.
+// system, the program counter's PN query and the matched events. A
+// caller that layers one property after another on one Workspace reuses
+// their arrays instead of allocating them per layer.
 //
 // A Result layered in a Workspace is valid until that Workspace's next
 // layer, which overwrites it; read everything needed from it before
@@ -262,8 +262,9 @@ func (sk *Skeleton) Check(prop *spec.Property, events *minic.EventMap) (*Result,
 // zero value is ready to use. A layer that fails or panics leaves it
 // ready for the next.
 type Workspace struct {
-	sys core.System
-	pn  core.PNResult
+	sys    core.System
+	pn     core.PNResult
+	events []nodeEvent
 }
 
 // CheckObs is Check with observability hooks attached (see Obs), layered
@@ -291,8 +292,9 @@ func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, w
 	}
 	var dst *core.System
 	var pn *core.PNResult
+	var layered []nodeEvent
 	if ws != nil {
-		dst, pn = &ws.sys, &ws.pn
+		dst, pn, layered = &ws.sys, &ws.pn, ws.events[:0]
 	}
 	sys := sk.sys
 	if inPlace {
@@ -329,7 +331,6 @@ func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, w
 	// Match each deferred statement once. The matches, in node order as
 	// deferred is, give a parametric property its pruned labels; the
 	// ones layered with their annotations stay for the Result.
-	var layered []nodeEvent
 	for _, d := range sk.deferred {
 		n := sk.cfg.Nodes[d.id]
 		if ev, ok := events.Match(n.Call, n.AssignTo); ok {
@@ -382,6 +383,9 @@ func (sk *Skeleton) layer(prop *spec.Property, events *minic.EventMap, o *Obs, w
 		}
 	}
 	layered = layered[:kept]
+	if ws != nil {
+		ws.events = layered
+	}
 	sys.Solve()
 	if o != nil && o.Solver != nil {
 		sys.FlushSizeMetrics()
